@@ -1,13 +1,18 @@
-"""Global awareness layers: positional encoding, multi-head temporal/spatial
-attention, fusion attention, and the three transformer-like blocks that read
+"""Global awareness layer: positional encoding, multi-head temporal/spatial
+attention, fusion attention, and the one transformer-like block that reads
 the full hidden-state sequence at once.
 
 All attention operates on [B, N, T, d] hidden sequences. Temporal attention
 attends over the T axis per node; spatial attention transposes N and T and
 attends over nodes per step; fusion attention is temporal attention whose
-value stream is the output of an inner spatial attention. The three blocks
-combine temporal and spatial attention in parallel, in series, or fused, each
-with residual connections and layer normalization.
+value stream is the output of an inner spatial attention.
+
+Every block variant is a row of the ``BLOCKS`` site table: after positional
+encoding, each site applies its sublayer (an attention, the parallel merge of
+temporal and spatial attention, or the feed-forward network) with a residual
+connection and layer normalization. The three paper blocks combine temporal
+and spatial attention in parallel, in series, or fused; ``ta_only`` and
+``sa_only`` keep one attention for ablation.
 """
 
 from __future__ import annotations
@@ -165,26 +170,28 @@ class LayerNormParams:
                                Tensor(np.zeros(dim), requires_grad=True))
 
 
-# layer-norm sites per block variant, in application order
-_NORM_SITES = {
+# sublayer sites of each global block, in application order; every site maps
+# x to LayerNorm_site(sublayer_site(x) + x). The order of the keys is the
+# order of the ablation grid.
+BLOCKS = {
+    "ta_only": ("temporal",),
+    "sa_only": ("spatial",),
     "parallel": ("merge", "ffn"),
     "serial": ("temporal", "spatial", "ffn"),
     "fused": ("fusion", "ffn"),
-    "ta_only": ("temporal",),
-    "sa_only": ("spatial",),
 }
 
 
 @dataclass
 class Gst2Params:
-    """Parameters of one global awareness block; only the fields the variant
-    needs are allocated."""
+    """Parameters of one global awareness block; only the fields the sites of
+    the variant use are allocated."""
 
     variant: str
     temporal: AttentionParams | None = None
     spatial: AttentionParams | None = None
     fusion: AttentionParams | None = None
-    concat_proj: Tensor | None = None          # [2d, d], parallel only
+    concat_proj: Tensor | None = None          # [2d, d], merge site only
     ffn_w1: Tensor | None = None
     ffn_b1: Tensor | None = None
     ffn_w2: Tensor | None = None
@@ -194,120 +201,62 @@ class Gst2Params:
     @staticmethod
     def create(variant: str, dim: int, heads: int, ffn_dim: int,
                rng: np.random.Generator) -> "Gst2Params":
-        if variant not in _NORM_SITES:
+        # the allocation order (temporal, spatial, fusion, concat_proj, FFN)
+        # decides which draws of the seeded stream each tensor gets; keep it so
+        # a seed gives the same model on every version
+        if variant not in BLOCKS:
             raise ConfigError(f"unknown global layer variant '{variant}'")
+        sites = set(BLOCKS[variant])
         p = Gst2Params(variant)
-        if variant in ("parallel", "serial", "ta_only"):
+        if sites & {"temporal", "merge"}:
             p.temporal = AttentionParams.create(dim, heads, rng)
-        if variant in ("parallel", "serial", "fused", "sa_only"):
+        if sites & {"spatial", "merge", "fusion"}:
             p.spatial = AttentionParams.create(dim, heads, rng)
-        if variant == "fused":
+        if "fusion" in sites:
             p.fusion = AttentionParams.create(dim, heads, rng)
-        if variant == "parallel":
+        if "merge" in sites:
             bound = np.sqrt(1.0 / (2 * dim))
             p.concat_proj = Tensor(rng.uniform(-bound, bound, (2 * dim, dim)), requires_grad=True)
-        if variant in ("parallel", "serial", "fused"):
+        if "ffn" in sites:
             w_bound = np.sqrt(1.0 / dim)
             p.ffn_w1 = Tensor(rng.uniform(-w_bound, w_bound, (dim, ffn_dim)), requires_grad=True)
             p.ffn_b1 = Tensor(np.zeros(ffn_dim), requires_grad=True)
             v_bound = np.sqrt(1.0 / ffn_dim)
             p.ffn_w2 = Tensor(rng.uniform(-v_bound, v_bound, (ffn_dim, dim)), requires_grad=True)
             p.ffn_b2 = Tensor(np.zeros(dim), requires_grad=True)
-        p.norms = {site: LayerNormParams.create(dim) for site in _NORM_SITES[variant]}
+        p.norms = {site: LayerNormParams.create(dim) for site in BLOCKS[variant]}
         return p
 
 
-def _ln(x: Tensor, p: Gst2Params, site: str) -> Tensor:
-    norm = p.norms[site]
-    return ad.layer_norm(x, norm.gamma, norm.beta, LN_EPS)
-
-
-def _ffn(x: Tensor, p: Gst2Params, inner_dropout: float, training: bool, rng) -> Tensor:
+def _sublayer(site: str, x: Tensor, p: Gst2Params, dropout: float, training: bool,
+              rng) -> Tensor:
+    if site == "temporal":
+        return temporal_attention(x, p.temporal, dropout, training, rng)
+    if site == "spatial":
+        return spatial_attention(x, p.spatial, dropout, training, rng)
+    if site == "merge":  # temporal and spatial attention side by side, projected to d
+        ta = temporal_attention(x, p.temporal, dropout, training, rng)
+        sa = spatial_attention(x, p.spatial, dropout, training, rng)
+        return ad.matmul(ad.concat([ta, sa], axis=-1), p.concat_proj)
+    if site == "fusion":
+        return stfa(x, p.fusion, p.spatial, dropout, training, rng)
+    # "ffn": the position-wise feed-forward network
     hidden = ad.relu(ad.add(ad.matmul(x, p.ffn_w1), p.ffn_b1))
-    hidden = ad.dropout(hidden, inner_dropout, training, rng)
+    hidden = ad.dropout(hidden, dropout, training, rng)
     return ad.add(ad.matmul(hidden, p.ffn_w2), p.ffn_b2)
 
 
-def _embed_positions(h: Tensor, input_dropout: float, training: bool, rng) -> Tensor:
-    pe = positional_encoding(h.shape[2], h.shape[3])
-    h_e = ad.add(h, ad.reshape(pe, (1, 1) + pe.shape))
-    return ad.dropout(h_e, input_dropout, training, rng)
-
-
-def _check_variant(p: Gst2Params, expected: str):
-    if p.variant != expected:
-        raise ConfigError(f"layer built for variant '{p.variant}', called as '{expected}'")
-
-
-def pgst2_layer(h: Tensor, p: Gst2Params, input_dropout: float = 0.0,
-                inner_dropout: float = 0.0, training: bool = False, rng=None) -> Tensor:
-    """Parallel block: temporal and spatial attention on the same input,
-    concatenated and projected back to d before the residual."""
-    _check_variant(p, "parallel")
-    h_e = _embed_positions(h, input_dropout, training, rng)
-    ta = temporal_attention(h_e, p.temporal, inner_dropout, training, rng)
-    sa = spatial_attention(h_e, p.spatial, inner_dropout, training, rng)
-    h_c = ad.matmul(ad.concat([ta, sa], axis=-1), p.concat_proj)
-    h_p = _ln(ad.add(h_c, h_e), p, "merge")
-    return _ln(ad.add(_ffn(h_p, p, inner_dropout, training, rng), h_p), p, "ffn")
-
-
-def sgst2_layer(h: Tensor, p: Gst2Params, input_dropout: float = 0.0,
-                inner_dropout: float = 0.0, training: bool = False, rng=None) -> Tensor:
-    """Serial block: temporal attention, then spatial attention, each with its
-    own residual and normalization."""
-    _check_variant(p, "serial")
-    h_e = _embed_positions(h, input_dropout, training, rng)
-    h_t = _ln(ad.add(temporal_attention(h_e, p.temporal, inner_dropout, training, rng), h_e),
-              p, "temporal")
-    h_s = _ln(ad.add(spatial_attention(h_t, p.spatial, inner_dropout, training, rng), h_t),
-              p, "spatial")
-    return _ln(ad.add(_ffn(h_s, p, inner_dropout, training, rng), h_s), p, "ffn")
-
-
-def fgst2_layer(h: Tensor, p: Gst2Params, input_dropout: float = 0.0,
-                inner_dropout: float = 0.0, training: bool = False, rng=None) -> Tensor:
-    """Fused block: one fusion attention captures both axes at once."""
-    _check_variant(p, "fused")
-    h_e = _embed_positions(h, input_dropout, training, rng)
-    h_f = _ln(ad.add(stfa(h_e, p.fusion, p.spatial, inner_dropout, training, rng), h_e),
-              p, "fusion")
-    return _ln(ad.add(_ffn(h_f, p, inner_dropout, training, rng), h_f), p, "ffn")
-
-
-def ta_only_layer(h: Tensor, p: Gst2Params, input_dropout: float = 0.0,
-                  inner_dropout: float = 0.0, training: bool = False, rng=None) -> Tensor:
-    """Ablation block: temporal attention with residual + norm, no feed-forward."""
-    _check_variant(p, "ta_only")
-    h_e = _embed_positions(h, input_dropout, training, rng)
-    return _ln(ad.add(temporal_attention(h_e, p.temporal, inner_dropout, training, rng), h_e),
-               p, "temporal")
-
-
-def sa_only_layer(h: Tensor, p: Gst2Params, input_dropout: float = 0.0,
-                  inner_dropout: float = 0.0, training: bool = False, rng=None) -> Tensor:
-    """Ablation block: spatial attention with residual + norm, no feed-forward."""
-    _check_variant(p, "sa_only")
-    h_e = _embed_positions(h, input_dropout, training, rng)
-    return _ln(ad.add(spatial_attention(h_e, p.spatial, inner_dropout, training, rng), h_e),
-               p, "spatial")
-
-
-_LAYER_FNS = {
-    "parallel": pgst2_layer,
-    "serial": sgst2_layer,
-    "fused": fgst2_layer,
-    "ta_only": ta_only_layer,
-    "sa_only": sa_only_layer,
-}
-
-
-def apply_global_layer(h: Tensor, p: Gst2Params | None, variant: str,
-                       input_dropout: float = 0.0, inner_dropout: float = 0.0,
-                       training: bool = False, rng=None) -> Tensor:
-    """Dispatch on the configured variant; 'none' passes h through unchanged."""
-    if variant == "none":
+def apply_global_layer(h: Tensor, p: Gst2Params | None, input_dropout: float = 0.0,
+                       inner_dropout: float = 0.0, training: bool = False, rng=None) -> Tensor:
+    """Global awareness block over h [B, N, T, d]: add positional encoding and
+    input dropout, then run the sites of ``BLOCKS[p.variant]`` in order.
+    ``p is None`` (variant 'none') passes h through unchanged."""
+    if p is None:
         return h
-    if variant not in _LAYER_FNS:
-        raise ConfigError(f"unknown global layer variant '{variant}'")
-    return _LAYER_FNS[variant](h, p, input_dropout, inner_dropout, training, rng)
+    pe = positional_encoding(h.shape[2], h.shape[3])
+    x = ad.dropout(ad.add(h, ad.reshape(pe, (1, 1) + pe.shape)), input_dropout, training, rng)
+    for site in BLOCKS[p.variant]:
+        norm = p.norms[site]
+        x = ad.layer_norm(ad.add(_sublayer(site, x, p, inner_dropout, training, rng), x),
+                          norm.gamma, norm.beta, LN_EPS)
+    return x

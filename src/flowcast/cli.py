@@ -20,7 +20,7 @@ from . import data as dp
 from . import model as md
 from . import training as tr
 from .errors import (ConfigError, InsufficientDataError, InvalidGraphError,
-                     ParseError, TrainingDiverged)
+                     ParseError, ShapeError, TrainingDiverged)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -108,17 +108,11 @@ def apply_overrides(cfg: dict, sets: list[str]):
         value = _parse_set_value(raw_value)
         if "." in key:
             section, _, name = key.partition(".")
-            if section == "data" and name.startswith("synth."):
-                sub = name.split(".", 1)[1]
-                if cfg["data"]["synth"] is None:
-                    cfg["data"]["synth"] = dict(_SYNTH_DEFAULTS)
-                if sub not in cfg["data"]["synth"]:
-                    raise ConfigError(f"unknown config key 'data.synth.{sub}'")
-                cfg["data"]["synth"][sub] = value
-                continue
-            if section not in ("data", "model", "train") or name not in cfg[section]:
+            if section not in ("data", "model", "train"):
                 raise ConfigError(f"unknown config key '{key}'")
-            cfg[section][name] = value
+            if section == "data" and name.startswith("synth."):
+                name, value = "synth", {**(cfg["data"]["synth"] or {}), name[len("synth."):]: value}
+            _merge_section(cfg[section], {name: value}, f"{section}.")
         elif key == "seed":
             cfg["seed"] = value
         else:
@@ -129,7 +123,7 @@ def apply_overrides(cfg: dict, sets: list[str]):
                 raise ConfigError(
                     f"ambiguous key '{key}' (in sections {hits}); qualify it as section.key"
                 )
-            cfg[hits[0]][key] = value
+            _merge_section(cfg[hits[0]], {key: value}, f"{hits[0]}.")
 
 
 def resolve_seeds(cfg: dict, seed_flag: int | None):
@@ -202,10 +196,6 @@ def _metrics_json(report: dp.MetricsReport, per_horizon: list[dp.MetricsReport])
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _write_text(path: str, text: str):
-    dp._write_text_atomic(path, text)
-
-
 def _run_training(cfg: dict, out_dir: str, log_progress: bool = True) -> dict:
     series, adjacency = load_dataset(cfg)
     model_cfg = build_model_config(cfg, series.node_count)
@@ -236,7 +226,7 @@ def _run_training(cfg: dict, out_dir: str, log_progress: bool = True) -> dict:
     preds = tr.predict_batched(model, x_test, train_cfg.batch_size)
     report = dp.metrics(preds, y_test, normalizer)
     horizon = dp.metrics_per_horizon(preds, y_test, normalizer)
-    _write_text(os.path.join(out_dir, "metrics.json"), _metrics_json(report, horizon))
+    dp.write_atomic(os.path.join(out_dir, "metrics.json"), _metrics_json(report, horizon).encode())
     return {"model": model, "result": result, "report": report, "config": cfg}
 
 
@@ -271,14 +261,18 @@ def cmd_eval(args) -> int:
     train_cfg = build_train_config(cfg)
     splits, normalizer = prepare_splits(series, model_cfg)
     model = md.Forecaster(model_cfg, adjacency=adjacency)
-    model.params.load_values(values)
+    try:
+        model.params.load_values(values)
+    except (KeyError, ShapeError) as exc:
+        raise ParseError(f"{args.checkpoint}: {exc.args[0]}") from None
 
     x_test, y_test = splits["test"]
     preds = tr.predict_batched(model, x_test, train_cfg.batch_size)
     report = dp.metrics(preds, y_test, normalizer)
     horizon = dp.metrics_per_horizon(preds, y_test, normalizer)
     os.makedirs(args.out, exist_ok=True)
-    _write_text(os.path.join(args.out, "metrics.json"), _metrics_json(report, horizon))
+    dp.write_atomic(os.path.join(args.out, "metrics.json"),
+                    _metrics_json(report, horizon).encode())
     dp.write_predictions_csv(os.path.join(args.out, "predictions.csv"),
                              normalizer.denormalize(preds))
     print(f"test mae={report.mae:.4f} rmse={report.rmse:.4f} "
@@ -333,9 +327,10 @@ def cmd_ablate(args) -> int:
     for mode, variant, mae, rmse, mape in rows:
         mape_s = "" if mape is None else repr(mape)
         lines.append(f"{mode},{variant},{mae!r},{rmse!r},{mape_s}")
-    _write_text(os.path.join(args.out, "ablation.csv"), "\n".join(lines) + "\n")
-    _write_text(os.path.join(args.out, "ablation_summary.json"),
-                json.dumps({"cells": summary, "failures": failures}, indent=2) + "\n")
+    dp.write_atomic(os.path.join(args.out, "ablation.csv"), ("\n".join(lines) + "\n").encode())
+    dp.write_atomic(os.path.join(args.out, "ablation_summary.json"),
+                    (json.dumps({"cells": summary, "failures": failures}, indent=2)
+                     + "\n").encode())
     baseline = [s for s in summary if s["variant"] == "none"]
     enhanced = [s for s in summary if s["variant"] in ("parallel", "serial", "fused")]
     if baseline and enhanced:

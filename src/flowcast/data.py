@@ -39,15 +39,18 @@ class TrafficSeries:
 def load_series(path: str) -> TrafficSeries:
     """Parse a headerless CSV of plain decimal floats into a TrafficSeries.
 
-    Raises ParseError naming the offending line (and column for bad cells).
+    Raises ParseError naming the offending line (and column for bad cells);
+    a cell that parses to NaN or infinity is a bad cell.
     """
     rows = []
+    linenos = []
     width = None
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
+            linenos.append(lineno)
             cells = line.split(",")
             if width is None:
                 width = len(cells)
@@ -68,7 +71,13 @@ def load_series(path: str) -> TrafficSeries:
                 raise
     if not rows:
         raise ParseError(f"{path}: file contains no data rows")
-    return TrafficSeries(np.array(rows, dtype=np.float64))
+    values = np.array(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        row, col = bad[0]
+        raise ParseError(f"{path}: line {linenos[row]}, column {col + 1}: "
+                         f"not a finite number: '{values[row, col]}'")
+    return TrafficSeries(values)
 
 
 def load_adjacency(path: str) -> np.ndarray:
@@ -241,12 +250,15 @@ def synthesize(n_nodes: int, steps: int, seed: int, noise_level: float = 1.0,
 # -- file output ---------------------------------------------------------------
 
 
-def _write_text_atomic(path: str, text: str):
+def write_atomic(path: str, data: bytes):
+    """Write ``data`` to a temp file beside ``path``, then rename it over
+    ``path``; readers never see a partial file, and the temp file is removed
+    if anything fails."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -257,7 +269,7 @@ def _write_text_atomic(path: str, text: str):
 def write_series_csv(path: str, values: np.ndarray):
     """Headerless CSV with shortest round-trip float formatting."""
     lines = [",".join(repr(float(v)) for v in row) for row in values]
-    _write_text_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def write_predictions_csv(path: str, preds: np.ndarray):
@@ -267,4 +279,4 @@ def write_predictions_csv(path: str, preds: np.ndarray):
     for idx in range(preds.shape[0]):
         for row in preds[idx]:
             lines.append(str(idx) + "," + ",".join(repr(float(v)) for v in row))
-    _write_text_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode())

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -15,10 +14,11 @@ from . import autodiff as ad
 from . import attention as att
 from . import graphs, recurrent
 from .autodiff import Tensor
-from .errors import ConfigError, ShapeError
+from .data import write_atomic
+from .errors import ConfigError, ParseError, ShapeError
 
 GRAPH_MODES = ("static", "adaptive", "sequence_aware")
-GST2_VARIANTS = ("none", "ta_only", "sa_only", "parallel", "serial", "fused")
+GST2_VARIANTS = ("none",) + tuple(att.BLOCKS)
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -218,8 +218,7 @@ class Forecaster:
         bundle = self.build_bundle()
         h = recurrent.encode_sequence(x, self.cell, bundle, self.bank)  # [B, N, T, d_h]
         h = att.apply_global_layer(
-            h, self.gst2, cfg.gst2_variant,
-            input_dropout=cfg.dropout_input, inner_dropout=cfg.dropout_inner,
+            h, self.gst2, input_dropout=cfg.dropout_input, inner_dropout=cfg.dropout_inner,
             training=training, rng=rng,
         )
         b, n = h.shape[0], h.shape[1]
@@ -244,19 +243,6 @@ def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
 # -- checkpoint format --------------------------------------------------------
 
 
-def _write_atomic(path: str, data: bytes):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def save_checkpoint(manifest_path: str, blob_path: str, config_echo: dict,
                     store: ParameterStore):
     """Write a JSON manifest ({name, shape, offset} per parameter plus the
@@ -275,26 +261,46 @@ def save_checkpoint(manifest_path: str, blob_path: str, config_echo: dict,
         "blob": os.path.basename(blob_path),
         "parameters": entries,
     }
-    _write_atomic(blob_path, b"".join(chunks))
-    _write_atomic(manifest_path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
+    write_atomic(blob_path, b"".join(chunks))
+    write_atomic(manifest_path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
 def load_checkpoint(manifest_path: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a manifest + blob pair; returns (config echo, name -> array)."""
+    """Read a manifest + blob pair; returns (config echo, name -> array).
+
+    Raises ParseError naming the file when the manifest is not a JSON object
+    with ``blob``, ``config`` and ``parameters``, has a malformed parameter
+    entry, or points past the end of the blob."""
     with open(manifest_path, "r", encoding="utf-8") as f:
-        manifest = json.load(f)
+        try:
+            manifest = json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ParseError(f"{manifest_path}: invalid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ParseError(f"{manifest_path}: manifest must be a JSON object")
     if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format: {manifest.get('format_version')}")
+        raise ParseError(f"{manifest_path}: unsupported checkpoint format: "
+                         f"{manifest.get('format_version')}")
+    missing = [key for key in ("blob", "config", "parameters") if key not in manifest]
+    if missing:
+        raise ParseError(f"{manifest_path}: manifest is missing {', '.join(missing)}")
     blob_path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)), manifest["blob"])
     with open(blob_path, "rb") as f:
         blob = f.read()
     values = {}
     for entry in manifest["parameters"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
+        try:
+            name, shape, start = entry["name"], tuple(entry["shape"]), int(entry["offset"])
+            count = int(np.prod(shape)) if shape else 1
+        except (KeyError, TypeError, ValueError):
+            raise ParseError(f"{manifest_path}: malformed parameter entry {entry!r}") from None
+        if start < 0 or start + 8 * count > len(blob):
+            raise ParseError(
+                f"{blob_path}: parameter '{name}' ({8 * count} bytes at offset {start}) "
+                f"runs past the end of the {len(blob)}-byte blob"
+            )
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start)
-        values[entry["name"]] = arr.reshape(shape).astype(np.float64)
+        values[name] = arr.reshape(shape).astype(np.float64)
     return manifest["config"], values
 
 

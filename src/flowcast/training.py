@@ -4,15 +4,13 @@ finite-difference gradient checker used to validate the whole model."""
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import MetricsReport, Normalizer, metrics
+from .data import MetricsReport, Normalizer, metrics, write_atomic
 from .errors import ConfigError, MissingGradientError, TrainingDiverged
 from .model import Forecaster, ModelConfig, ParameterStore, l1_loss
 
@@ -169,16 +167,7 @@ def write_history_csv(path: str, history: list[EpochRecord]):
     for r in history:
         mape = "" if r.val_mape is None else repr(r.val_mape)
         lines.append(f"{r.epoch},{r.train_loss!r},{r.val_mae!r},{r.val_rmse!r},{mape}")
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 # -- gradient checking ----------------------------------------------------------

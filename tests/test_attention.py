@@ -189,52 +189,49 @@ def test_spatial_oracle_agreement_random_trials():
         assert np.abs(out.data - expected).max() < 1e-12
 
 
-# -- the three block variants -----------------------------------------------------------
+# -- the global block variants ----------------------------------------------------------
+
+# the ids are the names these cases ran under when each block had its own
+# layer function, so results stay comparable across versions
+PAPER_BLOCKS = [
+    pytest.param("parallel", id="parallel-pgst2_layer"),
+    pytest.param("serial", id="serial-sgst2_layer"),
+    pytest.param("fused", id="fused-fgst2_layer"),
+]
+ALL_BLOCKS = PAPER_BLOCKS + ["ta_only", "sa_only"]
 
 
-@pytest.mark.parametrize("variant,layer_fn", [
-    ("parallel", att.pgst2_layer),
-    ("serial", att.sgst2_layer),
-    ("fused", att.fgst2_layer),
-])
-def test_block_shape_preserved(variant, layer_fn):
+@pytest.mark.parametrize("variant", ALL_BLOCKS)
+def test_block_shape_preserved(variant):
     x = Tensor(np.random.default_rng(20).standard_normal((2, 3, 5, 4)))
-    out = layer_fn(x, layer_params(variant, dim=4, heads=2, seed=20))
+    out = att.apply_global_layer(x, layer_params(variant, dim=4, heads=2, seed=20))
     assert out.shape == x.shape
 
 
-@pytest.mark.parametrize("variant,layer_fn", [
-    ("parallel", att.pgst2_layer),
-    ("serial", att.sgst2_layer),
-    ("fused", att.fgst2_layer),
-])
-def test_block_output_mean_matches_final_norm_beta(variant, layer_fn):
+@pytest.mark.parametrize("variant", ALL_BLOCKS)
+def test_block_output_mean_matches_final_norm_beta(variant):
     p = layer_params(variant, dim=4, heads=2, seed=21)
-    beta = p.norms["ffn"].beta
+    beta = p.norms[att.BLOCKS[variant][-1]].beta
     beta.data[:] = np.array([0.5, -0.5, 1.0, 0.0])
     x = Tensor(np.random.default_rng(21).standard_normal((2, 3, 5, 4)))
-    out = layer_fn(x, p)
+    out = att.apply_global_layer(x, p)
     assert np.allclose(out.data.mean(axis=-1), beta.data.mean(), atol=1e-10)
 
 
-@pytest.mark.parametrize("variant,layer_fn", [
-    ("parallel", att.pgst2_layer),
-    ("serial", att.sgst2_layer),
-    ("fused", att.fgst2_layer),
-])
-def test_block_gradients_vs_finite_differences(variant, layer_fn):
+@pytest.mark.parametrize("variant", PAPER_BLOCKS)
+def test_block_gradients_vs_finite_differences(variant):
     rng = np.random.default_rng(22)
     x_arr = rng.standard_normal((1, 2, 3, 4))
     weight = rng.standard_normal((1, 2, 3, 4))
     p = layer_params(variant, dim=4, heads=2, ffn=6, seed=22)
 
     x = Tensor(x_arr, requires_grad=True)
-    out = layer_fn(x, p)
+    out = att.apply_global_layer(x, p)
     ad.backward(ad.reduce_sum(ad.mul(out, Tensor(weight))))
 
     def loss_value():
         with ad.no_grad():
-            result = layer_fn(Tensor(x_arr), p)
+            result = att.apply_global_layer(Tensor(x_arr), p)
         return float((result.data * weight).sum())
 
     if variant == "parallel":
@@ -253,15 +250,9 @@ def test_block_gradients_vs_finite_differences(variant, layer_fn):
         assert rel.max() < 1e-4
 
 
-def test_variant_mismatch_rejected():
-    p = layer_params("serial", dim=4, heads=2, seed=23)
-    with pytest.raises(ConfigError):
-        att.pgst2_layer(Tensor(np.zeros((1, 2, 3, 4))), p)
-
-
 def test_variant_none_is_identity():
     x = Tensor(np.random.default_rng(24).standard_normal((1, 2, 3, 4)))
-    assert att.apply_global_layer(x, None, "none") is x
+    assert att.apply_global_layer(x, None) is x
 
 
 def test_temporal_node_permutation_equivariance():
@@ -288,6 +279,6 @@ def test_block_dropout_needs_training_flag():
     # inference is bit-stable regardless of the configured rates
     x = Tensor(np.random.default_rng(27).standard_normal((1, 2, 3, 4)))
     p = layer_params("parallel", dim=4, heads=2, seed=27)
-    a = att.pgst2_layer(x, p, input_dropout=0.5, inner_dropout=0.5, training=False)
-    b = att.pgst2_layer(x, p, input_dropout=0.5, inner_dropout=0.5, training=False)
+    a = att.apply_global_layer(x, p, input_dropout=0.5, inner_dropout=0.5, training=False)
+    b = att.apply_global_layer(x, p, input_dropout=0.5, inner_dropout=0.5, training=False)
     assert np.array_equal(a.data, b.data)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -164,6 +165,70 @@ def test_eval_from_checkpoint_synth_spec(tmp_path):
     trained = json.loads(open(os.path.join(out, "metrics.json")).read())
     evaled = json.loads(open(os.path.join(eval_dir, "metrics.json")).read())
     assert trained == evaled
+
+
+def test_non_finite_series_cell_exits_two(tmp_path, capsys):
+    synth_dir = str(tmp_path / "synth")
+    run(["synth", "--nodes", "4", "--steps", "300", "--seed", "8", "--out", synth_dir])
+    series_csv = os.path.join(synth_dir, "series.csv")
+    lines = open(series_csv).read().split("\n")
+    lines[4] = "nan" + lines[4][lines[4].index(","):]
+    open(series_csv, "w").write("\n".join(lines))
+    code = run(["train", "--out", str(tmp_path / "run"), "--seed", "8",
+                *sum([["--set", s] for s in tiny_overrides(
+                    [f"data.series_csv={series_csv}", "data.synth=null"])], [])])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "line 5, column 1" in err
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("trained") / "run")
+    code = run(["train", "--out", out, "--seed", "6",
+                *sum([["--set", s] for s in tiny_overrides()], [])])
+    assert code == 0
+    return out
+
+
+def _edit_manifest(edit):
+    def corrupt(manifest, blob):
+        doc = json.loads(open(manifest).read())
+        edit(doc)
+        open(manifest, "w").write(json.dumps(doc))
+    return corrupt
+
+
+def _truncate_blob(manifest, blob):
+    with open(blob, "r+b") as f:
+        f.truncate(os.path.getsize(blob) - 8)
+
+
+def _write_manifest(text):
+    return lambda manifest, blob: open(manifest, "w").write(text)
+
+
+@pytest.mark.parametrize("corrupt,named_file", [
+    pytest.param(_truncate_blob, "checkpoint.bin", id="truncated_blob"),
+    pytest.param(_write_manifest('{"format_version": 1,'), "checkpoint.json", id="invalid_json"),
+    pytest.param(_write_manifest("[1, 2]"), "checkpoint.json", id="not_an_object"),
+    pytest.param(_edit_manifest(lambda d: d.pop("parameters")), "checkpoint.json",
+                 id="missing_parameters"),
+    pytest.param(_edit_manifest(lambda d: d["parameters"].pop(0)), "checkpoint.json",
+                 id="missing_parameter"),
+    pytest.param(_edit_manifest(lambda d: d["parameters"][0].update(shape=[1])),
+                 "checkpoint.json", id="misshaped_parameter"),
+])
+def test_eval_bad_checkpoint_exits_two(trained_run, tmp_path, capsys, corrupt, named_file):
+    run_dir = str(tmp_path / "run")
+    shutil.copytree(trained_run, run_dir)
+    manifest = os.path.join(run_dir, "checkpoint.json")
+    corrupt(manifest, os.path.join(run_dir, "checkpoint.bin"))
+    capsys.readouterr()
+    code = run(["eval", "--checkpoint", manifest, "--out", str(tmp_path / "eval")])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and named_file in err
 
 
 # -- determinism ----------------------------------------------------------------------

@@ -33,6 +33,14 @@ def test_load_series_non_numeric_names_coordinates(tmp_path):
         dp.load_series(str(path))
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+def test_load_series_rejects_non_finite_cells(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"1,2\n\n3,{cell}\n")  # the blank line still counts
+    with pytest.raises(ParseError, match="line 3, column 2"):
+        dp.load_series(str(path))
+
+
 def test_load_series_roundtrips_written_csv(tmp_path):
     rng = np.random.default_rng(0)
     values = rng.standard_normal((20, 3)) * 100

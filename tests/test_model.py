@@ -73,6 +73,37 @@ def test_variant_none_has_fewer_parameters():
     assert not any(name.startswith("gst2.") for name in bare.params.names())
 
 
+def _attention_names(*blocks):
+    return [f"gst2.{b}.{w}" for b in blocks for w in ("w_q", "w_k", "w_v", "w_o")]
+
+
+def _norm_names(*sites):
+    return [f"gst2.norm.{s}.{g}" for s in sites for g in ("gamma", "beta")]
+
+
+_FFN_NAMES = ["gst2.ffn.w1", "gst2.ffn.b1", "gst2.ffn.w2", "gst2.ffn.b2"]
+
+# checkpoints store parameters by name in this order; the key order is the
+# default ablation grid
+GST2_PARAMETER_NAMES = {
+    "none": [],
+    "ta_only": _attention_names("temporal") + _norm_names("temporal"),
+    "sa_only": _attention_names("spatial") + _norm_names("spatial"),
+    "parallel": _attention_names("temporal", "spatial") + ["gst2.concat_proj"] + _FFN_NAMES
+                + _norm_names("merge", "ffn"),
+    "serial": _attention_names("temporal", "spatial") + _FFN_NAMES
+              + _norm_names("temporal", "spatial", "ffn"),
+    "fused": _attention_names("spatial", "fusion") + _FFN_NAMES + _norm_names("fusion", "ffn"),
+}
+
+
+def test_gst2_parameter_names_pinned_per_variant():
+    assert md.GST2_VARIANTS == tuple(GST2_PARAMETER_NAMES)
+    for variant, expected in GST2_PARAMETER_NAMES.items():
+        names = md.Forecaster(tiny_config(gst2_variant=variant)).params.names()
+        assert [n for n in names if n.startswith("gst2.")] == expected, variant
+
+
 def test_registry_deterministic_across_constructions():
     a = md.Forecaster(tiny_config(seed=5))
     b = md.Forecaster(tiny_config(seed=5))
