@@ -5,7 +5,10 @@ the full hidden-state sequence at once.
 All attention operates on [B, N, T, d] hidden sequences. Temporal attention
 attends over the T axis per node; spatial attention transposes N and T and
 attends over nodes per step; fusion attention is temporal attention whose
-value stream is the output of an inner spatial attention.
+value stream is the output of an inner spatial attention. The scaled-dot
+core of every attention is a single tape entry that keeps one float
+[.., L, L] array for backward (the softmax weights; plus a boolean mask when
+weight dropout runs) instead of three.
 
 Every block variant is a row of the ``BLOCKS`` site table: after positional
 encoding, each site applies its sublayer (an attention, the parallel merge of
@@ -92,25 +95,56 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
 
     q, k are [..., L, d_k] and v is [..., L, d_v]; the weight rows are
     row-stochastic and the output lies in the convex hull of the v rows.
+    With ``training`` and ``weight_dropout`` > 0 the weights go through
+    inverted dropout before the product with v, drawing the mask exactly as
+    ``autodiff.dropout`` would.
+
+    One tape entry with a hand-written backward: the scores, the scaling and
+    the softmax share one [..., L, L] buffer, and only q, k, v, the softmax
+    output and the dropout mask are kept for backward.
     """
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"attention: q/k depth mismatch {q.shape} vs {k.shape}")
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"attention: k/v length mismatch {k.shape} vs {v.shape}")
-    d_k = q.shape[-1]
-    scores = ad.scalar_affine(ad.matmul(q, _swap_last(k)), 1.0 / np.sqrt(d_k), 0.0)
-    weights = ad.softmax(scores, axis=-1)
+    if not 0.0 <= weight_dropout < 1.0:
+        raise ValueError(f"attention: weight dropout must be in [0, 1), got {weight_dropout}")
+    inv_sqrt_dk = 1.0 / np.sqrt(q.shape[-1])
+    weights = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    weights *= inv_sqrt_dk
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
     for observe in _WEIGHT_OBSERVERS:
-        observe(weights.data)
+        observe(weights)
+    keep = None
     if weight_dropout > 0.0 and training:
-        weights = ad.dropout(weights, weight_dropout, training, rng)
-    return ad.matmul(weights, v)
+        keep, drop_scale = ad._dropout_mask(weights.shape, weight_dropout, rng)
 
+    def applied_weights():
+        # the weights the product with v sees: after dropout, when it runs
+        return weights if keep is None else np.where(keep, weights * drop_scale, 0.0)
 
-def _swap_last(x: Tensor) -> Tensor:
-    axes = list(range(x.ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return ad.transpose(x, tuple(axes))
+    out = Tensor(np.matmul(applied_weights(), v.data))
+
+    def back(g):
+        g_weights = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        if v.requires_grad:
+            g_v = np.matmul(np.swapaxes(applied_weights(), -1, -2), g)
+            ad._accum(v, ad._unbroadcast(g_v, v.shape))
+        if keep is not None:
+            g_weights = np.where(keep, g_weights * drop_scale, 0.0)
+        # softmax backward, then the scale, in place in the gradient buffer
+        g_weights -= (g_weights * weights).sum(axis=-1, keepdims=True)
+        g_weights *= weights
+        g_weights *= inv_sqrt_dk
+        if q.requires_grad:
+            ad._accum(q, ad._unbroadcast(np.matmul(g_weights, k.data), q.shape))
+        if k.requires_grad:
+            g_k = np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), g_weights), -1, -2)
+            ad._accum(k, ad._unbroadcast(g_k, k.shape))
+
+    return ad._record(out, (q, k, v), back)
 
 
 def _merge_heads(per_head: Tensor, w_o: Tensor) -> Tensor:

@@ -1,10 +1,17 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
-Values live in row-major numpy arrays. Every differentiable operation records
-an entry (inputs, output, local backward rule) on a module-level tape while
-tracking is enabled and at least one input requires a gradient. backward()
-replays the tape in reverse and is the only consumer; the tape is cleared by
-it. The tape is not thread-safe: one training step owns it at a time.
+Values live in numpy arrays. Every differentiable operation records an entry
+(inputs, output, local backward rule) on a module-level tape while tracking is
+enabled and at least one input requires a gradient. backward() replays the
+tape in reverse and is the only consumer: it pops each entry as it runs the
+entry's rule, so the arrays that entry keeps alive are released while the
+rest of the tape is still being replayed. The tape is not thread-safe: one
+training step owns it at a time.
+
+An op output wraps the array the op produced without copying it, so it may be
+a view of an input (reshape, transpose) or the input itself (dropout when not
+training). Never write into the ``data`` of an op output; only leaves (see
+``Tensor``) are updated in place, by optimizers between steps.
 """
 
 from __future__ import annotations
@@ -19,15 +26,19 @@ from .errors import ShapeError
 class Tensor:
     """N-dimensional float64 array with an optional gradient buffer.
 
-    ``data`` is the value array, ``grad`` is filled by backward() for every
-    tensor with ``requires_grad`` that the loss reaches. Tensors are never
-    mutated by operations; optimizers update ``data`` in place between steps.
+    ``data`` is the value array, wrapped without a copy when it already is a
+    float64 array. A leaf is a tensor no op produced: a parameter, or an input
+    built with ``requires_grad=True``. backward() fills ``grad`` of every leaf
+    with ``requires_grad`` that the loss reaches; op outputs hold a gradient
+    only while backward runs and end with ``grad is None``. Tensors are never
+    mutated by operations; optimizers update leaf ``data`` in place between
+    steps.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.array(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad = None
 
@@ -50,7 +61,8 @@ class Tensor:
         self.grad = None
 
     def detach(self) -> "Tensor":
-        return Tensor(self.data)
+        """A leaf holding a copy of the value, untouched by later updates."""
+        return Tensor(self.data.copy())
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -166,20 +178,24 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def backward(loss: Tensor):
-    """Populate grads of every requires_grad tensor reachable from ``loss``.
+    """Populate grads of every requires_grad leaf reachable from ``loss``.
 
     ``loss`` must be a scalar (size-1) tensor produced on the active tape.
-    The tape is consumed: a second backward() needs a fresh forward pass.
+    Entries are popped newest first; each one's rule runs on its output's
+    gradient, which is dropped right after, together with the entry and the
+    arrays only it kept alive. Only leaves keep ``grad``. The tape is
+    consumed: a second backward() needs a fresh forward pass.
     """
     if loss.size != 1:
         raise ValueError(f"backward() needs a scalar loss, got shape {loss.shape}")
     entries = _TAPE.entries
     _TAPE.entries = []
     loss.grad = np.ones_like(loss.data)
-    for out, inputs, fn in reversed(entries):
-        if out.grad is None:
-            continue
-        fn(out.grad)
+    while entries:
+        out, _, fn = entries.pop()
+        g, out.grad = out.grad, None
+        if g is not None:
+            fn(g)
 
 
 # -- arithmetic -------------------------------------------------------------
@@ -416,14 +432,19 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Te
         raise ValueError(f"dropout: p must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return x
-    keep = rng.random(x.shape) >= p
-    scale = 1.0 / (1.0 - p)
+    keep, scale = _dropout_mask(x.shape, p, rng)
     out = Tensor(np.where(keep, x.data * scale, 0.0))
 
     def back(g):
         _accum(x, np.where(keep, g * scale, 0.0))
 
     return _record(out, (x,), back)
+
+
+def _dropout_mask(shape: tuple, p: float, rng: np.random.Generator) -> tuple:
+    """Keep mask and survivor scale of inverted dropout at rate p in (0, 1),
+    from one ``rng.random(shape)`` draw."""
+    return rng.random(shape) >= p, 1.0 / (1.0 - p)
 
 
 # -- structure ops -------------------------------------------------------------

@@ -34,6 +34,8 @@ _SYNTH_DEFAULTS = {
     "diffusion": 0.25,
     "seed": None,  # falls back to the run seed
 }
+_SYNTH_TYPES = {"nodes": "int", "steps": "int", "noise_level": "float", "diffusion": "float",
+                "seed": "int"}
 
 _DATA_DEFAULTS = {
     "series_csv": None,
@@ -69,16 +71,22 @@ def _merge_section(base: dict, update: dict, path: str):
 
 
 def load_run_config(path: str | None) -> dict:
-    cfg = default_run_config()
     if path is None:
-        return cfg
+        return default_run_config()
     with open(path, "r", encoding="utf-8") as f:
         try:
             raw = json.load(f)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
+    return merge_run_config(raw)
+
+
+def merge_run_config(raw: dict) -> dict:
+    """The default run config updated by the sections of ``raw``; unknown keys
+    and non-object sections raise ConfigError."""
+    cfg = default_run_config()
     for key, value in raw.items():
         if key == "seed":
             cfg["seed"] = value
@@ -137,6 +145,9 @@ def load_dataset(cfg: dict) -> tuple[dp.TrafficSeries, np.ndarray | None]:
     """Produce (series, adjacency) from the data section: CSV paths or the
     synthetic generator spec."""
     section = cfg["data"]
+    for key in ("series_csv", "adjacency_csv"):
+        if section[key] is not None:
+            md.check_type(f"data.{key}", section[key], "str")
     if section["series_csv"] is not None:
         series = dp.load_series(section["series_csv"])
         adjacency = None
@@ -144,13 +155,16 @@ def load_dataset(cfg: dict) -> tuple[dp.TrafficSeries, np.ndarray | None]:
             adjacency = dp.load_adjacency(section["adjacency_csv"])
         return series, adjacency
     if section["synth"] is not None:
-        spec = section["synth"]
-        seed = spec["seed"] if spec["seed"] is not None else cfg["seed"]
-        series, adjacency = dp.synthesize(
-            int(spec["nodes"]), int(spec["steps"]), int(seed),
-            noise_level=float(spec["noise_level"]), diffusion=float(spec["diffusion"]),
-        )
-        return series, adjacency
+        spec = dict(section["synth"])
+        if spec["seed"] is None:
+            spec["seed"] = cfg["seed"]
+        for key, kind in _SYNTH_TYPES.items():
+            md.check_type(f"data.synth.{key}", spec[key], kind)
+        try:
+            return dp.synthesize(spec["nodes"], spec["steps"], spec["seed"],
+                                 noise_level=spec["noise_level"], diffusion=spec["diffusion"])
+        except ValueError as exc:  # the generator's own range checks
+            raise ConfigError(f"data.synth: {exc}") from None
     raise ConfigError("config needs either data.series_csv or data.synth")
 
 
@@ -243,14 +257,19 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     config_echo, values = md.load_checkpoint(args.checkpoint)
-    cfg = copy.deepcopy(config_echo)
-    if args.data is not None:
-        cfg["data"]["series_csv"] = args.data
-        cfg["data"]["synth"] = None
-    if args.adjacency is not None:
-        cfg["data"]["adjacency_csv"] = args.adjacency
-    series, adjacency = load_dataset(cfg)
-    model_cfg = md.config_from_dict(cfg["model"])
+    try:  # a config the checkpoint carries is part of the checkpoint: exit 2
+        cfg = merge_run_config(config_echo)
+        if args.data is not None:
+            cfg["data"]["series_csv"] = args.data
+            cfg["data"]["synth"] = None
+        if args.adjacency is not None:
+            cfg["data"]["adjacency_csv"] = args.adjacency
+        series, adjacency = load_dataset(cfg)
+        model_cfg = md.config_from_dict(cfg["model"])
+        model_cfg.validate()
+        train_cfg = build_train_config(cfg)
+    except ConfigError as exc:
+        raise ParseError(f"{args.checkpoint}: config echo: {exc}") from None
     if model_cfg.n_nodes != series.node_count:
         print(
             f"error: checkpoint was trained with {model_cfg.n_nodes} nodes "
@@ -258,7 +277,6 @@ def cmd_eval(args) -> int:
             file=sys.stderr,
         )
         return EXIT_DATA
-    train_cfg = build_train_config(cfg)
     splits, normalizer = prepare_splits(series, model_cfg)
     model = md.Forecaster(model_cfg, adjacency=adjacency)
     try:

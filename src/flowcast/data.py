@@ -40,35 +40,42 @@ def load_series(path: str) -> TrafficSeries:
     """Parse a headerless CSV of plain decimal floats into a TrafficSeries.
 
     Raises ParseError naming the offending line (and column for bad cells);
-    a cell that parses to NaN or infinity is a bad cell.
+    a cell that parses to NaN or infinity is a bad cell. A path that is a
+    directory, or a file that is not UTF-8 text, is a ParseError too.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+    except IsADirectoryError:
+        raise ParseError(f"{path}: is a directory, not a CSV file") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
     rows = []
     linenos = []
     width = None
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            linenos.append(lineno)
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise ParseError(
-                    f"{path}: line {lineno} has {len(cells)} cells, expected {width}"
-                )
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                for col, c in enumerate(cells, start=1):
-                    try:
-                        float(c)
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}: line {lineno}, column {col}: not a number: '{c.strip()}'"
-                        ) from None
-                raise
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        linenos.append(lineno)
+        cells = line.split(",")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise ParseError(
+                f"{path}: line {lineno} has {len(cells)} cells, expected {width}"
+            )
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError:
+            for col, c in enumerate(cells, start=1):
+                try:
+                    float(c)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: line {lineno}, column {col}: not a number: '{c.strip()}'"
+                    ) from None
+            raise
     if not rows:
         raise ParseError(f"{path}: file contains no data rows")
     values = np.array(rows, dtype=np.float64)

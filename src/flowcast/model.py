@@ -5,8 +5,9 @@ checkpoint format (JSON manifest + raw float64 blob)."""
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -48,6 +49,7 @@ class ModelConfig:
         return 4 * self.hidden_dim if self.ffn_dim is None else self.ffn_dim
 
     def validate(self):
+        check_field_types(self)
         if self.n_nodes is None or self.n_nodes < 1:
             raise ConfigError(f"n_nodes must be a positive integer, got {self.n_nodes}")
         if self.input_steps < 1 or self.output_steps < 1:
@@ -71,6 +73,37 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be in [0, 1), got {rate}")
         if self.resolved_ffn_dim() < 1 or self.fc_hidden < 1:
             raise ConfigError("ffn_dim and fc_hidden must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+_TYPE_CHECKS = {
+    "int": ("an integer", _is_int),
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def check_type(name: str, value, kind: str):
+    """Raise ConfigError unless ``value`` is of ``kind``: an 'int' is an int and
+    not a bool, a 'float' is an int or a float, a 'str' is a string."""
+    described, accepts = _TYPE_CHECKS[kind]
+    if not accepts(value):
+        raise ConfigError(f"{name} must be {described}, got {value!r}")
+
+
+def check_field_types(cfg):
+    """check_type on every field of a config dataclass, by its annotation
+    ('int', 'float', 'str', optionally '| None')."""
+    for f in fields(cfg):
+        kind, _, optional = f.type.partition(" | ")
+        value = getattr(cfg, f.name)
+        if not (optional and value is None):
+            check_type(f.name, value, kind)
 
 
 class ParameterStore:
@@ -269,8 +302,11 @@ def load_checkpoint(manifest_path: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a manifest + blob pair; returns (config echo, name -> array).
 
     Raises ParseError naming the file when the manifest is not a JSON object
-    with ``blob``, ``config`` and ``parameters``, has a malformed parameter
-    entry, or points past the end of the blob."""
+    with ``blob`` (a bare file name beside the manifest), ``config`` (an
+    object with an object ``model`` section; ``data`` and ``train`` sections,
+    where present, are objects too) and ``parameters`` (a list), has a
+    malformed parameter entry (name, a shape that is a list of non-negative
+    ints, a non-negative int offset), or points past the end of the blob."""
     with open(manifest_path, "r", encoding="utf-8") as f:
         try:
             manifest = json.load(f)
@@ -284,24 +320,37 @@ def load_checkpoint(manifest_path: str) -> tuple[dict, dict[str, np.ndarray]]:
     missing = [key for key in ("blob", "config", "parameters") if key not in manifest]
     if missing:
         raise ParseError(f"{manifest_path}: manifest is missing {', '.join(missing)}")
-    blob_path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)), manifest["blob"])
+    blob_name, config, entries = manifest["blob"], manifest["config"], manifest["parameters"]
+    if not isinstance(blob_name, str) or blob_name in ("", ".", "..") \
+            or os.path.basename(blob_name) != blob_name:
+        raise ParseError(f"{manifest_path}: blob must be a file name beside the manifest, "
+                         f"got {blob_name!r}")
+    if not isinstance(config, dict) or "model" not in config or \
+            any(not isinstance(config[key], dict) for key in ("data", "model", "train")
+                if key in config):
+        raise ParseError(f"{manifest_path}: config must be an object with a model section, "
+                         "and its data, model and train sections must be objects")
+    if not isinstance(entries, list):
+        raise ParseError(f"{manifest_path}: parameters must be a list")
+    blob_path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)), blob_name)
     with open(blob_path, "rb") as f:
         blob = f.read()
     values = {}
-    for entry in manifest["parameters"]:
-        try:
-            name, shape, start = entry["name"], tuple(entry["shape"]), int(entry["offset"])
-            count = int(np.prod(shape)) if shape else 1
-        except (KeyError, TypeError, ValueError):
-            raise ParseError(f"{manifest_path}: malformed parameter entry {entry!r}") from None
-        if start < 0 or start + 8 * count > len(blob):
+    for entry in entries:
+        name, shape, start = (entry.get(key) for key in ("name", "shape", "offset")) \
+            if isinstance(entry, dict) else (None, None, None)
+        if not isinstance(name, str) or not isinstance(shape, list) or \
+                not all(_is_int(n) and n >= 0 for n in shape + [start]):
+            raise ParseError(f"{manifest_path}: malformed parameter entry {entry!r}")
+        count = math.prod(shape)
+        if start + 8 * count > len(blob):
             raise ParseError(
                 f"{blob_path}: parameter '{name}' ({8 * count} bytes at offset {start}) "
                 f"runs past the end of the {len(blob)}-byte blob"
             )
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start)
         values[name] = arr.reshape(shape).astype(np.float64)
-    return manifest["config"], values
+    return config, values
 
 
 def config_to_dict(cfg: ModelConfig) -> dict:

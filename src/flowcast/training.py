@@ -12,7 +12,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import MetricsReport, Normalizer, metrics, write_atomic
 from .errors import ConfigError, MissingGradientError, TrainingDiverged
-from .model import Forecaster, ModelConfig, ParameterStore, l1_loss
+from .model import Forecaster, ModelConfig, ParameterStore, check_field_types, l1_loss
 
 
 @dataclass
@@ -28,6 +28,7 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
+        check_field_types(self)
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.patience < 1:
@@ -36,6 +37,8 @@ class TrainConfig:
             raise ConfigError("max_epochs and batch_size must be >= 1")
         if not 0.0 <= self.weight_decay <= 0.001:
             raise ConfigError(f"weight_decay must be in [0, 0.001], got {self.weight_decay}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 class AdamState:

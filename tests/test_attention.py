@@ -87,6 +87,37 @@ def test_attention_weight_rows_sum_to_one():
     assert np.abs(sums - 1.0).max() < 1e-12
 
 
+def composed_attention(q, k, v, weight_dropout, training, rng):
+    """Scaled-dot attention built from single tape ops, each keeping its own
+    output: the reference the one-entry op must agree with."""
+    scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))
+    weights = ad.softmax(ad.scalar_affine(scores, 1.0 / np.sqrt(q.shape[-1]), 0.0), axis=-1)
+    return ad.matmul(ad.dropout(weights, weight_dropout, training, rng), v)
+
+
+def test_fused_attention_with_dropout_matches_composed_ops():
+    rng = np.random.default_rng(9)
+    arrays = [rng.standard_normal((2, 3, 6, 4)) for _ in range(3)]
+    weight = rng.standard_normal((2, 3, 6, 4))
+    values, next_draws, entries = [], [], []
+    for attend in (att.scaled_dot_attention, composed_attention):
+        ad.reset_tape()
+        q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+        draws = np.random.default_rng(21)
+        out = attend(q, k, v, 0.3, True, draws)
+        entries.append(len(ad.tape().entries))
+        ad.backward(ad.reduce_sum(ad.mul(out, Tensor(weight))))
+        assert len(ad.tape().entries) == 0
+        values.append((out.data, q.grad, k.grad, v.grad))
+        next_draws.append(draws.random())
+    assert entries[0] == 1  # one tape entry for the whole attention
+    undropped = att.scaled_dot_attention(*(Tensor(a) for a in arrays))
+    assert np.abs(values[0][0] - undropped.data).max() > 0.1  # dropout did act
+    for fused, composed in zip(*values):
+        assert np.abs(fused - composed).max() < 1e-12
+    assert next_draws[0] == next_draws[1]  # both drew the same mask from the stream
+
+
 # -- multi-head temporal / spatial --------------------------------------------------
 
 

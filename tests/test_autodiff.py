@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -348,3 +350,53 @@ def test_repeat_new_axis_bit_identical_and_grad_sums():
         assert np.array_equal(rep.data[i], x)
     ad.backward(ad.reduce_sum(rep))
     assert np.array_equal(t.grad, np.full((3, 3), 4.0))
+
+
+def test_backward_releases_op_grads_and_keeps_leaf_grads():
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    w = Tensor(np.array([0.5, 0.25, 2.0]), requires_grad=True)
+    hidden = ad.tanh(ad.mul(x, w))
+    loss = ad.reduce_sum(ad.scalar_affine(hidden, 2.0, 1.0))
+    ad.backward(loss)
+    assert len(ad.tape().entries) == 0
+    for out in (hidden, loss):
+        assert out.grad is None
+    y = np.tanh(x.data * w.data)
+    assert np.allclose(x.grad, 2.0 * (1.0 - y * y) * w.data, atol=1e-15)
+    assert np.allclose(w.grad, 2.0 * (1.0 - y * y) * x.data, atol=1e-15)
+
+
+def test_backward_peak_memory_below_tape_plus_all_grads():
+    # A chain of elementwise ops on a 1 MB leaf: the forward pass keeps about
+    # one array per op alive. Releasing each entry and its output gradient as
+    # backward passes it keeps the peak near that; holding every op output's
+    # gradient until backward returns would add another array per op.
+    ops = 20
+    ad.reset_tape()
+    x = Tensor(np.random.default_rng(0).standard_normal((128, 1024)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        h = x
+        for i in range(ops):
+            h = ad.tanh(h) if i % 2 else ad.scalar_affine(h, 0.5, 0.1)
+        loss = ad.reduce_sum(h)
+        retained = tracemalloc.get_traced_memory()[0] - base
+        del h
+        tracemalloc.reset_peak()
+        ad.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    all_grads = ops * x.data.nbytes
+    assert retained > 0.9 * all_grads  # one array per op
+    assert peak < retained + all_grads / 2, (peak, retained, all_grads)
+    assert x.grad is not None
+
+
+def test_detach_copies_the_value():
+    t = Tensor(np.arange(4.0), requires_grad=True)
+    d = t.detach()
+    assert not d.requires_grad
+    assert not np.shares_memory(d.data, t.data)
+    assert np.array_equal(d.data, t.data)

@@ -72,6 +72,31 @@ def test_set_override_ambiguous_key_rejected():
         cli.apply_overrides(cfg, ["lr=0.1"])
 
 
+def _non_utf8_config(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{"seed": "\xff"}')
+    return ["--config", str(path)]
+
+
+@pytest.mark.parametrize("extra,named", [
+    pytest.param(["--set", "hidden_dim=abc"], "hidden_dim", id="int_field_not_a_number"),
+    pytest.param(["--set", "train.lr=fast"], "lr", id="float_field_not_a_number"),
+    pytest.param(["--set", "data.synth.nodes=x"], "data.synth.nodes", id="synth_nodes_not_a_number"),
+    pytest.param(["--set", "data.synth.nodes=1"], "2 nodes", id="synth_nodes_too_few"),
+    pytest.param(_non_utf8_config, "cfg.json", id="config_not_utf8"),
+    pytest.param(["--set", "data.series_csv=[1]", "--set", "data.synth=null"], "data.series_csv",
+                 id="series_path_not_a_string"),
+])
+def test_bad_config_value_exits_one(tmp_path, capsys, extra, named):
+    if callable(extra):
+        extra = extra(tmp_path)
+    code = run(["train", "--out", str(tmp_path / "run"),
+                *sum([["--set", s] for s in tiny_overrides()], []), *extra])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and named in err
+
+
 def test_missing_data_source_exits_one(tmp_path, capsys):
     code = run(["train", "--out", str(tmp_path)])
     assert code == cli.EXIT_CONFIG
@@ -182,6 +207,26 @@ def test_non_finite_series_cell_exits_two(tmp_path, capsys):
     assert err.count("\n") == 1 and "line 5, column 1" in err
 
 
+def _latin1_csv(directory):
+    path = directory / "latin1.csv"
+    path.write_bytes(b"1,2\n\xe9,3\n")
+    return path
+
+
+@pytest.mark.parametrize("make_path,named", [
+    pytest.param(lambda d: d, "is a directory", id="directory"),
+    pytest.param(_latin1_csv, "not UTF-8", id="not_utf8"),
+])
+def test_bad_series_path_exits_two(tmp_path, capsys, make_path, named):
+    series_csv = make_path(tmp_path)
+    code = run(["train", "--out", str(tmp_path / "run"),
+                *sum([["--set", s] for s in tiny_overrides(
+                    [f"data.series_csv={series_csv}", "data.synth=null"])], [])])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and named in err
+
+
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("trained") / "run")
@@ -218,6 +263,22 @@ def _write_manifest(text):
                  id="missing_parameter"),
     pytest.param(_edit_manifest(lambda d: d["parameters"][0].update(shape=[1])),
                  "checkpoint.json", id="misshaped_parameter"),
+    pytest.param(_edit_manifest(lambda d: d.update(blob=5)), "checkpoint.json",
+                 id="blob_not_a_name"),
+    pytest.param(_edit_manifest(lambda d: d.update(blob="../run/checkpoint.bin")),
+                 "checkpoint.json", id="blob_outside_directory"),
+    pytest.param(_edit_manifest(lambda d: d.update(parameters=7)), "checkpoint.json",
+                 id="parameters_not_a_list"),
+    pytest.param(_edit_manifest(lambda d: d.update(config={})), "checkpoint.json",
+                 id="config_without_sections"),
+    pytest.param(_edit_manifest(lambda d: d.update(config=[1])), "checkpoint.json",
+                 id="config_not_an_object"),
+    pytest.param(_edit_manifest(lambda d: d["parameters"][0].update(shape=[2.5])),
+                 "checkpoint.json", id="shape_not_integers"),
+    pytest.param(_edit_manifest(lambda d: d["config"]["model"].update(hidden_dim="4")),
+                 "checkpoint.json", id="echo_field_wrong_type"),
+    pytest.param(_edit_manifest(lambda d: d["config"]["model"].update(bogus=1)),
+                 "checkpoint.json", id="echo_unknown_key"),
 ])
 def test_eval_bad_checkpoint_exits_two(trained_run, tmp_path, capsys, corrupt, named_file):
     run_dir = str(tmp_path / "run")

@@ -41,6 +41,18 @@ def test_load_series_rejects_non_finite_cells(tmp_path, cell):
         dp.load_series(str(path))
 
 
+def test_load_series_rejects_directory(tmp_path):
+    with pytest.raises(ParseError, match="is a directory"):
+        dp.load_series(str(tmp_path))
+
+
+def test_load_series_rejects_non_utf8_file(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("1,2\n\u00e9,3\n".encode("latin-1"))
+    with pytest.raises(ParseError, match="not UTF-8"):
+        dp.load_series(str(path))
+
+
 def test_load_series_roundtrips_written_csv(tmp_path):
     rng = np.random.default_rng(0)
     values = rng.standard_normal((20, 3)) * 100

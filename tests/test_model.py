@@ -5,6 +5,7 @@ import pytest
 
 from flowcast import autodiff as ad
 from flowcast import model as md
+from flowcast import training as tr
 from flowcast.autodiff import Tensor
 from flowcast.errors import ConfigError, ShapeError
 
@@ -42,6 +43,22 @@ def test_config_rejects_bad_values():
         tiny_config(dropout_input=1.0).validate()
     with pytest.raises(ConfigError):
         md.ModelConfig(n_nodes=None).validate()
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(lambda: tiny_config(hidden_dim="4"), id="int_as_string"),
+    pytest.param(lambda: tiny_config(heads=True), id="int_as_bool"),
+    pytest.param(lambda: tiny_config(ffn_dim=8.0), id="optional_int_as_float"),
+    pytest.param(lambda: tiny_config(dropout_input="0.1"), id="float_as_string"),
+    pytest.param(lambda: tiny_config(graph_mode=1), id="mode_not_a_string"),
+    pytest.param(lambda: tiny_config(seed=-1), id="negative_seed"),
+    pytest.param(lambda: tr.TrainConfig(lr="fast"), id="train_float_as_string"),
+    pytest.param(lambda: tr.TrainConfig(batch_size=True), id="train_int_as_bool"),
+    pytest.param(lambda: tr.TrainConfig(seed=-1), id="train_negative_seed"),
+])
+def test_config_rejects_wrong_field_types(config):
+    with pytest.raises(ConfigError):
+        config().validate()
 
 
 def test_config_errors_at_construction_not_call_time():
