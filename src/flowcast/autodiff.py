@@ -525,13 +525,3 @@ def select(x: Tensor, index: int, axis: int) -> Tensor:
         _accum(x, full)
 
     return _record(out, (x,), back)
-
-
-def repeat_new_axis(x: Tensor, n: int) -> Tensor:
-    """Replicate ``x`` n times along a new leading axis (slices bit-identical)."""
-    out = Tensor(np.repeat(x.data[np.newaxis], n, axis=0))
-
-    def back(g):
-        _accum(x, g.sum(axis=0))
-
-    return _record(out, (x,), back)

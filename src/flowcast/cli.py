@@ -73,11 +73,13 @@ def _merge_section(base: dict, update: dict, path: str):
 def load_run_config(path: str | None) -> dict:
     if path is None:
         return default_run_config()
-    with open(path, "r", encoding="utf-8") as f:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as f:
             raw = json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config: {exc.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return merge_run_config(raw)

@@ -1,18 +1,19 @@
 """Graph structure learning and node-adaptive Chebyshev graph convolution.
 
-Three ways to obtain the per-step propagation matrices:
+Three ways to obtain the propagation matrices:
 
-* static     -- a scaled Laplacian (2/lambda_max) L - I from a fixed adjacency,
-                replicated over all input steps;
-* adaptive   -- a learned row-stochastic matrix softmax(En @ En.T), the same at
-                every step;
+* static     -- one scaled Laplacian (2/lambda_max) L - I from a fixed
+                adjacency, shared by every input step;
+* adaptive   -- one learned row-stochastic matrix softmax(En @ En.T), shared
+                by every input step;
 * sequence   -- a distinct matrix per step t, softmax(E[t] @ E[t].T) with
                 E[t] = LayerNorm(En + Ep[t]), so the graph evolves over the
                 input window.
 
-Each mode yields a GraphBundle holding the per-step matrices and their stacked
-Chebyshev polynomials T_0..T_K. The convolution itself (sgcn_forward) uses
-node-adaptive weights generated from the node embeddings.
+Each mode yields a GraphBundle holding its matrices and their stacked
+Chebyshev polynomials T_0..T_K; GraphBundle.at(t, bank) picks the graph and
+node features step t reads. The convolution itself (sgcn_forward) uses
+node-adaptive weights generated from the node features.
 """
 
 from __future__ import annotations
@@ -67,32 +68,33 @@ class EmbeddingBank:
 
 @dataclass
 class GraphBundle:
-    """Per-step propagation matrices with their Chebyshev polynomial stack.
+    """The propagation matrices of one graph mode with their Chebyshev stack.
 
-    ``laplacians`` is [T, N, N]; ``cheb`` is [K+1, T, N, N] with cheb[0] the
-    identity and cheb[1] the matrices themselves. ``node_features`` is the
-    per-step embedding E[t] ([T, N, d_e]) in sequence-aware mode and None
-    otherwise (callers fall back to the static node embedding).
+    Sequence-aware mode has a graph per step: ``laplacians`` is [T, N, N],
+    ``cheb`` [K+1, T, N, N] and ``node_features`` the per-step embedding E[t]
+    [T, N, d_e]. Static and adaptive mode have the one graph every step
+    shares: ``laplacians`` is [N, N], ``cheb`` [K+1, N, N] and
+    ``node_features`` None. cheb[0] is the identity and cheb[1] the matrices
+    themselves.
     """
 
     laplacians: Tensor
     cheb: Tensor
     node_features: Tensor | None = None
 
-    @property
-    def steps(self) -> int:
-        return self.laplacians.shape[0]
-
-    @property
-    def order(self) -> int:
-        return self.cheb.shape[0] - 1
+    def at(self, t: int, bank: EmbeddingBank) -> tuple[Tensor, Tensor]:
+        """The Chebyshev stack [K+1, N, N] and node features [N, d_e] step t
+        reads; the shared graph and the static node embedding outside
+        sequence-aware mode."""
+        if self.node_features is None:
+            return self.cheb, bank.node
+        return ad.select(self.cheb, t, axis=1), ad.select(self.node_features, t, axis=0)
 
 
 def _cheb_stack(laplacians: Tensor, order: int) -> Tensor:
-    """Stack T_0..T_order of the [T, N, N] matrices via the recurrence
+    """Stack T_0..T_order of the [..., N, N] matrices via the recurrence
     T_{k+1} = 2 L T_k - T_{k-1}."""
-    steps, n = laplacians.shape[0], laplacians.shape[1]
-    eye = Tensor(np.repeat(np.eye(n)[np.newaxis], steps, axis=0))
+    eye = Tensor(np.broadcast_to(np.eye(laplacians.shape[-1]), laplacians.shape))
     terms = [eye, laplacians]
     for _ in range(2, order + 1):
         nxt = ad.sub(ad.scalar_affine(ad.matmul(laplacians, terms[-1]), 2.0, 0.0), terms[-2])
@@ -111,12 +113,11 @@ def build_sequence_graphs(bank: EmbeddingBank, order: int) -> GraphBundle:
     return GraphBundle(laplacians, _cheb_stack(laplacians, order), node_features=e)
 
 
-def build_adaptive_graph(node_embedding: Tensor, steps: int, order: int) -> GraphBundle:
-    """Single learned graph softmax(En En^T) replicated over all steps."""
+def build_adaptive_graph(node_embedding: Tensor, order: int) -> GraphBundle:
+    """Single learned graph softmax(En En^T), shared by every step."""
     scores = ad.matmul(node_embedding, ad.transpose(node_embedding, (1, 0)))
     lap = ad.softmax(scores, axis=-1)                        # [N, N]
-    laplacians = ad.repeat_new_axis(lap, steps)
-    return GraphBundle(laplacians, _cheb_stack(laplacians, order))
+    return GraphBundle(lap, _cheb_stack(lap, order))
 
 
 def normalized_laplacian(adjacency: np.ndarray) -> np.ndarray:
@@ -159,14 +160,13 @@ def spectral_bound(matrix: np.ndarray) -> float:
     return 2.0
 
 
-def build_static_graph(adjacency: np.ndarray, steps: int, order: int) -> GraphBundle:
-    """Scaled Laplacian (2/lambda_max) L - I from a fixed adjacency,
-    replicated over ``steps``. The result is a constant (not learnable)."""
+def build_static_graph(adjacency: np.ndarray, order: int) -> GraphBundle:
+    """Scaled Laplacian (2/lambda_max) L - I from a fixed adjacency, shared by
+    every step. The result is a constant (not learnable)."""
     lap = normalized_laplacian(adjacency)
     lam = spectral_bound(lap)
-    scaled = (2.0 / lam) * lap - np.eye(lap.shape[0])
-    laplacians = Tensor(np.repeat(scaled[np.newaxis], steps, axis=0))
-    return GraphBundle(laplacians, _cheb_stack(laplacians, order))
+    scaled = Tensor((2.0 / lam) * lap - np.eye(lap.shape[0]))
+    return GraphBundle(scaled, _cheb_stack(scaled, order))
 
 
 @dataclass
@@ -192,21 +192,14 @@ class SGCNParams:
         return SGCNParams(w, b)
 
 
-def sgcn_forward(x: Tensor, bundle: GraphBundle, bank: EmbeddingBank,
-                 params: SGCNParams, t: int) -> Tensor:
-    """Node-adaptive Chebyshev graph convolution of x [B, N, C_in] at step t.
+def sgcn_forward(x: Tensor, cheb_t: Tensor, e_t: Tensor, params: SGCNParams) -> Tensor:
+    """Node-adaptive Chebyshev graph convolution of x [B, N, C_in].
 
-    Propagates x through the step-t Chebyshev stack, then mixes channels with
-    per-node weights E[t] @ weight_pool and adds the per-node bias
-    E[t] @ bias_pool. Returns [B, N, C_out].
+    Propagates x through the Chebyshev stack cheb_t [K+1, N, N], then mixes
+    channels with per-node weights e_t @ weight_pool and adds the per-node
+    bias e_t @ bias_pool, e_t being the node features [N, d_e] (see
+    GraphBundle.at). Returns [B, N, C_out].
     """
-    if not 0 <= t < bundle.steps:
-        raise IndexError(f"time step {t} out of range for bundle with {bundle.steps} steps")
-    if bundle.node_features is not None:
-        e_t = ad.select(bundle.node_features, t, axis=0)     # [N, d_e]
-    else:
-        e_t = bank.node
-    cheb_t = ad.select(bundle.cheb, t, axis=1)               # [K+1, N, N]
     theta = ad.einsum("nd,dkio->nkio", e_t, params.weight_pool)
     bias = ad.matmul(e_t, params.bias_pool)                  # [N, C_out]
     propagated = ad.einsum("knm,bmi->kbni", cheb_t, x)

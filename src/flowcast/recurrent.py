@@ -41,12 +41,13 @@ class GruCellParams:
 def gru_cell_step(x_t: Tensor, h_prev: Tensor, cell: GruCellParams,
                   bundle: GraphBundle, bank: EmbeddingBank, t: int) -> Tensor:
     """One recurrent update at time step t. x_t is [B, N, C], h_prev and the
-    result are [B, N, d_h]."""
+    result are [B, N, d_h]. All three gates read the step-t graph."""
+    cheb_t, e_t = bundle.at(t, bank)
     joint = ad.concat([x_t, h_prev], axis=-1)
-    z = ad.sigmoid(sgcn_forward(joint, bundle, bank, cell.update, t))
-    r = ad.sigmoid(sgcn_forward(joint, bundle, bank, cell.reset, t))
+    z = ad.sigmoid(sgcn_forward(joint, cheb_t, e_t, cell.update))
+    r = ad.sigmoid(sgcn_forward(joint, cheb_t, e_t, cell.reset))
     gated = ad.concat([x_t, ad.mul(r, h_prev)], axis=-1)
-    cand = ad.tanh(sgcn_forward(gated, bundle, bank, cell.candidate, t))
+    cand = ad.tanh(sgcn_forward(gated, cheb_t, e_t, cell.candidate))
     return ad.add(ad.mul(z, h_prev), ad.mul(ad.scalar_affine(z, -1.0, 1.0), cand))
 
 

@@ -123,7 +123,7 @@ def test_criterion_4_stochasticity_structure():
             bank = graphs.EmbeddingBank.create(5, 4, 3, np.random.default_rng(seed))
             seq = graphs.build_sequence_graphs(bank, order=2)
             assert np.abs(seq.laplacians.data.sum(axis=-1) - 1.0).max() < 1e-9
-            adaptive = graphs.build_adaptive_graph(bank.node, steps=4, order=2)
+            adaptive = graphs.build_adaptive_graph(bank.node, order=2)
             assert np.abs(adaptive.laplacians.data.sum(axis=-1) - 1.0).max() < 1e-9
 
         x = rng.standard_normal((2, 6, 4, 1))
@@ -148,9 +148,10 @@ def test_criterion_5_sequence_awareness():
             for i in range(5):
                 for j in range(i + 1, 5):
                     assert np.abs(seq[i] - seq[j]).max() > 1e-6, (seed, i, j)
-            adaptive = graphs.build_adaptive_graph(bank.node, steps=5, order=1).laplacians.data
-            for i in range(1, 5):
-                assert np.array_equal(adaptive[i], adaptive[0]), (seed, i)
+            adaptive = graphs.build_adaptive_graph(bank.node, order=1)
+            first = adaptive.at(0, bank)[0].data
+            for i in range(5):
+                assert np.array_equal(adaptive.at(i, bank)[0].data, first), (seed, i)
 
 
 # -- 6. overfit check ---------------------------------------------------------------

@@ -341,17 +341,6 @@ def test_select_and_stack_roundtrip_grads():
         assert np.array_equal(p.grad, np.ones((2, 2)))
 
 
-def test_repeat_new_axis_bit_identical_and_grad_sums():
-    rng = np.random.default_rng(41)
-    x = rng.standard_normal((3, 3))
-    t = Tensor(x, requires_grad=True)
-    rep = ad.repeat_new_axis(t, 4)
-    for i in range(4):
-        assert np.array_equal(rep.data[i], x)
-    ad.backward(ad.reduce_sum(rep))
-    assert np.array_equal(t.grad, np.full((3, 3), 4.0))
-
-
 def test_backward_releases_op_grads_and_keeps_leaf_grads():
     x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
     w = Tensor(np.array([0.5, 0.25, 2.0]), requires_grad=True)

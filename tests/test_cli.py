@@ -84,6 +84,10 @@ def _non_utf8_config(tmp_path):
     pytest.param(["--set", "data.synth.nodes=x"], "data.synth.nodes", id="synth_nodes_not_a_number"),
     pytest.param(["--set", "data.synth.nodes=1"], "2 nodes", id="synth_nodes_too_few"),
     pytest.param(_non_utf8_config, "cfg.json", id="config_not_utf8"),
+    pytest.param(lambda tmp_path: ["--config", str(tmp_path)], "cannot read config",
+                 id="config_is_a_directory"),
+    pytest.param(lambda tmp_path: ["--config", str(tmp_path / "absent.json")], "absent.json",
+                 id="config_missing"),
     pytest.param(["--set", "data.series_csv=[1]", "--set", "data.synth=null"], "data.series_csv",
                  id="series_path_not_a_string"),
 ])

@@ -76,23 +76,24 @@ def test_sequence_graphs_differentiable_wrt_bank():
 # -- adaptive graphs ------------------------------------------------------------
 
 
-def test_adaptive_replication_is_bit_exact():
+def test_adaptive_mode_has_one_graph():
     bank = make_bank(n=4, steps=5, d=3, seed=2)
-    bundle = graphs.build_adaptive_graph(bank.node, steps=5, order=1)
-    first = bundle.laplacians.data[0]
-    for i in range(5):
-        assert np.array_equal(bundle.laplacians.data[i], first)
+    bundle = graphs.build_adaptive_graph(bank.node, order=1)
+    assert bundle.laplacians.shape == (4, 4)
+    assert bundle.cheb.shape == (2, 4, 4)
+    assert bundle.node_features is None
+    assert np.array_equal(bundle.cheb.data[1], bundle.laplacians.data)
 
 
 def test_adaptive_identical_rows_uniform():
     node = Tensor(np.tile([[1.0, 2.0]], (4, 1)), requires_grad=True)
-    bundle = graphs.build_adaptive_graph(node, steps=2, order=1)
+    bundle = graphs.build_adaptive_graph(node, order=1)
     assert np.allclose(bundle.laplacians.data, 0.25, atol=1e-12)
 
 
 def test_adaptive_rows_sum_to_one():
     bank = make_bank(n=6, steps=3, d=4, seed=3)
-    bundle = graphs.build_adaptive_graph(bank.node, steps=3, order=2)
+    bundle = graphs.build_adaptive_graph(bank.node, order=2)
     assert np.abs(bundle.laplacians.data.sum(axis=-1) - 1.0).max() < 1e-9
 
 
@@ -105,21 +106,21 @@ def test_static_complete_graph_k2():
     assert np.allclose(lap, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-12)
     lam = graphs.spectral_bound(lap)
     assert abs(lam - 2.0) < 1e-9
-    bundle = graphs.build_static_graph(adjacency, steps=3, order=1)
-    assert np.allclose(bundle.laplacians.data[0], [[0.0, -1.0], [-1.0, 0.0]], atol=1e-12)
+    bundle = graphs.build_static_graph(adjacency, order=1)
+    assert np.allclose(bundle.laplacians.data, [[0.0, -1.0], [-1.0, 0.0]], atol=1e-12)
 
 
 def test_static_isolated_node_rejected():
     adjacency = np.zeros((3, 3))
     adjacency[0, 1] = adjacency[1, 0] = 1.0
     with pytest.raises(InvalidGraphError):
-        graphs.build_static_graph(adjacency, steps=2, order=1)
+        graphs.build_static_graph(adjacency, order=1)
 
 
 def test_static_asymmetric_rejected():
     adjacency = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(InvalidGraphError):
-        graphs.build_static_graph(adjacency, steps=2, order=1)
+        graphs.build_static_graph(adjacency, order=1)
 
 
 def test_static_scaled_laplacian_symmetric():
@@ -127,8 +128,8 @@ def test_static_scaled_laplacian_symmetric():
     raw = rng.random((6, 6))
     adjacency = (raw + raw.T) / 2
     np.fill_diagonal(adjacency, 0.0)
-    bundle = graphs.build_static_graph(adjacency, steps=2, order=1)
-    lap = bundle.laplacians.data[0]
+    bundle = graphs.build_static_graph(adjacency, order=1)
+    lap = bundle.laplacians.data
     assert np.abs(lap - lap.T).max() < 1e-12
 
 
@@ -174,6 +175,27 @@ def test_cheb_stack_matches_matrix_power_oracle(order):
 # -- convolution -------------------------------------------------------------------
 
 
+def test_bundle_at_returns_the_shared_graph_outside_sequence_mode():
+    adjacency = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    bank = graphs.EmbeddingBank.create(3, 4, 2, np.random.default_rng(9), with_positions=False)
+    for bundle in (graphs.build_static_graph(adjacency, order=2),
+                   graphs.build_adaptive_graph(bank.node, order=2)):
+        assert bundle.laplacians.shape == (3, 3)
+        for t in range(4):
+            cheb_t, e_t = bundle.at(t, bank)
+            assert cheb_t is bundle.cheb and cheb_t.shape == (3, 3, 3)
+            assert e_t is bank.node
+
+
+def test_bundle_at_selects_step_t_in_sequence_mode():
+    bank = make_bank(n=3, steps=4, d=2, seed=10)
+    bundle = graphs.build_sequence_graphs(bank, order=2)
+    for t in range(4):
+        cheb_t, e_t = bundle.at(t, bank)
+        assert np.array_equal(cheb_t.data, bundle.cheb.data[:, t])
+        assert np.array_equal(e_t.data, bundle.node_features.data[t])
+
+
 def make_sgcn(n=2, d=2, order=1, c_in=1, c_out=1, seed=0):
     rng = np.random.default_rng(seed)
     return graphs.SGCNParams.create(d, order, c_in, c_out, rng)
@@ -184,7 +206,7 @@ def test_sgcn_zero_input_zero_bias():
     bundle = graphs.build_sequence_graphs(bank, order=1)
     params = make_sgcn(seed=6)
     params.bias_pool.data[:] = 0.0
-    out = graphs.sgcn_forward(Tensor(np.zeros((3, 2, 1))), bundle, bank, params, t=0)
+    out = graphs.sgcn_forward(Tensor(np.zeros((3, 2, 1))), *bundle.at(0, bank), params)
     assert np.array_equal(out.data, np.zeros((3, 2, 1)))
 
 
@@ -192,7 +214,7 @@ def test_sgcn_bias_only_path():
     bank = make_bank(n=2, steps=2, d=2, seed=7)
     bundle = graphs.build_sequence_graphs(bank, order=1)
     params = make_sgcn(seed=7)
-    out = graphs.sgcn_forward(Tensor(np.zeros((4, 2, 1))), bundle, bank, params, t=1)
+    out = graphs.sgcn_forward(Tensor(np.zeros((4, 2, 1))), *bundle.at(1, bank), params)
     e_t = bundle.node_features.data[1]
     expected = e_t @ params.bias_pool.data
     for b in range(4):
@@ -205,7 +227,7 @@ def test_sgcn_matches_loop_oracle():
     bundle = graphs.build_sequence_graphs(bank, order=1)
     params = make_sgcn(n=2, d=2, order=1, c_in=1, c_out=1, seed=21)
     x = rng.standard_normal((2, 2, 1))
-    out = graphs.sgcn_forward(Tensor(x), bundle, bank, params, t=2)
+    out = graphs.sgcn_forward(Tensor(x), *bundle.at(2, bank), params)
     expected = sgcn_loop(x, bundle.cheb.data[:, 2], bundle.node_features.data[2],
                          params.weight_pool.data, params.bias_pool.data)
     assert np.abs(out.data - expected).max() < 1e-12
@@ -215,15 +237,15 @@ def test_sgcn_time_index_out_of_range():
     bank = make_bank(n=2, steps=2, d=2, seed=8)
     bundle = graphs.build_sequence_graphs(bank, order=1)
     with pytest.raises(IndexError):
-        graphs.sgcn_forward(Tensor(np.zeros((1, 2, 1))), bundle, bank, make_sgcn(), t=2)
+        bundle.at(2, bank)
 
 
 def test_sgcn_static_mode_uses_node_embedding():
     adjacency = np.array([[0.0, 1.0], [1.0, 0.0]])
-    bundle = graphs.build_static_graph(adjacency, steps=2, order=1)
+    bundle = graphs.build_static_graph(adjacency, order=1)
     bank = graphs.EmbeddingBank.create(2, 2, 2, np.random.default_rng(5), with_positions=False)
     params = make_sgcn(seed=5)
-    out = graphs.sgcn_forward(Tensor(np.zeros((1, 2, 1))), bundle, bank, params, t=0)
+    out = graphs.sgcn_forward(Tensor(np.zeros((1, 2, 1))), *bundle.at(0, bank), params)
     expected = bank.node.data @ params.bias_pool.data
     assert np.allclose(out.data[0], expected, atol=1e-12)
 
@@ -236,7 +258,7 @@ def test_sgcn_gradients_vs_finite_differences():
     weight = rng.standard_normal((2, 3, 2))
 
     bundle = graphs.build_sequence_graphs(bank, order=1)
-    out = graphs.sgcn_forward(Tensor(x), bundle, bank, params, t=1)
+    out = graphs.sgcn_forward(Tensor(x), *bundle.at(1, bank), params)
     ad.backward(ad.reduce_sum(ad.mul(out, Tensor(weight))))
 
     def loss_value():
@@ -264,11 +286,11 @@ def test_sgcn_permutation_equivariance():
     perm = rng.permutation(n)
 
     bundle = graphs.build_sequence_graphs(bank, order=1)
-    base = graphs.sgcn_forward(Tensor(x), bundle, bank, params, t=0).data
+    base = graphs.sgcn_forward(Tensor(x), *bundle.at(0, bank), params).data
 
     bank_p = graphs.EmbeddingBank(
         Tensor(bank.node.data[perm]), bank.position, bank.ln_gamma, bank.ln_beta
     )
     bundle_p = graphs.build_sequence_graphs(bank_p, order=1)
-    permuted = graphs.sgcn_forward(Tensor(x[:, perm]), bundle_p, bank_p, params, t=0).data
+    permuted = graphs.sgcn_forward(Tensor(x[:, perm]), *bundle_p.at(0, bank_p), params).data
     assert np.abs(permuted - base[:, perm]).max() < 1e-10

@@ -205,6 +205,17 @@ def test_grad_check_linear_toy_model_near_exact():
     assert report.passed
 
 
+def test_grad_check_adaptive_graph_model():
+    # one learned graph shared by all steps: its gradient sums over every step
+    cfg = tiny_config(graph_mode="adaptive", gst2_variant="none")
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((2, 6, 4, 1))
+    y = rng.standard_normal((2, 3, 4))
+    report = tr.grad_check(cfg, x, y, samples_per_tensor=40)
+    assert report.max_rel_err < 1e-4
+    assert report.failures == []
+
+
 def test_grad_check_full_fused_model():
     cfg = tiny_config(gst2_variant="fused")
     rng = np.random.default_rng(2)
