@@ -16,7 +16,9 @@ training). Never write into the ``data`` of an op output; only leaves (see
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 
@@ -272,9 +274,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
-    """Two-operand einsum. Each input index must appear in the output or in
-    the other operand, so the gradient is the same contraction with operands
-    swapped. No ellipsis, no repeated index within one operand."""
+    """Two-operand einsum, run as one batched matmul (see _contraction_plan).
+    Each input index must appear in the output or in the other operand, so
+    the gradient is the same contraction with operands swapped. No ellipsis,
+    no repeated index within one operand. The output may be a view of the
+    product in another axis order."""
     if "->" not in spec or "," not in spec or "..." in spec:
         raise ValueError(f"einsum: spec '{spec}' must be explicit two-operand form")
     lhs, out_spec = spec.split("->")
@@ -285,26 +289,84 @@ def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
         missing = set(sub_spec) - set(other) - set(out_spec)
         if missing:
             raise ValueError(f"einsum: indices {sorted(missing)} of '{spec}' are not differentiable")
-    out = Tensor(np.einsum(spec, a.data, b.data))
+    if len(set(out_spec)) != len(out_spec) or not set(out_spec) <= set(a_spec + b_spec):
+        raise ValueError(f"einsum: output of '{spec}' repeats an index or names an unknown one")
+    out = Tensor(_contract(a_spec, b_spec, out_spec, a.data, b.data))
 
     def back(g):
         if a.requires_grad:
-            _accum(a, np.einsum(f"{out_spec},{b_spec}->{a_spec}", g, b.data))
+            _accum(a, _contract(out_spec, b_spec, a_spec, g, b.data))
         if b.requires_grad:
-            _accum(b, np.einsum(f"{out_spec},{a_spec}->{b_spec}", g, a.data))
+            _accum(b, _contract(out_spec, a_spec, b_spec, g, a.data))
 
     return _record(out, (a, b), back)
+
+
+def _contract(a_spec: str, b_spec: str, out_spec: str, a: np.ndarray,
+              b: np.ndarray) -> np.ndarray:
+    swap, first_axes, first_3d, second_axes, second_3d, product_shape, out_axes = \
+        _contraction_plan(a_spec, b_spec, out_spec, a.shape, b.shape)
+    first, second = (b, a) if swap else (a, b)
+    product = np.matmul(first.transpose(first_axes).reshape(first_3d),
+                        second.transpose(second_axes).reshape(second_3d))
+    return product.reshape(product_shape).transpose(out_axes)
+
+
+@lru_cache(maxsize=256)
+def _contraction_plan(a_spec: str, b_spec: str, out_spec: str, a_shape: tuple,
+                      b_shape: tuple) -> tuple:
+    """How one einsum runs as a single np.matmul, which uses BLAS where
+    np.einsum does not.
+
+    One operand is brought to [batch, rows, inner] and the other to
+    [batch, inner, cols]: batch indices are in both operands and the output,
+    rows and cols in one operand and the output, inner in both operands
+    only. Each group keeps the index order of the larger of its operand and
+    the output, so that the larger array is more often used as a view and
+    not copied; the operands swap sides when that makes the product come out
+    in the output's order. Returns whether they swap, each side's axis order
+    and 3-d shape, the product's shape with its groups unfolded and the axis
+    order that takes it to out_spec.
+    """
+    size = {}
+    for spec, shape in ((a_spec, a_shape), (b_spec, b_shape)):
+        if len(spec) != len(shape):
+            raise ShapeError(f"einsum: operand '{spec}' does not match shape {shape}")
+        for index, n in zip(spec, shape):
+            if size.setdefault(index, n) != n:
+                raise ShapeError(f"einsum: index '{index}' has sizes {size[index]} and {n}")
+    out_size = math.prod(size[i] for i in out_spec)
+
+    def ordered(group: set, spec: str, shape: tuple) -> list:
+        return [i for i in (out_spec if out_size > math.prod(shape) else spec) if i in group]
+
+    in_a, in_b, in_out = set(a_spec), set(b_spec), set(out_spec)
+    batch = ordered(in_a & in_b & in_out, a_spec, a_shape)
+    rows = ordered(in_a - in_b, a_spec, a_shape)
+    cols = ordered(in_b - in_a, b_spec, b_shape)
+    larger = a_spec if math.prod(a_shape) >= math.prod(b_shape) else b_spec
+    inner = [i for i in larger if i not in in_out]
+    swap = batch + rows + cols != list(out_spec) and batch + cols + rows == list(out_spec)
+    if swap:
+        a_spec, rows, b_spec, cols = b_spec, cols, a_spec, rows
+    extent = lambda group: math.prod(size[i] for i in group)
+    product = batch + rows + cols
+    return (swap,
+            tuple(a_spec.index(i) for i in batch + rows + inner),
+            (extent(batch), extent(rows), extent(inner)),
+            tuple(b_spec.index(i) for i in batch + inner + cols),
+            (extent(batch), extent(inner), extent(cols)),
+            tuple(size[i] for i in product),
+            tuple(product.index(i) for i in out_spec))
 
 
 # -- nonlinearities ----------------------------------------------------------
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    pos = x.data >= 0
-    y = np.empty_like(x.data)
-    y[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    ex = np.exp(x.data[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: no exp overflows.
+    ex = np.exp(-np.abs(x.data))
+    y = np.where(x.data >= 0, 1.0, ex) / (1.0 + ex)
     out = Tensor(y)
 
     def back(g):

@@ -162,12 +162,28 @@ def load_dataset(cfg: dict) -> tuple[dp.TrafficSeries, np.ndarray | None]:
             spec["seed"] = cfg["seed"]
         for key, kind in _SYNTH_TYPES.items():
             md.check_type(f"data.synth.{key}", spec[key], kind)
-        try:
-            return dp.synthesize(spec["nodes"], spec["steps"], spec["seed"],
-                                 noise_level=spec["noise_level"], diffusion=spec["diffusion"])
-        except ValueError as exc:  # the generator's own range checks
-            raise ConfigError(f"data.synth: {exc}") from None
+        return _synthesize("data.synth", spec["nodes"], spec["steps"], spec["seed"],
+                           spec["noise_level"], spec["diffusion"])
     raise ConfigError("config needs either data.series_csv or data.synth")
+
+
+def _synthesize(source: str, nodes: int, steps: int, seed: int, noise_level: float,
+                diffusion: float) -> tuple[dp.TrafficSeries, np.ndarray]:
+    """data.synthesize, its range errors raised as ConfigError naming ``source``."""
+    try:
+        return dp.synthesize(nodes, steps, seed, noise_level=noise_level, diffusion=diffusion)
+    except ValueError as exc:  # the generator's own range checks
+        raise ConfigError(f"{source}: {exc}") from None
+
+
+def _make_out_dir(path: str):
+    """Create an output directory before any data is loaded or model trained,
+    so an unusable path (an existing file, or a path under one) ends the
+    command at once."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {path}: {exc.strerror}") from None
 
 
 def build_model_config(cfg: dict, n_nodes: int) -> md.ModelConfig:
@@ -213,6 +229,7 @@ def _metrics_json(report: dp.MetricsReport, per_horizon: list[dp.MetricsReport])
 
 
 def _run_training(cfg: dict, out_dir: str, log_progress: bool = True) -> dict:
+    _make_out_dir(out_dir)
     series, adjacency = load_dataset(cfg)
     model_cfg = build_model_config(cfg, series.node_count)
     cfg = copy.deepcopy(cfg)
@@ -231,7 +248,6 @@ def _run_training(cfg: dict, out_dir: str, log_progress: bool = True) -> dict:
         )
     result = tr.fit(model, splits["train"], splits["val"], normalizer, train_cfg, log=log)
 
-    os.makedirs(out_dir, exist_ok=True)
     tr.write_history_csv(os.path.join(out_dir, "history.csv"), result.history)
     md.save_checkpoint(
         os.path.join(out_dir, "checkpoint.json"),
@@ -258,6 +274,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _make_out_dir(args.out)
     config_echo, values = md.load_checkpoint(args.checkpoint)
     try:  # a config the checkpoint carries is part of the checkpoint: exit 2
         cfg = merge_run_config(config_echo)
@@ -290,7 +307,6 @@ def cmd_eval(args) -> int:
     preds = tr.predict_batched(model, x_test, train_cfg.batch_size)
     report = dp.metrics(preds, y_test, normalizer)
     horizon = dp.metrics_per_horizon(preds, y_test, normalizer)
-    os.makedirs(args.out, exist_ok=True)
     dp.write_atomic(os.path.join(args.out, "metrics.json"),
                     _metrics_json(report, horizon).encode())
     dp.write_predictions_csv(os.path.join(args.out, "predictions.csv"),
@@ -315,7 +331,7 @@ def cmd_ablate(args) -> int:
     resolve_seeds(cfg, args.seed)
     graph_modes = args.graph_modes.split(",") if args.graph_modes else list(md.GRAPH_MODES)
     variants = args.variants.split(",") if args.variants else list(md.GST2_VARIANTS)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
 
     rows = []
     failures = []
@@ -326,7 +342,6 @@ def cmd_ablate(args) -> int:
             cell["model"]["graph_mode"] = mode
             cell["model"]["gst2_variant"] = variant
             cell_dir = os.path.join(args.out, "cells", f"{mode}__{variant}")
-            os.makedirs(cell_dir, exist_ok=True)
             try:
                 outcome = _run_training(cell, cell_dir, log_progress=False)
             except Exception as exc:  # record and continue with the grid
@@ -397,10 +412,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    series, adjacency = dp.synthesize(args.nodes, args.steps, args.seed,
-                                      noise_level=args.noise_level,
-                                      diffusion=args.diffusion)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
+    series, adjacency = _synthesize("synth", args.nodes, args.steps, args.seed,
+                                    args.noise_level, args.diffusion)
     dp.write_series_csv(os.path.join(args.out, "series.csv"), series.values)
     dp.write_series_csv(os.path.join(args.out, "adjacency.csv"), adjacency)
     print(f"wrote {series.steps}x{series.node_count} series to {args.out}")

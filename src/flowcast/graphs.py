@@ -12,8 +12,8 @@ Three ways to obtain the propagation matrices:
 
 Each mode yields a GraphBundle holding its matrices and their stacked
 Chebyshev polynomials T_0..T_K; GraphBundle.at(t, bank) picks the graph and
-node features step t reads. The convolution itself (sgcn_forward) uses
-node-adaptive weights generated from the node features.
+node features step t reads. The convolution (convolve) mixes channels with
+node weights generated from the node features (SGCNParams.node_weights).
 """
 
 from __future__ import annotations
@@ -44,14 +44,6 @@ class EmbeddingBank:
     position: Tensor | None      # [T, 1, d_e]
     ln_gamma: Tensor | None      # [d_e]
     ln_beta: Tensor | None       # [d_e]
-
-    @property
-    def n_nodes(self) -> int:
-        return self.node.shape[0]
-
-    @property
-    def embed_dim(self) -> int:
-        return self.node.shape[1]
 
     @staticmethod
     def create(n_nodes: int, steps: int, embed_dim: int, rng: np.random.Generator,
@@ -138,11 +130,9 @@ def normalized_laplacian(adjacency: np.ndarray) -> np.ndarray:
 
 
 def spectral_bound(matrix: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
-
-    Falls back to 2.0 (a valid bound for the normalized Laplacian) when the
-    iteration does not settle within the budget.
-    """
+    """Largest eigenvalue of a symmetric PSD matrix by power iteration, or
+    2.0 (a valid bound for the normalized Laplacian) when the iteration does
+    not settle within the budget."""
     rng = np.random.default_rng(0)
     v = rng.standard_normal(matrix.shape[0])
     v /= np.linalg.norm(v)
@@ -171,12 +161,9 @@ def build_static_graph(adjacency: np.ndarray, order: int) -> GraphBundle:
 
 @dataclass
 class SGCNParams:
-    """Node-adaptive convolution parameter pools.
-
-    ``weight_pool`` is [d_e, K+1, C_in, C_out] and ``bias_pool`` [d_e, C_out];
-    the per-node weights are generated by contracting the pools with the
-    node embeddings, so nodes with similar embeddings convolve similarly.
-    """
+    """Node-adaptive convolution parameter pools, ``weight_pool`` [d_e, K+1,
+    C_in, C_out] and ``bias_pool`` [d_e, C_out]. Nodes with similar
+    embeddings get similar weights and bias (see node_weights)."""
 
     weight_pool: Tensor
     bias_pool: Tensor
@@ -191,17 +178,22 @@ class SGCNParams:
         b = Tensor(rng.uniform(-b_bound, b_bound, (embed_dim, c_out)), requires_grad=True)
         return SGCNParams(w, b)
 
+    def node_weights(self, e: Tensor) -> tuple[Tensor, Tensor]:
+        """Per-node weights e @ weight_pool [N, K+1, C_in, C_out] and bias
+        e @ bias_pool [N, C_out] from node features e [N, d_e]."""
+        return ad.einsum("nd,dkio->nkio", e, self.weight_pool), ad.matmul(e, self.bias_pool)
+
+
+def convolve(x: Tensor, cheb_t: Tensor, *weights: tuple[Tensor, Tensor]) -> list[Tensor]:
+    """Graph convolution of x [B, N, C_in] on the stack cheb_t [K+1, N, N],
+    one [B, N, C_out] output per (weights, bias) given: x is propagated once,
+    then each output is one [B, (K+1) C_in] x [(K+1) C_in, C_out] product per node."""
+    # [N, K+1, C_in, B]: the layout each per-node product reads as a view
+    propagated = ad.einsum("knm,bmi->nkib", cheb_t, x)
+    return [ad.add(ad.einsum("nkib,nkio->bno", propagated, theta), bias)
+            for theta, bias in weights]
+
 
 def sgcn_forward(x: Tensor, cheb_t: Tensor, e_t: Tensor, params: SGCNParams) -> Tensor:
-    """Node-adaptive Chebyshev graph convolution of x [B, N, C_in].
-
-    Propagates x through the Chebyshev stack cheb_t [K+1, N, N], then mixes
-    channels with per-node weights e_t @ weight_pool and adds the per-node
-    bias e_t @ bias_pool, e_t being the node features [N, d_e] (see
-    GraphBundle.at). Returns [B, N, C_out].
-    """
-    theta = ad.einsum("nd,dkio->nkio", e_t, params.weight_pool)
-    bias = ad.matmul(e_t, params.bias_pool)                  # [N, C_out]
-    propagated = ad.einsum("knm,bmi->kbni", cheb_t, x)
-    z = ad.einsum("kbni,nkio->bno", propagated, theta)
-    return ad.add(z, bias)
+    """convolve with the node weights of params at e_t [N, d_e] (see GraphBundle.at)."""
+    return convolve(x, cheb_t, params.node_weights(e_t))[0]

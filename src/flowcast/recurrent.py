@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graphs import EmbeddingBank, GraphBundle, SGCNParams, sgcn_forward
+from .graphs import EmbeddingBank, GraphBundle, SGCNParams, convolve
 
 
 @dataclass
@@ -37,29 +37,37 @@ class GruCellParams:
         make = lambda: SGCNParams.create(embed_dim, order, c_in, hidden_dim, rng)
         return GruCellParams(make(), make(), make(), hidden_dim)
 
+    def node_weights(self, e: Tensor) -> tuple:
+        """The (weights, bias) of each gate from node features e [N, d_e]."""
+        return tuple(gate.node_weights(e) for gate in (self.update, self.reset, self.candidate))
+
 
 def gru_cell_step(x_t: Tensor, h_prev: Tensor, cell: GruCellParams,
                   bundle: GraphBundle, bank: EmbeddingBank, t: int) -> Tensor:
     """One recurrent update at time step t. x_t is [B, N, C], h_prev and the
     result are [B, N, d_h]. All three gates read the step-t graph."""
     cheb_t, e_t = bundle.at(t, bank)
-    joint = ad.concat([x_t, h_prev], axis=-1)
-    z = ad.sigmoid(sgcn_forward(joint, cheb_t, e_t, cell.update))
-    r = ad.sigmoid(sgcn_forward(joint, cheb_t, e_t, cell.reset))
-    gated = ad.concat([x_t, ad.mul(r, h_prev)], axis=-1)
-    cand = ad.tanh(sgcn_forward(gated, cheb_t, e_t, cell.candidate))
-    return ad.add(ad.mul(z, h_prev), ad.mul(ad.scalar_affine(z, -1.0, 1.0), cand))
+    return _update(x_t, h_prev, cheb_t, cell.node_weights(e_t))
+
+
+def _update(x_t: Tensor, h_prev: Tensor, cheb_t: Tensor, weights: tuple) -> Tensor:
+    w_z, w_r, w_c = weights
+    z, r = (ad.sigmoid(g) for g in convolve(ad.concat([x_t, h_prev], axis=-1), cheb_t, w_z, w_r))
+    (cand,) = convolve(ad.concat([x_t, ad.mul(r, h_prev)], axis=-1), cheb_t, w_c)
+    return ad.add(ad.mul(z, h_prev), ad.mul(ad.scalar_affine(z, -1.0, 1.0), ad.tanh(cand)))
 
 
 def encode_sequence(x: Tensor, cell: GruCellParams, bundle: GraphBundle,
                     bank: EmbeddingBank) -> Tensor:
     """Run the cell over x [B, T, N, C] from a zero initial state and stack
-    the hidden states into [B, N, T, d_h]."""
+    the hidden states into [B, N, T, d_h]. Outside sequence-aware mode every
+    step reads the same node features, so the node weights are built once."""
     b, steps, n, _ = x.shape
     h = Tensor(np.zeros((b, n, cell.hidden_dim)))
+    shared = cell.node_weights(bank.node) if bundle.node_features is None else None
     states = []
     for t in range(steps):
-        x_t = ad.select(x, t, axis=1)
-        h = gru_cell_step(x_t, h, cell, bundle, bank, t)
+        cheb_t, e_t = bundle.at(t, bank)
+        h = _update(ad.select(x, t, axis=1), h, cheb_t, shared or cell.node_weights(e_t))
         states.append(h)
     return ad.stack(states, axis=2)

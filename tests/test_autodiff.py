@@ -229,6 +229,40 @@ def test_einsum_matches_numpy_and_finite_differences():
     assert (np.abs(gb - fd_b) / np.maximum(1.0, np.abs(fd_b))).max() < 1e-6
 
 
+@pytest.mark.parametrize("spec,sizes", [
+    pytest.param("knm,bmi->nkib", "k3 n5 m5 b4 i2", id="graph_propagation"),
+    pytest.param("nkib,nkio->bno", "n5 k3 i2 b4 o3", id="per_node_mix"),
+    pytest.param("bgld,hde->bghle", "b2 g3 l4 d5 h2 e3", id="head_projection"),
+    pytest.param("ij,jk->ki", "i2 j3 k4", id="product_transposed"),
+    pytest.param("ab,c->abc", "a2 b3 c2", id="outer_product"),
+    pytest.param("i,i->", "i4", id="dot"),
+])
+def test_einsum_as_matmul_matches_numpy(spec, sizes):
+    # Forward and both gradients against np.einsum, with the first operand
+    # given as a transposed, non-contiguous view.
+    size = {item[0]: int(item[1:]) for item in sizes.split()}
+    (a_spec, b_spec), out_spec = spec.split("->")[0].split(","), spec.split("->")[1]
+    rng = np.random.default_rng(37)
+    a = rng.standard_normal([size[i] for i in reversed(a_spec)]).T
+    b = rng.standard_normal([size[i] for i in b_spec])
+    weight = rng.standard_normal([size[i] for i in out_spec])
+    out = ad.einsum(spec, Tensor(a), Tensor(b))
+    assert np.abs(out.data - np.einsum(spec, a, b)).max() < 1e-12
+    ga, gb = grads_of(lambda x, y: ad.reduce_sum(ad.mul(ad.einsum(spec, x, y), Tensor(weight))),
+                      a, b)
+    assert np.abs(ga - np.einsum(f"{out_spec},{b_spec}->{a_spec}", weight, b)).max() < 1e-12
+    assert np.abs(gb - np.einsum(f"{out_spec},{a_spec}->{b_spec}", weight, a)).max() < 1e-12
+
+
+def test_einsum_rejects_mismatched_sizes_and_unknown_output():
+    with pytest.raises(ShapeError):
+        ad.einsum("ij,jk->ik", Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+    with pytest.raises(ShapeError):
+        ad.einsum("ij,jk->ik", Tensor(np.ones((2, 3, 1))), Tensor(np.ones((3, 2))))
+    with pytest.raises(ValueError):
+        ad.einsum("ij,jk->iz", Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
+
+
 def test_einsum_rejects_undifferentiable_spec():
     with pytest.raises(ValueError):
         ad.einsum("ab,bc->c", Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))))

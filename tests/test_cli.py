@@ -120,6 +120,44 @@ def test_synth_writes_series_and_adjacency(tmp_path):
     assert np.array_equal(adjacency, adjacency.T)
 
 
+@pytest.mark.parametrize("flag,value,named", [
+    pytest.param("--nodes", "0", "2 nodes", id="too_few_nodes"),
+    pytest.param("--steps", "5", "288 steps", id="shorter_than_a_day"),
+    pytest.param("--diffusion", "5", "diffusion", id="diffusion_out_of_range"),
+])
+def test_synth_out_of_range_exits_one(tmp_path, capsys, flag, value, named):
+    code = run(["synth", flag, value, "--out", str(tmp_path / "synth")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:") and named in err
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "ablate", "synth"])
+@pytest.mark.parametrize("under_file", [False, True], ids=["out_is_a_file", "out_under_a_file"])
+def test_unusable_out_exits_one_before_any_work(tmp_path, capsys, monkeypatch, command,
+                                                under_file):
+    def no_work(*args, **kwargs):
+        pytest.fail("work started before the output directory was checked")
+
+    monkeypatch.setattr(cli, "load_dataset", no_work)
+    monkeypatch.setattr(cli.md, "load_checkpoint", no_work)
+    monkeypatch.setattr(cli.dp, "synthesize", no_work)
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file\n")
+    out = str(blocker / "run" if under_file else blocker)
+    sets = sum([["--set", s] for s in tiny_overrides()], [])
+    argv = {
+        "train": ["train", *sets],
+        "eval": ["eval", "--checkpoint", str(tmp_path / "checkpoint.json")],
+        "ablate": ["ablate", "--graph-modes", "adaptive", "--variants", "none", *sets],
+        "synth": ["synth"],
+    }[command]
+    code = run([*argv, "--out", out])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:") and out in err
+
+
 # -- train ---------------------------------------------------------------------------
 
 

@@ -233,6 +233,34 @@ def test_sgcn_matches_loop_oracle():
     assert np.abs(out.data - expected).max() < 1e-12
 
 
+def _graph_bundle(mode, bank, order):
+    """The bundle of a graph mode; static mode reads a ring adjacency."""
+    if mode == "static":
+        ring = np.roll(np.eye(bank.node.shape[0]), 1, axis=1)
+        return graphs.build_static_graph(ring + ring.T, order)
+    if mode == "adaptive":
+        return graphs.build_adaptive_graph(bank.node, order)
+    return graphs.build_sequence_graphs(bank, order)
+
+
+@pytest.mark.parametrize("mode", ["static", "adaptive", "sequence_aware"])
+@pytest.mark.parametrize("order", [2, 3])
+def test_sgcn_matches_loop_oracle_at_higher_order(mode, order):
+    # B=3, N=5, C_in=3, C_out=4, against Chebyshev terms from matrix powers
+    rng = np.random.default_rng(60 + order)
+    bank = make_bank(n=5, steps=3, d=2, seed=61)
+    bundle = _graph_bundle(mode, bank, order)
+    params = make_sgcn(d=2, order=order, c_in=3, c_out=4, seed=62)
+    x = rng.standard_normal((3, 5, 3))
+    for t in range(3):
+        cheb_t, e_t = bundle.at(t, bank)
+        lap = bundle.laplacians.data[t] if mode == "sequence_aware" else bundle.laplacians.data
+        terms = np.stack([cheb_polynomial(lap, k) for k in range(order + 1)])
+        out = graphs.sgcn_forward(Tensor(x), cheb_t, e_t, params)
+        expected = sgcn_loop(x, terms, e_t.data, params.weight_pool.data, params.bias_pool.data)
+        assert np.abs(out.data - expected).max() < 1e-12
+
+
 def test_sgcn_time_index_out_of_range():
     bank = make_bank(n=2, steps=2, d=2, seed=8)
     bundle = graphs.build_sequence_graphs(bank, order=1)

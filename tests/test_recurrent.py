@@ -1,10 +1,11 @@
 import numpy as np
+import pytest
 
 from flowcast import autodiff as ad
 from flowcast import graphs, recurrent
 from flowcast.autodiff import Tensor
 
-from oracles import finite_diff_grad, gru_step_loop, sgcn_loop, softmax_rows
+from oracles import cheb_polynomial, finite_diff_grad, gru_step_loop, sgcn_loop, softmax_rows
 
 
 def setup_cell(n=2, steps=3, d=2, d_h=2, c=1, seed=0):
@@ -148,6 +149,75 @@ def test_bptt_gradients_vs_finite_differences():
 
     checked = [bank.node, bank.position, cell.update.weight_pool, cell.reset.bias_pool,
                cell.candidate.weight_pool]
+    for p in checked:
+        fd = finite_diff_grad(loss_value, p.data)
+        rel = np.abs(p.grad - fd) / np.maximum(1.0, np.abs(fd))
+        assert rel.max() < 1e-4
+
+
+def cell_pools(cell):
+    return {name: (gate.weight_pool.data, gate.bias_pool.data)
+            for name, gate in (("update", cell.update), ("reset", cell.reset),
+                               ("candidate", cell.candidate))}
+
+
+def cheb_terms(lap, order):
+    return np.stack([cheb_polynomial(lap, k) for k in range(order + 1)])
+
+
+@pytest.mark.parametrize("mode", ["static", "adaptive", "sequence_aware"])
+@pytest.mark.parametrize("order", [2, 3])
+def test_encoder_and_cell_step_match_loop_oracle_at_higher_order(mode, order):
+    # B=3, N=5, 3 input channels, d_h=4, T=3. Outside sequence-aware mode the
+    # encoder builds the node weights once for all steps.
+    rng = np.random.default_rng(70 + order)
+    bank = graphs.EmbeddingBank.create(5, 3, 2, rng, with_positions=mode == "sequence_aware")
+    cell = recurrent.GruCellParams.create(3, 4, 2, order, rng)
+    if mode == "static":
+        ring = np.roll(np.eye(5), 1, axis=1)
+        bundle = graphs.build_static_graph(ring + ring.T, order)
+    elif mode == "adaptive":
+        bundle = graphs.build_adaptive_graph(bank.node, order)
+    else:
+        bundle = graphs.build_sequence_graphs(bank, order)
+    x = rng.standard_normal((3, 3, 5, 3))
+    encoded = recurrent.encode_sequence(Tensor(x), cell, bundle, bank).data
+    h_prev = np.zeros((3, 5, 4))
+    for t in range(3):
+        lap = bundle.laplacians.data[t] if mode == "sequence_aware" else bundle.laplacians.data
+        e_t = bank.node.data if bundle.node_features is None else bundle.node_features.data[t]
+        step = recurrent.gru_cell_step(Tensor(x[:, t]), Tensor(h_prev), cell, bundle, bank, t)
+        h_prev = gru_step_loop(x[:, t], h_prev, cheb_terms(lap, order), e_t, cell_pools(cell))
+        assert np.abs(step.data - h_prev).max() < 1e-12
+        assert np.abs(encoded[:, :, t] - h_prev).max() < 1e-12
+
+
+def test_bptt_gradients_vs_finite_differences_adaptive_order_two():
+    # The node weights are built once for all steps and z/r share one
+    # propagation: the embedding and every gate pool must still receive the
+    # gradient of every step.
+    rng = np.random.default_rng(80)
+    bank = graphs.EmbeddingBank.create(3, 3, 2, rng, with_positions=False)
+    cell = recurrent.GruCellParams.create(1, 2, 2, 2, rng)
+    x = rng.standard_normal((2, 3, 3, 1))
+    weight = rng.standard_normal((2, 3, 3, 2))
+
+    bundle = graphs.build_adaptive_graph(bank.node, order=2)
+    h = recurrent.encode_sequence(Tensor(x), cell, bundle, bank)
+    ad.backward(ad.reduce_sum(ad.mul(h, Tensor(weight))))
+    pools = cell_pools(cell)
+
+    def loss_value():
+        cheb = cheb_terms(softmax_rows(bank.node.data @ bank.node.data.T), 2)
+        h_prev = np.zeros((2, 3, 2))
+        total = 0.0
+        for t in range(3):
+            h_prev = gru_step_loop(x[:, t], h_prev, cheb, bank.node.data, pools)
+            total += float((h_prev * weight[:, :, t]).sum())
+        return total
+
+    checked = [bank.node] + [p for gate in (cell.update, cell.reset, cell.candidate)
+                             for p in (gate.weight_pool, gate.bias_pool)]
     for p in checked:
         fd = finite_diff_grad(loss_value, p.data)
         rel = np.abs(p.grad - fd) / np.maximum(1.0, np.abs(fd))
