@@ -6,9 +6,11 @@ All attention operates on [B, N, T, d] hidden sequences. Temporal attention
 attends over the T axis per node; spatial attention transposes N and T and
 attends over nodes per step; fusion attention is temporal attention whose
 value stream is the output of an inner spatial attention. The scaled-dot
-core of every attention is a single tape entry that keeps one float
-[.., L, L] array for backward (the softmax weights; plus a boolean mask when
-weight dropout runs) instead of three.
+core of every attention is a single tape entry that works through its
+attention groups in blocks sized to ``BLOCK_BYTES``. For backward it keeps
+q, k, v, the output, the row logsumexp [.., L, 1] and, when weight dropout
+runs, a boolean mask; each block's softmax weights are recomputed from them,
+so no float [.., L, L] array outlives one block.
 
 Every block variant is a row of the ``BLOCKS`` site table: after positional
 encoding, each site applies its sublayer (an attention, the parallel merge of
@@ -20,6 +22,7 @@ and spatial attention in parallel, in series, or fused; ``ta_only`` and
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -30,6 +33,9 @@ from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 
 LN_EPS = 1e-5
+# byte budget of the [L, L] float scores of one block of attention groups:
+# a block's scores, exp'd and multiplied in place, stay in a core's L2 cache
+BLOCK_BYTES = 1 << 20
 
 # test instrumentation: callables receiving every softmaxed attention matrix
 _WEIGHT_OBSERVERS: list = []
@@ -93,15 +99,25 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
                          rng: np.random.Generator | None = None) -> Tensor:
     """softmax(q k^T / sqrt(d_k)) v over the second-to-last axis.
 
-    q, k are [..., L, d_k] and v is [..., L, d_v]; the weight rows are
-    row-stochastic and the output lies in the convex hull of the v rows.
-    With ``training`` and ``weight_dropout`` > 0 the weights go through
-    inverted dropout before the product with v, drawing the mask exactly as
-    ``autodiff.dropout`` would.
+    q, k are [..., L, d_k] and v is [..., L, d_v]; the leading axes
+    broadcast. The weight rows are row-stochastic and the output lies in the
+    convex hull of the v rows. With ``training`` and ``weight_dropout`` > 0
+    the weights go through inverted dropout before the product with v, with
+    the same mask ``autodiff.dropout`` would draw for the full [..., L, L]
+    weights: it is drawn block by block in C order, which takes the same
+    values from the stream.
 
-    One tape entry with a hand-written backward: the scores, the scaling and
-    the softmax share one [..., L, L] buffer, and only q, k, v, the softmax
-    output and the dropout mask are kept for backward.
+    One tape entry with a hand-written backward. Both passes walk the
+    leading groups in blocks of consecutive groups whose [L, L] scores fit
+    ``BLOCK_BYTES`` (at least one group per block; see ``_blocks``). The
+    forward scores q pre-scaled by 1/sqrt(d_k) against k, exponentiates the
+    max-shifted scores in place and writes out = (e v) / rowsum(e). Backward
+    keeps q, k, v, the output, the row logsumexp [..., L, 1] and the boolean
+    dropout mask; it recomputes each block's weights as
+    exp(q k^T / sqrt(d_k) - lse) and takes the softmax row term from
+    rowsum(dO * O). No float [..., L, L] array exists in either pass, except
+    the full weights built for ``capture_attention_weights`` while an
+    observer is registered.
     """
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"attention: q/k depth mismatch {q.shape} vs {k.shape}")
@@ -109,42 +125,108 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
         raise ShapeError(f"attention: k/v length mismatch {k.shape} vs {v.shape}")
     if not 0.0 <= weight_dropout < 1.0:
         raise ValueError(f"attention: weight dropout must be in [0, 1), got {weight_dropout}")
+    try:
+        lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+    except ValueError:
+        raise ShapeError(f"attention: leading axes of {q.shape}, {k.shape} and {v.shape} "
+                         "do not broadcast") from None
+    l_q, l_k = q.shape[-2], k.shape[-2]
     inv_sqrt_dk = 1.0 / np.sqrt(q.shape[-1])
-    weights = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
-    weights *= inv_sqrt_dk
-    weights -= weights.max(axis=-1, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    for observe in _WEIGHT_OBSERVERS:
-        observe(weights)
-    keep = None
+    blocks, block_groups = _blocks(lead, 8 * l_q * l_k)
+    block_scores = block_groups * l_q * l_k
+    full = lambda a: np.broadcast_to(a, lead + a.shape[-2:])
+    # q pre-scaled by 1/sqrt(d_k); k and v as views with the leading axes
+    qs, kf, vf = full(q.data) * inv_sqrt_dk, full(k.data), full(v.data)
+    out = np.empty(lead + (l_q, v.shape[-1]))
+    lse = np.empty(lead + (l_q, 1))
+    keep = drop_scale = None
     if weight_dropout > 0.0 and training:
-        keep, drop_scale = ad._dropout_mask(weights.shape, weight_dropout, rng)
-
-    def applied_weights():
-        # the weights the product with v sees: after dropout, when it runs
-        return weights if keep is None else np.where(keep, weights * drop_scale, 0.0)
-
-    out = Tensor(np.matmul(applied_weights(), v.data))
+        keep = np.empty(lead + (l_q, l_k), dtype=bool)
+    observed = np.empty(lead + (l_q, l_k)) if _WEIGHT_OBSERVERS else None
+    scratch = np.empty(block_scores)
+    for blk in blocks:
+        e = _scores(qs[blk], kf[blk], scratch)
+        row_max = e.max(axis=-1, keepdims=True)
+        e -= row_max
+        np.exp(e, out=e)
+        row_sum = e.sum(axis=-1, keepdims=True)
+        np.log(row_sum, out=lse[blk])
+        lse[blk] += row_max
+        if observed is not None:
+            np.divide(e, row_sum, out=observed[blk])
+        if keep is not None:
+            keep[blk], drop_scale = ad._dropout_mask(e.shape, weight_dropout, rng)
+            e *= keep[blk]
+            e *= drop_scale
+        np.matmul(e, vf[blk], out=out[blk])
+        out[blk] /= row_sum
+    if observed is not None:
+        for observe in _WEIGHT_OBSERVERS:
+            observe(observed)
 
     def back(g):
-        g_weights = np.matmul(g, np.swapaxes(v.data, -1, -2))
-        if v.requires_grad:
-            g_v = np.matmul(np.swapaxes(applied_weights(), -1, -2), g)
-            ad._accum(v, ad._unbroadcast(g_v, v.shape))
-        if keep is not None:
-            g_weights = np.where(keep, g_weights * drop_scale, 0.0)
-        # softmax backward, then the scale, in place in the gradient buffer
-        g_weights -= (g_weights * weights).sum(axis=-1, keepdims=True)
-        g_weights *= weights
-        g_weights *= inv_sqrt_dk
-        if q.requires_grad:
-            ad._accum(q, ad._unbroadcast(np.matmul(g_weights, k.data), q.shape))
-        if k.requires_grad:
-            g_k = np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), g_weights), -1, -2)
-            ad._accum(k, ad._unbroadcast(g_k, k.shape))
+        # the softmax row term sum_j W_ij dW_ij, as rowsum(dO * O)
+        row_dot = np.einsum("...d,...d->...", g, out)[..., None]
+        qs, kf, vf = full(q.data) * inv_sqrt_dk, full(k.data), full(v.data)
+        g_q = np.empty(qs.shape) if q.requires_grad else None
+        g_k = np.empty(kf.shape) if k.requires_grad else None
+        g_v = np.empty(vf.shape) if v.requires_grad else None
+        w_scratch, g_w_scratch = np.empty(block_scores), np.empty(block_scores)
+        for blk in blocks:
+            w = _scores(qs[blk], kf[blk], w_scratch)
+            w -= lse[blk]
+            np.exp(w, out=w)
+            g_w = _scores(g[blk], vf[blk], g_w_scratch)
+            if keep is not None:
+                g_w *= keep[blk]
+                g_w *= drop_scale
+            if g_v is not None:
+                applied = w if keep is None else w * keep[blk] * drop_scale
+                np.matmul(np.swapaxes(applied, -1, -2), g[blk], out=g_v[blk])
+            # softmax backward, in place: the gradient of the scaled scores
+            g_w -= row_dot[blk]
+            g_w *= w
+            if g_q is not None:
+                np.matmul(g_w, kf[blk], out=g_q[blk])
+            if g_k is not None:
+                np.matmul(np.swapaxes(g_w, -1, -2), qs[blk], out=g_k[blk])
+        if g_q is not None:
+            g_q *= inv_sqrt_dk
+        for t, grad in ((q, g_q), (k, g_k), (v, g_v)):
+            if grad is not None:
+                ad._accum(t, ad._unbroadcast(grad, t.shape))
 
-    return ad._record(out, (q, k, v), back)
+    return ad._record(Tensor(out), (q, k, v), back)
+
+
+def _blocks(lead: tuple, group_bytes: int) -> tuple:
+    """The blocks ``scaled_dot_attention`` walks over the leading axes
+    ``lead``, as index tuples, and the most groups one holds.
+
+    Each block is a run of groups consecutive in C order whose scores, at
+    ``group_bytes`` a group, fit ``BLOCK_BYTES`` (one group at least): the
+    trailing axes that fit whole, and a slice of the axis before them. So a
+    block indexes any array with these leading axes as a view, and the blocks
+    visit the groups in C order."""
+    inner, axis = 1, len(lead)
+    while axis > 0 and inner * lead[axis - 1] * group_bytes <= BLOCK_BYTES:
+        axis -= 1
+        inner *= lead[axis]
+    if axis == 0:
+        return [()], inner
+    step = max(1, BLOCK_BYTES // (inner * group_bytes))
+    blocks = [prefix + (slice(start, start + step),)
+              for prefix in np.ndindex(*lead[:axis - 1])
+              for start in range(0, lead[axis - 1], step)]
+    return blocks, inner * step
+
+
+def _scores(a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """a b^T over the last two axes, written into the front of ``scratch``
+    (reused block after block, which keeps the peak RSS of a pass lower than
+    a fresh array per block)."""
+    shape = a.shape[:-1] + b.shape[-2:-1]
+    return np.matmul(a, np.swapaxes(b, -1, -2), out=scratch[:math.prod(shape)].reshape(shape))
 
 
 def _merge_heads(per_head: Tensor, w_o: Tensor) -> Tensor:

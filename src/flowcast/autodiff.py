@@ -254,7 +254,12 @@ def scalar_affine(x: Tensor, scale: float, shift: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product; leading dimensions broadcast."""
+    """Batched matrix product; leading dimensions broadcast.
+
+    Backward computes only the gradients an input needs. A 2-d ``b`` (a
+    weight) gets its gradient from one GEMM over all rows of ``a``,
+    a[rows, K]^T @ g[rows, N], and not from one product per leading index
+    summed afterwards."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must be >=2-d, got {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -265,10 +270,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: batch dimensions of {a.shape} and {b.shape} do not broadcast") from None
 
     def back(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _accum(a, _unbroadcast(ga, a.shape))
-        _accum(b, _unbroadcast(gb, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
+        if b.requires_grad:
+            if b.ndim == 2:
+                gb = np.matmul(a.data.reshape(-1, a.shape[-1]).T, g.reshape(-1, g.shape[-1]))
+            else:
+                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+            _accum(b, gb)
 
     return _record(out, (a, b), back)
 

@@ -13,6 +13,7 @@ import copy
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -145,7 +146,8 @@ def resolve_seeds(cfg: dict, seed_flag: int | None):
 
 def load_dataset(cfg: dict) -> tuple[dp.TrafficSeries, np.ndarray | None]:
     """Produce (series, adjacency) from the data section: CSV paths or the
-    synthetic generator spec."""
+    synthetic generator spec, which makes its own adjacency (so
+    data.adjacency_csv beside it is a ConfigError, not silently unread)."""
     section = cfg["data"]
     for key in ("series_csv", "adjacency_csv"):
         if section[key] is not None:
@@ -157,6 +159,9 @@ def load_dataset(cfg: dict) -> tuple[dp.TrafficSeries, np.ndarray | None]:
             adjacency = dp.load_adjacency(section["adjacency_csv"])
         return series, adjacency
     if section["synth"] is not None:
+        if section["adjacency_csv"] is not None:
+            raise ConfigError("data.adjacency_csv is read only with data.series_csv; "
+                              "data.synth makes its own adjacency")
         spec = dict(section["synth"])
         if spec["seed"] is None:
             spec["seed"] = cfg["seed"]
@@ -273,22 +278,34 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _blame_echo(checkpoint: str):
+    """A config the checkpoint carries is part of the checkpoint: its
+    ConfigErrors become ParseErrors naming the checkpoint (exit 2)."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ParseError(f"{checkpoint}: config echo: {exc}") from None
+
+
 def cmd_eval(args) -> int:
     _make_out_dir(args.out)
     config_echo, values = md.load_checkpoint(args.checkpoint)
-    try:  # a config the checkpoint carries is part of the checkpoint: exit 2
+    with _blame_echo(args.checkpoint):
         cfg = merge_run_config(config_echo)
-        if args.data is not None:
-            cfg["data"]["series_csv"] = args.data
-            cfg["data"]["synth"] = None
-        if args.adjacency is not None:
-            cfg["data"]["adjacency_csv"] = args.adjacency
+    if args.data is not None:
+        cfg["data"]["series_csv"] = args.data
+        cfg["data"]["synth"] = None
+    if args.adjacency is not None:
+        if cfg["data"]["series_csv"] is None and cfg["data"]["synth"] is not None:
+            raise ConfigError(f"--adjacency is read only with series data, and "
+                              f"{args.checkpoint} was trained on data.synth; pass --data too")
+        cfg["data"]["adjacency_csv"] = args.adjacency
+    with _blame_echo(args.checkpoint):
         series, adjacency = load_dataset(cfg)
         model_cfg = md.config_from_dict(cfg["model"])
         model_cfg.validate()
         train_cfg = build_train_config(cfg)
-    except ConfigError as exc:
-        raise ParseError(f"{args.checkpoint}: config echo: {exc}") from None
     if model_cfg.n_nodes != series.node_count:
         print(
             f"error: checkpoint was trained with {model_cfg.n_nodes} nodes "
@@ -441,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
     p_eval.add_argument("--checkpoint", required=True, help="checkpoint manifest JSON")
     p_eval.add_argument("--data", default=None, help="series CSV (defaults to checkpoint data)")
-    p_eval.add_argument("--adjacency", default=None, help="adjacency CSV override")
+    p_eval.add_argument("--adjacency", default=None,
+                        help="adjacency CSV override (series data only)")
     p_eval.add_argument("--out", default="out", help="output directory")
     p_eval.set_defaults(fn=cmd_eval)
 

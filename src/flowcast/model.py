@@ -299,17 +299,21 @@ def save_checkpoint(manifest_path: str, blob_path: str, config_echo: dict,
 def load_checkpoint(manifest_path: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a manifest + blob pair; returns (config echo, name -> array).
 
-    Raises ParseError naming the file when the manifest is not a JSON object
+    Raises ParseError naming the file when either file cannot be read (it is
+    missing or a directory, say), when the manifest is not a JSON object
     with ``blob`` (a bare file name beside the manifest), ``config`` (an
     object with an object ``model`` section; ``data`` and ``train`` sections,
     where present, are objects too) and ``parameters`` (a list), has a
     malformed parameter entry (name, a shape that is a list of non-negative
     ints, a non-negative int offset), or points past the end of the blob."""
-    with open(manifest_path, "r", encoding="utf-8") as f:
-        try:
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ParseError(f"{manifest_path}: invalid JSON: {exc}") from None
+    except OSError as exc:
+        raise ParseError(f"{manifest_path}: cannot read checkpoint manifest: {exc.strerror}") \
+            from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{manifest_path}: invalid JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise ParseError(f"{manifest_path}: manifest must be a JSON object")
     if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
@@ -331,8 +335,11 @@ def load_checkpoint(manifest_path: str) -> tuple[dict, dict[str, np.ndarray]]:
     if not isinstance(entries, list):
         raise ParseError(f"{manifest_path}: parameters must be a list")
     blob_path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)), blob_name)
-    with open(blob_path, "rb") as f:
-        blob = f.read()
+    try:
+        with open(blob_path, "rb") as f:
+            blob = f.read()
+    except OSError as exc:
+        raise ParseError(f"{blob_path}: cannot read checkpoint blob: {exc.strerror}") from None
     values = {}
     for entry in entries:
         name, shape, start = (entry.get(key) for key in ("name", "shape", "offset")) \

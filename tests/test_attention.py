@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from flowcast import autodiff as ad
 from flowcast.autodiff import Tensor
 from flowcast.errors import ConfigError
 
-from oracles import (attention_loop, finite_diff_grad, multi_head_loop,
+from oracles import (attention_loop, finite_diff_grad, multi_head_loop, softmax_rows,
                      spatial_attention_loop, stfa_loop)
 
 
@@ -116,6 +118,122 @@ def test_fused_attention_with_dropout_matches_composed_ops():
     for fused, composed in zip(*values):
         assert np.abs(fused - composed).max() < 1e-12
     assert next_draws[0] == next_draws[1]  # both drew the same mask from the stream
+
+
+# -- the blocked scaled-dot op ----------------------------------------------------------
+
+# 8 groups of [16, 16] scores; with a budget of three groups' scores the op
+# walks blocks of 3, 3 and 2 groups
+BLOCKED_LEAD, BLOCKED_L, BLOCKED_D_K, BLOCKED_D_V = (2, 4), 16, 3, 5
+SCORES_BYTES = 8 * BLOCKED_L * BLOCKED_L * int(np.prod(BLOCKED_LEAD))
+
+
+@pytest.fixture
+def three_blocks(monkeypatch):
+    monkeypatch.setattr(att, "BLOCK_BYTES", 3 * 8 * BLOCKED_L * BLOCKED_L)
+
+
+def blocked_arrays(seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    shapes = [BLOCKED_LEAD + (BLOCKED_L, d) for d in (BLOCKED_D_K, BLOCKED_D_K, BLOCKED_D_V)]
+    return [scale * rng.standard_normal(shape) for shape in shapes] + \
+        [rng.standard_normal(BLOCKED_LEAD + (BLOCKED_L, BLOCKED_D_V))]
+
+
+def attend_and_backward(attend, arrays, weight_dropout, seed=21):
+    q_arr, k_arr, v_arr, weight = arrays
+    ad.reset_tape()
+    q, k, v = (Tensor(a, requires_grad=True) for a in (q_arr, k_arr, v_arr))
+    draws = np.random.default_rng(seed)
+    out = attend(q, k, v, weight_dropout, weight_dropout > 0, draws)
+    ad.backward(ad.reduce_sum(ad.mul(out, Tensor(weight))))
+    return (out.data, q.grad, k.grad, v.grad), draws
+
+
+def dropped_attention_loop(q, k, v, keep, scale):
+    """attention_loop with each weight multiplied by its keep flag and scale."""
+    out = np.zeros((q.shape[0], v.shape[-1]))
+    for i in range(q.shape[0]):
+        scores = np.array([q[i] @ k[j] / np.sqrt(q.shape[-1]) for j in range(k.shape[0])])
+        e = np.exp(scores - scores.max())
+        for j in range(v.shape[0]):
+            if keep[i, j]:
+                out[i] += e[j] / e.sum() * scale * v[j]
+    return out
+
+
+@pytest.mark.parametrize("weight_dropout", [0.0, 0.3])
+def test_blocked_attention_matches_composed_ops_and_loop(three_blocks, weight_dropout):
+    arrays = blocked_arrays(30)
+    fused, _ = attend_and_backward(att.scaled_dot_attention, arrays, weight_dropout)
+    composed, _ = attend_and_backward(composed_attention, arrays, weight_dropout)
+    for got, expected in zip(fused, composed):
+        assert np.abs(got - expected).max() < 1e-12
+    q, k, v = (a.reshape((-1,) + a.shape[-2:]) for a in arrays[:3])
+    keep = np.random.default_rng(21).random((len(q), BLOCKED_L, BLOCKED_L)) >= weight_dropout
+    values = fused[0].reshape(len(q), BLOCKED_L, BLOCKED_D_V)
+    for group in range(len(q)):
+        if weight_dropout == 0.0:
+            expected = attention_loop(q[group], k[group], v[group])
+        else:
+            expected = dropped_attention_loop(q[group], k[group], v[group], keep[group],
+                                              1.0 / (1.0 - weight_dropout))
+        assert np.abs(values[group] - expected).max() < 1e-12
+
+
+def test_blocked_dropout_mask_is_one_full_draw(three_blocks):
+    # with v the identity the output rows are the applied weights, zero
+    # exactly where the mask dropped a (positive) weight
+    q_arr, k_arr, _, _ = blocked_arrays(31)
+    v = np.broadcast_to(np.eye(BLOCKED_L), BLOCKED_LEAD + (BLOCKED_L, BLOCKED_L))
+    draws = np.random.default_rng(5)
+    out = att.scaled_dot_attention(Tensor(q_arr), Tensor(k_arr), Tensor(v), 0.4, True, draws)
+    reference = np.random.default_rng(5)
+    assert np.array_equal(out.data != 0.0, reference.random(out.shape) >= 0.4)
+    assert draws.random() == reference.random()
+
+
+def test_blocked_observers_see_one_full_array_per_call(three_blocks):
+    q_arr, k_arr, v_arr, _ = blocked_arrays(32)
+    with att.capture_attention_weights() as captured:
+        for _ in range(2):
+            att.scaled_dot_attention(Tensor(q_arr), Tensor(k_arr), Tensor(v_arr))
+    assert len(captured) == 2
+    scores = np.matmul(q_arr, np.swapaxes(k_arr, -1, -2)) / np.sqrt(BLOCKED_D_K)
+    for weights in captured:
+        assert weights.shape == BLOCKED_LEAD + (BLOCKED_L, BLOCKED_L)
+        assert np.abs(weights.sum(axis=-1) - 1.0).max() < 1e-12
+        for group, rows in zip(scores.reshape(-1, BLOCKED_L, BLOCKED_L),
+                               weights.reshape(-1, BLOCKED_L, BLOCKED_L)):
+            assert np.abs(rows - softmax_rows(group)).max() < 1e-12
+
+
+def test_blocked_attention_stable_at_large_logits(three_blocks):
+    arrays = blocked_arrays(33, scale=25.0)  # logits of several hundred to 1e3
+    scores = np.matmul(arrays[0], np.swapaxes(arrays[1], -1, -2)) / np.sqrt(BLOCKED_D_K)
+    assert np.abs(scores).max() > 500.0
+    fused, _ = attend_and_backward(att.scaled_dot_attention, arrays, 0.0)
+    composed, _ = attend_and_backward(composed_attention, arrays, 0.0)
+    for got, expected in zip(fused, composed):
+        assert np.all(np.isfinite(got))
+        assert np.abs(got - expected).max() < 1e-9 * max(1.0, np.abs(expected).max())
+
+
+def test_blocked_training_forward_retains_no_scores_buffer(three_blocks):
+    q_arr, k_arr, v_arr, _ = blocked_arrays(34)
+    ad.reset_tape()
+    q, k, v = (Tensor(a, requires_grad=True) for a in (q_arr, k_arr, v_arr))
+    draws = np.random.default_rng(6)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = att.scaled_dot_attention(q, k, v, 0.3, True, draws)
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    ad.reset_tape()
+    assert out.shape == BLOCKED_LEAD + (BLOCKED_L, BLOCKED_D_V)
+    assert retained < SCORES_BYTES, (retained, SCORES_BYTES)
 
 
 # -- multi-head temporal / spatial --------------------------------------------------

@@ -75,6 +75,50 @@ def test_matmul_broadcast_batches():
     assert ga.shape == a.shape and gb.shape == b.shape
 
 
+@pytest.mark.parametrize("a_grad,b_grad", [(True, True), (True, False), (False, True)])
+@pytest.mark.parametrize("contiguous", [True, False], ids=["contiguous", "transposed"])
+def test_matmul_weight_gradient_matches_einsum(a_grad, b_grad, contiguous):
+    # a [B, N, T, d] activation times a [d, f] weight, as the model's heads
+    # and feed-forward layers multiply them
+    rng = np.random.default_rng(11)
+    a_arr = rng.standard_normal((3, 5, 4, 6))
+    if not contiguous:
+        a_arr = rng.standard_normal((3, 4, 5, 6)).transpose(0, 2, 1, 3)
+    b_arr = rng.standard_normal((6, 7))
+    weight = rng.standard_normal((3, 5, 4, 7))
+    a, b = Tensor(a_arr, requires_grad=a_grad), Tensor(b_arr, requires_grad=b_grad)
+    ad.backward(ad.reduce_sum(ad.mul(ad.matmul(a, b), Tensor(weight))))
+    if a_grad:
+        assert np.abs(a.grad - np.einsum("bntf,df->bntd", weight, b_arr)).max() < 1e-12
+    else:
+        assert a.grad is None
+    if b_grad:
+        assert np.abs(b.grad - np.einsum("bntd,bntf->df", a_arr, weight)).max() < 1e-12
+    else:
+        assert b.grad is None
+
+
+def test_matmul_weight_gradient_needs_no_per_row_products():
+    # summing one [d, f] product per leading index would hold a [B, N, d, f]
+    # array, 16 times the activation here; one GEMM holds only [d, f]
+    shape, f = (4, 8, 2, 16), 32
+    rng = np.random.default_rng(12)
+    ad.reset_tape()
+    a = Tensor(rng.standard_normal(shape))
+    b = Tensor(rng.standard_normal((shape[-1], f)), requires_grad=True)
+    loss = ad.reduce_sum(ad.matmul(a, b))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ad.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    per_row_products = 8 * shape[0] * shape[1] * shape[-1] * f
+    assert peak < per_row_products / 2, (peak, per_row_products)
+    assert np.abs(b.grad - a.data.reshape(-1, shape[-1]).sum(axis=0)[:, None]).max() < 1e-12
+
+
 # -- softmax ------------------------------------------------------------------
 
 

@@ -90,6 +90,8 @@ def _non_utf8_config(tmp_path):
                  id="config_missing"),
     pytest.param(["--set", "data.series_csv=[1]", "--set", "data.synth=null"], "data.series_csv",
                  id="series_path_not_a_string"),
+    pytest.param(lambda tmp_path: ["--set", f"data.adjacency_csv={tmp_path / 'absent.csv'}"],
+                 "data.adjacency_csv", id="adjacency_with_synth_data"),
 ])
 def test_bad_config_value_exits_one(tmp_path, capsys, extra, named):
     if callable(extra):
@@ -295,6 +297,14 @@ def _write_manifest(text):
     return lambda manifest, blob: open(manifest, "w").write(text)
 
 
+def _directory_in_place_of(which):
+    def corrupt(manifest, blob):
+        path = manifest if which == "manifest" else blob
+        os.remove(path)
+        os.mkdir(path)
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt,named_file", [
     pytest.param(_truncate_blob, "checkpoint.bin", id="truncated_blob"),
     pytest.param(_write_manifest('{"format_version": 1,'), "checkpoint.json", id="invalid_json"),
@@ -321,6 +331,9 @@ def _write_manifest(text):
                  "checkpoint.json", id="echo_field_wrong_type"),
     pytest.param(_edit_manifest(lambda d: d["config"]["model"].update(bogus=1)),
                  "checkpoint.json", id="echo_unknown_key"),
+    pytest.param(_directory_in_place_of("manifest"), "checkpoint.json",
+                 id="manifest_is_a_directory"),
+    pytest.param(_directory_in_place_of("blob"), "checkpoint.bin", id="blob_is_a_directory"),
 ])
 def test_eval_bad_checkpoint_exits_two(trained_run, tmp_path, capsys, corrupt, named_file):
     run_dir = str(tmp_path / "run")
@@ -332,6 +345,19 @@ def test_eval_bad_checkpoint_exits_two(trained_run, tmp_path, capsys, corrupt, n
     assert code == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and named_file in err
+
+
+def test_eval_adjacency_with_synth_data_exits_one(trained_run, tmp_path, capsys):
+    # the checkpoint's data is a synth spec, which makes its own adjacency: an
+    # --adjacency file would go unread, so the command refuses it
+    not_adjacency = tmp_path / "not-an-adjacency.csv"
+    not_adjacency.write_text("1,2,3\n")
+    capsys.readouterr()
+    code = run(["eval", "--checkpoint", os.path.join(trained_run, "checkpoint.json"),
+                "--adjacency", str(not_adjacency), "--out", str(tmp_path / "eval")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--adjacency" in err and "config echo" not in err
 
 
 # -- determinism ----------------------------------------------------------------------
