@@ -41,13 +41,17 @@ def load_series(path: str) -> TrafficSeries:
 
     Raises ParseError naming the offending line (and column for bad cells);
     a cell that parses to NaN or infinity is a bad cell. A path that is a
-    directory, or a file that is not UTF-8 text, is a ParseError too.
+    directory or cannot be opened for any other reason (missing, below a
+    regular file, not readable), or a file that is not UTF-8 text, is a
+    ParseError naming the path too.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
     except IsADirectoryError:
         raise ParseError(f"{path}: is a directory, not a CSV file") from None
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot be read: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
     rows = []

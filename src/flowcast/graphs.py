@@ -10,10 +10,13 @@ Three ways to obtain the propagation matrices:
                 E[t] = LayerNorm(En + Ep[t]), so the graph evolves over the
                 input window.
 
-Each mode yields a GraphBundle holding its matrices and their stacked
-Chebyshev polynomials T_0..T_K; GraphBundle.at(t, bank) picks the graph and
-node features step t reads. The convolution (convolve) mixes channels with
-node weights generated from the node features (SGCNParams.node_weights).
+Each mode yields a GraphBundle holding only its matrices L;
+GraphBundle.at(t, bank) picks the graph and node features step t reads. No
+Chebyshev matrix T_k(L) is formed: chebyshev_propagate computes the terms
+T_k(L) x on the signal by the recurrence T_k x = 2 L T_{k-1} x - T_{k-2} x,
+one L-product per term, as ChebNet does. The convolution (convolve) mixes
+those terms with node weights generated from the node features
+(SGCNParams.node_weights).
 """
 
 from __future__ import annotations
@@ -60,56 +63,107 @@ class EmbeddingBank:
 
 @dataclass
 class GraphBundle:
-    """The propagation matrices of one graph mode with their Chebyshev stack.
+    """The propagation matrices of one graph mode.
 
-    Sequence-aware mode has a graph per step: ``laplacians`` is [T, N, N],
-    ``cheb`` [K+1, T, N, N] and ``node_features`` the per-step embedding E[t]
-    [T, N, d_e]. Static and adaptive mode have the one graph every step
-    shares: ``laplacians`` is [N, N], ``cheb`` [K+1, N, N] and
-    ``node_features`` None. cheb[0] is the identity and cheb[1] the matrices
-    themselves.
+    Sequence-aware mode has a graph per step: ``laplacians`` is [T, N, N]
+    and ``node_features`` the per-step embedding E[t] [T, N, d_e]. Static
+    and adaptive mode have the one graph every step shares: ``laplacians``
+    is [N, N] and ``node_features`` None. The Chebyshev order is not part of
+    the bundle; convolve reads it from the node weights.
     """
 
     laplacians: Tensor
-    cheb: Tensor
     node_features: Tensor | None = None
 
     def at(self, t: int, bank: EmbeddingBank) -> tuple[Tensor, Tensor]:
-        """The Chebyshev stack [K+1, N, N] and node features [N, d_e] step t
-        reads; the shared graph and the static node embedding outside
-        sequence-aware mode."""
+        """The graph L_t [N, N] and node features [N, d_e] step t reads; the
+        shared graph and the static node embedding outside sequence-aware
+        mode."""
         if self.node_features is None:
-            return self.cheb, bank.node
-        return ad.select(self.cheb, t, axis=1), ad.select(self.node_features, t, axis=0)
+            return self.laplacians, bank.node
+        return ad.select(self.laplacians, t, axis=0), ad.select(self.node_features, t, axis=0)
+
+
+def chebyshev_propagate(lap: Tensor, x: Tensor, order: int) -> Tensor:
+    """The Chebyshev terms T_0(L) x .. T_order(L) x of x [B, N, C] on the
+    graph lap [N, N], as one [N, K+1, C, B] array (the layout convolve mixes
+    from), without forming any T_k(L):
+
+        T_0 x = x,  T_1 x = L x,  T_k x = 2 L T_{k-1} x - T_{k-2} x.
+
+    T_0 x is x copied into place and each later term one [N, N] x [N, C B]
+    GEMM. One tape entry with a hand-written backward that reads only L and
+    the output: it runs the recurrence in reverse, with one L^T-product per
+    term for the adjoints (the last one gives x's gradient) and, when L
+    needs a gradient, one (adjoint) x (term)^T product per term for it.
+    """
+    if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
+        raise ShapeError(f"chebyshev_propagate: graph must be [N, N], got {lap.shape}")
+    if x.ndim != 3 or x.shape[1] != lap.shape[0]:
+        raise ShapeError(f"chebyshev_propagate: signal {x.shape} is not [B, {lap.shape[0]}, C]")
+    b, n, c = x.shape
+    m = c * b
+    x0 = x.data.transpose(1, 2, 0).reshape(n, m)      # [N, C B]
+    terms = np.empty((n, order + 1, c, b))
+    flat = terms.reshape(n, order + 1, m)              # a view: [N, K+1, C B]
+    flat[:, 0] = x0
+    np.matmul(lap.data, x0, out=flat[:, 1])
+    lap2 = 2.0 * lap.data          # (2L) y is 2 (L y) exactly: scaling by 2 is exact
+    for k in range(2, order + 1):
+        np.matmul(lap2, flat[:, k - 1], out=flat[:, k])
+        flat[:, k] -= flat[:, k - 2]
+    out = Tensor(terms)
+
+    def back(g):
+        # a[k] is the adjoint of T_k x, from the top down:
+        # a_k = g_k + 2 L^T a_{k+1} - a_{k+2}, with L^T in place of 2 L^T for k = 0
+        grads = g.reshape(n, order + 1, m)
+        a = [None] * order + [grads[:, order]]
+        for k in range(order - 1, -1 if x.requires_grad else 0, -1):
+            a[k] = (lap2 if k >= 1 else lap.data).T @ a[k + 1]
+            a[k] += grads[:, k]
+            if k + 2 <= order:
+                a[k] -= a[k + 2]
+        if lap.requires_grad:
+            # T_k x = 2 L T_{k-1} x - ..., so L's gradient is a_1 (T_0 x)^T
+            # + 2 sum_{k >= 2} a_k (T_{k-1} x)^T
+            gl = sum(a[k] @ flat[:, k - 1].T for k in range(2, order + 1))
+            ad._accum(lap, a[1] @ flat[:, 0].T + 2.0 * gl)
+        if x.requires_grad:
+            ad._accum(x, a[0].reshape(n, c, b).transpose(2, 0, 1))
+
+    return ad._record(out, (lap, x), back)
 
 
 def _cheb_stack(laplacians: Tensor, order: int) -> Tensor:
-    """Stack T_0..T_order of the [..., N, N] matrices via the recurrence
-    T_{k+1} = 2 L T_k - T_{k-1}."""
-    eye = Tensor(np.broadcast_to(np.eye(laplacians.shape[-1]), laplacians.shape))
-    terms = [eye, laplacians]
-    for _ in range(2, order + 1):
-        nxt = ad.sub(ad.scalar_affine(ad.matmul(laplacians, terms[-1]), 2.0, 0.0), terms[-2])
-        terms.append(nxt)
-    return ad.stack(terms[: order + 1], axis=0)
+    """Stack T_0..T_order of the [..., N, N] matrices into [K+1, ..., N, N]:
+    the terms chebyshev_propagate gives for the identity signal."""
+    if laplacians.ndim > 2:
+        return ad.stack([_cheb_stack(ad.select(laplacians, t, axis=0), order)
+                         for t in range(laplacians.shape[0])], axis=1)
+    eye = Tensor(np.eye(laplacians.shape[-1])[None])       # B = 1, C = N
+    terms = chebyshev_propagate(laplacians, eye, order)     # [N, K+1, N, 1]
+    return ad.transpose(ad.reshape(terms, terms.shape[:3]), (1, 0, 2))
 
 
 def build_sequence_graphs(bank: EmbeddingBank, order: int) -> GraphBundle:
     """Learned per-step graphs: E[t] = LayerNorm(En + Ep[t]), row-softmax of
-    E[t] E[t]^T, Chebyshev stack to ``order``. Differentiable in the bank."""
+    E[t] E[t]^T. Differentiable in the bank. ``order`` is not used by any of
+    the three builders (convolve takes it from the node weights); they keep
+    it so every mode is built by the same call."""
     if bank.position is None:
         raise ShapeError("sequence-aware graphs need position embeddings in the bank")
     e = ad.layer_norm(ad.add(bank.node, bank.position), bank.ln_gamma, bank.ln_beta, LN_EPS)
     scores = ad.matmul(e, ad.transpose(e, (0, 2, 1)))       # [T, N, N]
     laplacians = ad.softmax(scores, axis=-1)
-    return GraphBundle(laplacians, _cheb_stack(laplacians, order), node_features=e)
+    return GraphBundle(laplacians, node_features=e)
 
 
 def build_adaptive_graph(node_embedding: Tensor, order: int) -> GraphBundle:
     """Single learned graph softmax(En En^T), shared by every step."""
     scores = ad.matmul(node_embedding, ad.transpose(node_embedding, (1, 0)))
     lap = ad.softmax(scores, axis=-1)                        # [N, N]
-    return GraphBundle(lap, _cheb_stack(lap, order))
+    return GraphBundle(lap)
 
 
 def normalized_laplacian(adjacency: np.ndarray) -> np.ndarray:
@@ -156,7 +210,7 @@ def build_static_graph(adjacency: np.ndarray, order: int) -> GraphBundle:
     lap = normalized_laplacian(adjacency)
     lam = spectral_bound(lap)
     scaled = Tensor((2.0 / lam) * lap - np.eye(lap.shape[0]))
-    return GraphBundle(scaled, _cheb_stack(scaled, order))
+    return GraphBundle(scaled)
 
 
 @dataclass
@@ -184,16 +238,18 @@ class SGCNParams:
         return ad.einsum("nd,dkio->nkio", e, self.weight_pool), ad.matmul(e, self.bias_pool)
 
 
-def convolve(x: Tensor, cheb_t: Tensor, *weights: tuple[Tensor, Tensor]) -> list[Tensor]:
-    """Graph convolution of x [B, N, C_in] on the stack cheb_t [K+1, N, N],
-    one [B, N, C_out] output per (weights, bias) given: x is propagated once,
-    then each output is one [B, (K+1) C_in] x [(K+1) C_in, C_out] product per node."""
-    # [N, K+1, C_in, B]: the layout each per-node product reads as a view
-    propagated = ad.einsum("knm,bmi->nkib", cheb_t, x)
+def convolve(x: Tensor, lap_t: Tensor, *weights: tuple[Tensor, Tensor]) -> list[Tensor]:
+    """Chebyshev graph convolution of x [B, N, C_in] on the graph lap_t
+    [N, N], one [B, N, C_out] output per (weights, bias) given. The order K
+    is read from the K+1 axis of the node weights [N, K+1, C_in, C_out]. x is
+    propagated once (chebyshev_propagate), then each output is one
+    [B, (K+1) C_in] x [(K+1) C_in, C_out] product per node."""
+    order = weights[0][0].shape[1] - 1
+    propagated = chebyshev_propagate(lap_t, x, order)       # [N, K+1, C_in, B]
     return [ad.add(ad.einsum("nkib,nkio->bno", propagated, theta), bias)
             for theta, bias in weights]
 
 
-def sgcn_forward(x: Tensor, cheb_t: Tensor, e_t: Tensor, params: SGCNParams) -> Tensor:
+def sgcn_forward(x: Tensor, lap_t: Tensor, e_t: Tensor, params: SGCNParams) -> Tensor:
     """convolve with the node weights of params at e_t [N, d_e] (see GraphBundle.at)."""
-    return convolve(x, cheb_t, params.node_weights(e_t))[0]
+    return convolve(x, lap_t, params.node_weights(e_t))[0]

@@ -199,15 +199,17 @@ class Forecaster:
             "head.w2", Tensor(rng.uniform(-v_bound, v_bound, (cfg.fc_hidden, cfg.output_steps))))
         self.head_b2 = self.params.add("head.b2", Tensor(np.zeros(cfg.output_steps)))
 
-        self._static_bundle = None
-        if cfg.graph_mode == "static":
-            if adjacency is None:
-                raise ConfigError("graph_mode 'static' requires an adjacency matrix")
+        # checked in every graph mode, though only static mode reads it
+        if adjacency is not None:
             adjacency = np.asarray(adjacency, dtype=np.float64)
             if adjacency.shape != (cfg.n_nodes, cfg.n_nodes):
                 raise ConfigError(
                     f"adjacency shape {adjacency.shape} does not match n_nodes {cfg.n_nodes}"
                 )
+        self._static_bundle = None
+        if cfg.graph_mode == "static":
+            if adjacency is None:
+                raise ConfigError("graph_mode 'static' requires an adjacency matrix")
             self._static_bundle = graphs.build_static_graph(adjacency, cfg.cheb_order)
 
     def _register_gst2(self, p: att.Gst2Params):

@@ -46,14 +46,14 @@ def gru_cell_step(x_t: Tensor, h_prev: Tensor, cell: GruCellParams,
                   bundle: GraphBundle, bank: EmbeddingBank, t: int) -> Tensor:
     """One recurrent update at time step t. x_t is [B, N, C], h_prev and the
     result are [B, N, d_h]. All three gates read the step-t graph."""
-    cheb_t, e_t = bundle.at(t, bank)
-    return _update(x_t, h_prev, cheb_t, cell.node_weights(e_t))
+    lap_t, e_t = bundle.at(t, bank)
+    return _update(x_t, h_prev, lap_t, cell.node_weights(e_t))
 
 
-def _update(x_t: Tensor, h_prev: Tensor, cheb_t: Tensor, weights: tuple) -> Tensor:
+def _update(x_t: Tensor, h_prev: Tensor, lap_t: Tensor, weights: tuple) -> Tensor:
     w_z, w_r, w_c = weights
-    z, r = (ad.sigmoid(g) for g in convolve(ad.concat([x_t, h_prev], axis=-1), cheb_t, w_z, w_r))
-    (cand,) = convolve(ad.concat([x_t, ad.mul(r, h_prev)], axis=-1), cheb_t, w_c)
+    z, r = (ad.sigmoid(g) for g in convolve(ad.concat([x_t, h_prev], axis=-1), lap_t, w_z, w_r))
+    (cand,) = convolve(ad.concat([x_t, ad.mul(r, h_prev)], axis=-1), lap_t, w_c)
     return ad.add(ad.mul(z, h_prev), ad.mul(ad.scalar_affine(z, -1.0, 1.0), ad.tanh(cand)))
 
 
@@ -67,7 +67,7 @@ def encode_sequence(x: Tensor, cell: GruCellParams, bundle: GraphBundle,
     shared = cell.node_weights(bank.node) if bundle.node_features is None else None
     states = []
     for t in range(steps):
-        cheb_t, e_t = bundle.at(t, bank)
-        h = _update(ad.select(x, t, axis=1), h, cheb_t, shared or cell.node_weights(e_t))
+        lap_t, e_t = bundle.at(t, bank)
+        h = _update(ad.select(x, t, axis=1), h, lap_t, shared or cell.node_weights(e_t))
         states.append(h)
     return ad.stack(states, axis=2)

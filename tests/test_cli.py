@@ -257,18 +257,48 @@ def _latin1_csv(directory):
     return path
 
 
-@pytest.mark.parametrize("make_path,named", [
-    pytest.param(lambda d: d, "is a directory", id="directory"),
-    pytest.param(_latin1_csv, "not UTF-8", id="not_utf8"),
+def _path_under_a_file(directory):
+    path = directory / "plain.csv"
+    path.write_text("1,2\n3,4\n")
+    return path / "series.csv"
+
+
+@pytest.mark.parametrize("key,make_path,named", [
+    pytest.param("series_csv", lambda d: d, "is a directory", id="directory"),
+    pytest.param("series_csv", _latin1_csv, "not UTF-8", id="not_utf8"),
+    pytest.param("series_csv", _path_under_a_file, "Not a directory", id="path_under_a_file"),
+    pytest.param("adjacency_csv", _path_under_a_file, "Not a directory",
+                 id="adjacency_path_under_a_file"),
 ])
-def test_bad_series_path_exits_two(tmp_path, capsys, make_path, named):
-    series_csv = make_path(tmp_path)
+def test_bad_series_path_exits_two(tmp_path, capsys, key, make_path, named):
+    bad = make_path(tmp_path)
+    paths = {"series_csv": bad}
+    if key == "adjacency_csv":
+        good = tmp_path / "good.csv"
+        good.write_text("1,2\n3,4\n")
+        paths = {"series_csv": good, "adjacency_csv": bad}
     code = run(["train", "--out", str(tmp_path / "run"),
                 *sum([["--set", s] for s in tiny_overrides(
-                    [f"data.series_csv={series_csv}", "data.synth=null"])], [])])
+                    [f"data.{k}={v}" for k, v in paths.items()] + ["data.synth=null"])], [])])
     assert code == cli.EXIT_DATA
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and named in err
+    assert err.count("\n") == 1 and named in err and str(bad) in err
+
+
+@pytest.mark.parametrize("mode", ["static", "adaptive", "sequence_aware"])
+def test_adjacency_shape_mismatch_exits_one_in_every_graph_mode(tmp_path, capsys, mode):
+    synth_dir = str(tmp_path / "synth")
+    run(["synth", "--nodes", "4", "--steps", "300", "--seed", "8", "--out", synth_dir])
+    adjacency = tmp_path / "adjacency3.csv"
+    adjacency.write_text("0,1,1\n1,0,1\n1,1,0\n")
+    code = run(["train", "--out", str(tmp_path / "run"),
+                *sum([["--set", s] for s in tiny_overrides([
+                    f"data.series_csv={os.path.join(synth_dir, 'series.csv')}",
+                    f"data.adjacency_csv={adjacency}", "data.synth=null",
+                    f"model.graph_mode={mode}"])], [])])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "adjacency shape (3, 3) does not match n_nodes 4" in err
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import pytest
 from flowcast import autodiff as ad
 from flowcast import graphs
 from flowcast.autodiff import Tensor
-from flowcast.errors import InvalidGraphError
+from flowcast.errors import InvalidGraphError, ShapeError
 
 from oracles import cheb_polynomial, finite_diff_grad, sgcn_loop, softmax_rows
 
@@ -80,9 +80,10 @@ def test_adaptive_mode_has_one_graph():
     bank = make_bank(n=4, steps=5, d=3, seed=2)
     bundle = graphs.build_adaptive_graph(bank.node, order=1)
     assert bundle.laplacians.shape == (4, 4)
-    assert bundle.cheb.shape == (2, 4, 4)
     assert bundle.node_features is None
-    assert np.array_equal(bundle.cheb.data[1], bundle.laplacians.data)
+    cheb = graphs._cheb_stack(bundle.laplacians, 1).data
+    for k in range(2):
+        assert np.array_equal(cheb[k], cheb_polynomial(bundle.laplacians.data, k))
 
 
 def test_adaptive_identical_rows_uniform():
@@ -150,7 +151,7 @@ def test_spectral_bound_matches_eigvalsh():
 def test_cheb_recurrence_invariant(order):
     bank = make_bank(n=4, steps=3, d=3, seed=order)
     bundle = graphs.build_sequence_graphs(bank, order=order)
-    cheb = bundle.cheb.data
+    cheb = graphs._cheb_stack(bundle.laplacians, order).data
     lap = bundle.laplacians.data
     for t in range(3):
         assert np.array_equal(cheb[0, t], np.eye(4))
@@ -172,6 +173,75 @@ def test_cheb_stack_matches_matrix_power_oracle(order):
                 assert np.abs(stack.data[k, t] - cheb_polynomial(lap.data[t], k)).max() < 1e-10
 
 
+# -- Chebyshev propagation ----------------------------------------------------------
+
+
+def _matrix_stack(lap, order):
+    """T_0..T_order of lap [N, N] as a [K+1, N, N] stack of tape ops: the
+    matrix recurrence the propagation op replaced."""
+    terms = [Tensor(np.eye(lap.shape[0])), lap]
+    for _ in range(2, order + 1):
+        terms.append(ad.sub(ad.scalar_affine(ad.matmul(lap, terms[-1]), 2.0, 0.0), terms[-2]))
+    return ad.stack(terms[: order + 1], axis=0)
+
+
+@pytest.mark.parametrize("mode", ["static", "adaptive", "sequence_aware"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_propagate_matches_matrix_power_terms(mode, order):
+    # B=2, N=5, C=3: T_k(L) x from explicit matrix powers, every step's graph
+    rng = np.random.default_rng(70 + order)
+    bank = make_bank(n=5, steps=3, d=2, seed=71)
+    bundle = _graph_bundle(mode, bank, order)
+    x = rng.standard_normal((2, 5, 3))
+    for t in range(3):
+        lap_t, _ = bundle.at(t, bank)
+        out = graphs.chebyshev_propagate(lap_t, Tensor(x), order)
+        assert out.shape == (5, order + 1, 3, 2)
+        for k in range(order + 1):
+            term = cheb_polynomial(lap_t.data, k)
+            for b in range(2):
+                assert np.abs(out.data[:, k, :, b] - term @ x[b]).max() < 1e-12
+
+
+@pytest.mark.parametrize("grads", [(True, True), (True, False), (False, True)],
+                         ids=["lap_and_x", "lap_only", "x_only"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_propagate_gradients_match_matrix_stack_and_finite_differences(order, grads):
+    rng = np.random.default_rng(80 + order)
+    lap_data = softmax_rows(rng.standard_normal((4, 4)))
+    x_data = rng.standard_normal((3, 4, 2))
+    weight = rng.standard_normal((4, order + 1, 2, 3))
+
+    def grads_of(propagate):
+        lap = Tensor(lap_data.copy(), requires_grad=grads[0])
+        x = Tensor(x_data.copy(), requires_grad=grads[1])
+        ad.backward(ad.reduce_sum(ad.mul(propagate(lap, x), Tensor(weight))))
+        return lap.grad, x.grad
+
+    got = grads_of(lambda lap, x: graphs.chebyshev_propagate(lap, x, order))
+    ref = grads_of(lambda lap, x: ad.einsum("knm,bmi->nkib", _matrix_stack(lap, order), x))
+
+    def loss_value():
+        return float((graphs.chebyshev_propagate(Tensor(lap_data), Tensor(x_data), order).data
+                      * weight).sum())
+
+    for wanted, g, r, array in zip(grads, got, ref, (lap_data, x_data)):
+        if not wanted:
+            assert g is None
+            continue
+        assert np.abs(g - r).max() < 1e-12 * np.abs(r).max()
+        fd = finite_diff_grad(loss_value, array)
+        assert (np.abs(g - fd) / np.maximum(1.0, np.abs(fd))).max() < 1e-4
+
+
+def test_propagate_rejects_mismatched_shapes():
+    lap = Tensor(np.eye(3))
+    with pytest.raises(ShapeError):
+        graphs.chebyshev_propagate(lap, Tensor(np.zeros((2, 4, 1))), 1)
+    with pytest.raises(ShapeError):
+        graphs.chebyshev_propagate(Tensor(np.eye(3)[None]), Tensor(np.zeros((2, 3, 1))), 1)
+
+
 # -- convolution -------------------------------------------------------------------
 
 
@@ -182,8 +252,8 @@ def test_bundle_at_returns_the_shared_graph_outside_sequence_mode():
                    graphs.build_adaptive_graph(bank.node, order=2)):
         assert bundle.laplacians.shape == (3, 3)
         for t in range(4):
-            cheb_t, e_t = bundle.at(t, bank)
-            assert cheb_t is bundle.cheb and cheb_t.shape == (3, 3, 3)
+            lap_t, e_t = bundle.at(t, bank)
+            assert lap_t is bundle.laplacians
             assert e_t is bank.node
 
 
@@ -191,8 +261,8 @@ def test_bundle_at_selects_step_t_in_sequence_mode():
     bank = make_bank(n=3, steps=4, d=2, seed=10)
     bundle = graphs.build_sequence_graphs(bank, order=2)
     for t in range(4):
-        cheb_t, e_t = bundle.at(t, bank)
-        assert np.array_equal(cheb_t.data, bundle.cheb.data[:, t])
+        lap_t, e_t = bundle.at(t, bank)
+        assert np.array_equal(lap_t.data, bundle.laplacians.data[t])
         assert np.array_equal(e_t.data, bundle.node_features.data[t])
 
 
@@ -228,7 +298,8 @@ def test_sgcn_matches_loop_oracle():
     params = make_sgcn(n=2, d=2, order=1, c_in=1, c_out=1, seed=21)
     x = rng.standard_normal((2, 2, 1))
     out = graphs.sgcn_forward(Tensor(x), *bundle.at(2, bank), params)
-    expected = sgcn_loop(x, bundle.cheb.data[:, 2], bundle.node_features.data[2],
+    terms = np.stack([cheb_polynomial(bundle.laplacians.data[2], k) for k in range(2)])
+    expected = sgcn_loop(x, terms, bundle.node_features.data[2],
                          params.weight_pool.data, params.bias_pool.data)
     assert np.abs(out.data - expected).max() < 1e-12
 
@@ -253,10 +324,10 @@ def test_sgcn_matches_loop_oracle_at_higher_order(mode, order):
     params = make_sgcn(d=2, order=order, c_in=3, c_out=4, seed=62)
     x = rng.standard_normal((3, 5, 3))
     for t in range(3):
-        cheb_t, e_t = bundle.at(t, bank)
+        lap_t, e_t = bundle.at(t, bank)
         lap = bundle.laplacians.data[t] if mode == "sequence_aware" else bundle.laplacians.data
         terms = np.stack([cheb_polynomial(lap, k) for k in range(order + 1)])
-        out = graphs.sgcn_forward(Tensor(x), cheb_t, e_t, params)
+        out = graphs.sgcn_forward(Tensor(x), lap_t, e_t, params)
         expected = sgcn_loop(x, terms, e_t.data, params.weight_pool.data, params.bias_pool.data)
         assert np.abs(out.data - expected).max() < 1e-12
 

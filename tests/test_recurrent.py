@@ -16,6 +16,10 @@ def setup_cell(n=2, steps=3, d=2, d_h=2, c=1, seed=0):
     return bank, cell, bundle
 
 
+def cheb_terms(lap, order):
+    return np.stack([cheb_polynomial(lap, k) for k in range(order + 1)])
+
+
 def zero_cell(cell):
     for gate in (cell.update, cell.reset, cell.candidate):
         gate.weight_pool.data[:] = 0.0
@@ -53,7 +57,7 @@ def test_cell_step_matches_loop_oracle():
         "reset": (cell.reset.weight_pool.data, cell.reset.bias_pool.data),
         "candidate": (cell.candidate.weight_pool.data, cell.candidate.bias_pool.data),
     }
-    expected = gru_step_loop(x_t, h_prev, bundle.cheb.data[:, 0],
+    expected = gru_step_loop(x_t, h_prev, cheb_terms(bundle.laplacians.data[0], 1),
                              bundle.node_features.data[0], pools)
     assert np.abs(out.data - expected).max() < 1e-12
 
@@ -104,7 +108,7 @@ def test_convex_combination_bound():
         "reset": (cell.reset.weight_pool.data, cell.reset.bias_pool.data),
         "candidate": (cell.candidate.weight_pool.data, cell.candidate.bias_pool.data),
     }
-    cheb_t = bundle.cheb.data[:, 0]
+    cheb_t = cheb_terms(bundle.laplacians.data[0], 1)
     e_t = bundle.node_features.data[0]
     r = 1.0 / (1.0 + np.exp(-sgcn_loop(joint, cheb_t, e_t, *pools["reset"])))
     cand = np.tanh(sgcn_loop(np.concatenate([x_t, r * h_prev], axis=-1), cheb_t, e_t,
@@ -159,10 +163,6 @@ def cell_pools(cell):
     return {name: (gate.weight_pool.data, gate.bias_pool.data)
             for name, gate in (("update", cell.update), ("reset", cell.reset),
                                ("candidate", cell.candidate))}
-
-
-def cheb_terms(lap, order):
-    return np.stack([cheb_polynomial(lap, k) for k in range(order + 1)])
 
 
 @pytest.mark.parametrize("mode", ["static", "adaptive", "sequence_aware"])
