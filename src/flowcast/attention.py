@@ -3,21 +3,27 @@ attention, fusion attention, and the one transformer-like block that reads
 the full hidden-state sequence at once.
 
 All attention operates on [B, N, T, d] hidden sequences. Temporal attention
-attends over the T axis per node; spatial attention transposes N and T and
-attends over nodes per step; fusion attention is temporal attention whose
-value stream is the output of an inner spatial attention. The scaled-dot
-core of every attention is a single tape entry that works through its
-attention groups in blocks sized to ``BLOCK_BYTES``. For backward it keeps
-q, k, v, the output, the row logsumexp [.., L, 1] and, when weight dropout
-runs, a boolean mask; each block's softmax weights are recomputed from them,
-so no float [.., L, L] array outlives one block.
+attends over the T axis per node; spatial attention attends over nodes per
+step; fusion attention is temporal attention whose value stream is the output
+of an inner spatial attention. Each of q, k and v is one matmul of the
+[B, N, T, d] input with the heads' [h, d, d_k] weights as a [d, h*d_k]
+matrix; the [B, N, T, h, d_k] product is viewed, not copied, as the
+[B, G, h, L, d_k] groups of the attention ([B, N, h, T, d_k] over time,
+[B, T, h, N, d_k] over nodes). The scaled-dot core of every attention is a
+single tape entry that works through its attention groups in blocks sized to
+``BLOCK_BYTES``. For backward it keeps q, k, v, the output, the row
+logsumexp [.., L, 1] and, when weight dropout runs, a boolean mask; each
+block's softmax weights are recomputed from them, so no float [.., L, L]
+array outlives one block. Its output and gradients have the memory layout of
+q, so the heads merge back to [B, N, T, h*d_k] as a view and the
+projections' backward reads their gradients as [rows, h*d_k] views.
 
 Every block variant is a row of the ``BLOCKS`` site table: after positional
 encoding, each site applies its sublayer (an attention, the parallel merge of
-temporal and spatial attention, or the feed-forward network) with a residual
-connection and layer normalization. The three paper blocks combine temporal
-and spatial attention in parallel, in series, or fused; ``ta_only`` and
-``sa_only`` keep one attention for ablation.
+temporal and spatial attention, or the feed-forward network, itself one tape
+entry) with a residual connection and layer normalization. The three paper
+blocks combine temporal and spatial attention in parallel, in series, or
+fused; ``ta_only`` and ``sa_only`` keep one attention for ablation.
 """
 
 from __future__ import annotations
@@ -118,6 +124,11 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
     rowsum(dO * O). No float [..., L, L] array exists in either pass, except
     the full weights built for ``capture_attention_weights`` while an
     observer is registered.
+
+    The output is allocated in the memory layout of q (broadcast to the
+    leading axes), and the q, k and v gradients each in the layout of their
+    input, so a caller that views a [.., L, h, d_k] array as [.., h, L, d_k]
+    gets views back, and no transposing copy, in both passes.
     """
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"attention: q/k depth mismatch {q.shape} vs {k.shape}")
@@ -137,7 +148,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
     full = lambda a: np.broadcast_to(a, lead + a.shape[-2:])
     # q pre-scaled by 1/sqrt(d_k); k and v as views with the leading axes
     qs, kf, vf = full(q.data) * inv_sqrt_dk, full(k.data), full(v.data)
-    out = np.empty(lead + (l_q, v.shape[-1]))
+    out = np.empty_like(qs, shape=lead + (l_q, v.shape[-1]))
     lse = np.empty(lead + (l_q, 1))
     keep = drop_scale = None
     if weight_dropout > 0.0 and training:
@@ -168,9 +179,9 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
         # the softmax row term sum_j W_ij dW_ij, as rowsum(dO * O)
         row_dot = np.einsum("...d,...d->...", g, out)[..., None]
         qs, kf, vf = full(q.data) * inv_sqrt_dk, full(k.data), full(v.data)
-        g_q = np.empty(qs.shape) if q.requires_grad else None
-        g_k = np.empty(kf.shape) if k.requires_grad else None
-        g_v = np.empty(vf.shape) if v.requires_grad else None
+        g_q = np.empty_like(qs) if q.requires_grad else None
+        g_k = np.empty_like(kf) if k.requires_grad else None
+        g_v = np.empty_like(vf) if v.requires_grad else None
         w_scratch, g_w_scratch = np.empty(block_scores), np.empty(block_scores)
         for blk in blocks:
             w = _scores(qs[blk], kf[blk], w_scratch)
@@ -229,38 +240,53 @@ def _scores(a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return np.matmul(a, np.swapaxes(b, -1, -2), out=scratch[:math.prod(shape)].reshape(shape))
 
 
-def _merge_heads(per_head: Tensor, w_o: Tensor) -> Tensor:
-    # [B, G, h, L, d_k] -> [B, G, L, h*d_k] -> output projection
-    b, g, h, l, d_k = per_head.shape
-    merged = ad.reshape(ad.transpose(per_head, (0, 1, 3, 2, 4)), (b, g, l, h * d_k))
-    return ad.matmul(merged, w_o)
+def _project(x: Tensor, w: Tensor, order: tuple) -> Tensor:
+    """x [B, N, T, d] times every head's [d, d_k] projection, as one matmul
+    with w [h, d, d_k] viewed as a [d, h*d_k] matrix, then viewed as
+    [B, G, h, L, d_k] in ``order``."""
+    h, d, d_k = w.shape
+    matrix = ad.reshape(ad.transpose(w, (1, 0, 2)), (d, h * d_k))
+    per_head = ad.reshape(ad.matmul(x, matrix), x.shape[:-1] + (h, d_k))
+    return ad.transpose(per_head, order)
 
 
-def _multi_head(x: Tensor, p: AttentionParams, weight_dropout: float,
-                training: bool, rng) -> Tensor:
-    """Multi-head attention over the third axis of x [B, G, L, d]; each of the
-    B*G groups attends independently over its L positions."""
-    q = ad.einsum("bgld,hde->bghle", x, p.w_q)
-    k = ad.einsum("bgld,hde->bghle", x, p.w_k)
-    v = ad.einsum("bgld,hde->bghle", x, p.w_v)
+def _merge_heads(heads: Tensor, w_o: Tensor, order: tuple) -> Tensor:
+    # [B, G, h, L, d_k] in ``order`` -> [B, N, T, h, d_k] -> [B, N, T, h*d_k]
+    # -> output projection; the attention output has the memory layout of q,
+    # so both steps are views
+    merged = ad.transpose(heads, tuple(np.argsort(order)))
+    b, n, t, h, d_k = merged.shape
+    return ad.matmul(ad.reshape(merged, (b, n, t, h * d_k)), w_o)
+
+
+def _multi_head(x: Tensor, p: AttentionParams, over_nodes: bool, weight_dropout: float,
+                training: bool, rng, values: Tensor | None = None) -> Tensor:
+    """Multi-head attention over x [B, N, T, d]: over time per (batch, node),
+    or with ``over_nodes`` over nodes per (batch, step); each group attends
+    independently over its positions. The value stream is projected from
+    ``values`` when given."""
+    # [B, N, T, h, d_k] -> [B, N, h, T, d_k] or [B, T, h, N, d_k]
+    order = (0, 2, 3, 1, 4) if over_nodes else (0, 1, 3, 2, 4)
+    q = _project(x, p.w_q, order)
+    k = _project(x, p.w_k, order)
+    v = _project(x if values is None else values, p.w_v, order)
     heads = scaled_dot_attention(q, k, v, weight_dropout, training, rng)
-    return _merge_heads(heads, p.w_o)
+    return _merge_heads(heads, p.w_o, order)
 
 
 def temporal_attention(x: Tensor, p: AttentionParams, weight_dropout: float = 0.0,
                        training: bool = False, rng=None) -> Tensor:
     """Attend over time steps independently per (batch, node). [B,N,T,d] in
     and out."""
-    return _multi_head(x, p, weight_dropout, training, rng)
+    return _multi_head(x, p, False, weight_dropout, training, rng)
 
 
 def spatial_attention(x: Tensor, p: AttentionParams, weight_dropout: float = 0.0,
                       training: bool = False, rng=None) -> Tensor:
-    """Attend over nodes independently per (batch, step): transpose N and T,
-    run the same multi-head attention, transpose back."""
-    flipped = ad.transpose(x, (0, 2, 1, 3))
-    out = _multi_head(flipped, p, weight_dropout, training, rng)
-    return ad.transpose(out, (0, 2, 1, 3))
+    """Attend over nodes independently per (batch, step). [B,N,T,d] in and
+    out; the projections run on x as it is and only their views put the
+    nodes on the attended axis."""
+    return _multi_head(x, p, True, weight_dropout, training, rng)
 
 
 def stfa(x: Tensor, fusion: AttentionParams, spatial: AttentionParams,
@@ -268,11 +294,7 @@ def stfa(x: Tensor, fusion: AttentionParams, spatial: AttentionParams,
     """Fusion attention: temporal attention whose value stream is the output
     of a spatial attention over the same input."""
     s = spatial_attention(x, spatial, weight_dropout, training, rng)
-    q = ad.einsum("bgld,hde->bghle", x, fusion.w_q)
-    k = ad.einsum("bgld,hde->bghle", x, fusion.w_k)
-    v = ad.einsum("bgld,hde->bghle", s, fusion.w_v)
-    heads = scaled_dot_attention(q, k, v, weight_dropout, training, rng)
-    return _merge_heads(heads, fusion.w_o)
+    return _multi_head(x, fusion, False, weight_dropout, training, rng, values=s)
 
 
 @dataclass
@@ -344,6 +366,50 @@ class Gst2Params:
         return p
 
 
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+                 dropout: float = 0.0, training: bool = False,
+                 rng: np.random.Generator | None = None) -> Tensor:
+    """The position-wise feed-forward network relu(x w1 + b1) w2 + b2 over
+    the last axis of x, with inverted dropout on the hidden activation when
+    ``training`` and ``dropout`` > 0, as one tape entry.
+
+    The hidden activation is one [rows, ffn_dim] array: the bias, the ReLU
+    and the dropout mask (the one ``autodiff.dropout`` would draw for it) act
+    on it in place, and the dropout scale goes into a scaled copy of w2.
+    Backward keeps x and that activation and no mask, since ReLU and dropout
+    pass a gradient exactly where the activation is positive; bias gradients
+    are products with a ones vector."""
+    if not 0.0 <= dropout < 1.0:
+        raise ValueError(f"dropout: p must be in [0, 1), got {dropout}")
+    rows = x.data.reshape(-1, w1.shape[0])
+    hidden = np.matmul(rows, w1.data)
+    hidden += b1.data
+    np.fmax(hidden, 0.0, out=hidden)
+    scale = 1.0
+    if training and dropout > 0.0:
+        keep, scale = ad._dropout_mask(hidden.shape, dropout, rng)
+        hidden *= keep
+    out = np.matmul(hidden, w2.data * scale)
+    out += b2.data
+
+    def back(g):
+        g_rows = g.reshape(out.shape)
+        ones = np.ones(len(rows))
+        ad._accum(b2, np.matmul(ones, g_rows))
+        w2_grad = np.matmul(hidden.T, g_rows)
+        w2_grad *= scale
+        ad._accum(w2, w2_grad)
+        g_hidden = np.matmul(g_rows, (w2.data * scale).T)
+        g_hidden *= hidden > 0.0
+        ad._accum(b1, np.matmul(ones, g_hidden))
+        ad._accum(w1, np.matmul(rows.T, g_hidden))
+        if x.requires_grad:
+            ad._accum(x, np.matmul(g_hidden, w1.data.T).reshape(x.shape))
+
+    return ad._record(Tensor(out.reshape(x.shape[:-1] + (w2.shape[1],))),
+                      (x, w1, b1, w2, b2), back)
+
+
 def _sublayer(site: str, x: Tensor, p: Gst2Params, dropout: float, training: bool,
               rng) -> Tensor:
     if site == "temporal":
@@ -357,9 +423,7 @@ def _sublayer(site: str, x: Tensor, p: Gst2Params, dropout: float, training: boo
     if site == "fusion":
         return stfa(x, p.fusion, p.spatial, dropout, training, rng)
     # "ffn": the position-wise feed-forward network
-    hidden = ad.relu(ad.add(ad.matmul(x, p.ffn_w1), p.ffn_b1))
-    hidden = ad.dropout(hidden, dropout, training, rng)
-    return ad.add(ad.matmul(hidden, p.ffn_w2), p.ffn_b2)
+    return feed_forward(x, p.ffn_w1, p.ffn_b1, p.ffn_w2, p.ffn_b2, dropout, training, rng)
 
 
 def apply_global_layer(h: Tensor, p: Gst2Params | None, input_dropout: float = 0.0,

@@ -395,12 +395,13 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    # Subgradient at 0 is 0.
-    mask = x.data > 0
-    out = Tensor(np.where(mask, x.data, 0.0))
+    # fmax(x, 0) maps NaN to 0, where np.maximum would keep it. The
+    # subgradient at 0 is 0: the gradient passes where the output is positive.
+    y = np.fmax(x.data, 0.0)
+    out = Tensor(y)
 
     def back(g):
-        _accum(x, g * mask)
+        _accum(x, g * (y > 0))
 
     return _record(out, (x,), back)
 
@@ -463,7 +464,13 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last dimension to mean 0 / population variance 1, then
-    apply the affine gamma * xhat + beta."""
+    apply the affine gamma * xhat + beta.
+
+    The arithmetic runs in place. Row sums are products with a ones vector
+    and row dots are einsums, so the forward allocates only xhat (kept for
+    backward) and the output as [.., d] arrays. Backward allocates one [.., d]
+    array, the input gradient, and reuses the buffer of xhat, which nothing
+    reads after it."""
     if eps <= 0:
         raise ValueError(f"layer_norm: eps must be positive, got {eps}")
     d = x.shape[-1]
@@ -471,27 +478,34 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         raise ShapeError(
             f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match last dim {d} of {x.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = Tensor(gamma.data * xhat + beta.data)
+    ones = np.ones((d, 1))
+    xhat = x.data - np.matmul(x.data, ones) / d
+    inv = np.einsum("...d,...d->...", xhat, xhat)[..., None]   # [.., 1]
+    inv /= d
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.reciprocal(inv, out=inv)
+    xhat *= inv
+    out = xhat * gamma.data
+    out += beta.data
 
     def back(g):
-        lead = tuple(range(g.ndim - 1))
-        _accum(gamma, (g * xhat).sum(axis=lead))
-        _accum(beta, g.sum(axis=lead))
+        rows = g.reshape(-1, d)
+        _accum(gamma, np.einsum("rd,rd->d", rows, xhat.reshape(-1, d)))
+        _accum(beta, np.einsum("rd->d", rows))
         if x.requires_grad:
-            dxhat = g * gamma.data
-            gx = inv * (
-                dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            )
+            # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = g * gamma
+            gx = g * gamma.data
+            mean_dx = np.matmul(gx, ones) / d
+            xhat_dot = np.einsum("...d,...d->...", gx, xhat)[..., None]
+            xhat_dot /= d
+            np.multiply(xhat, xhat_dot, out=xhat)
+            gx -= xhat
+            gx -= mean_dx
+            gx *= inv
             _accum(x, gx)
 
-    return _record(out, (x, gamma, beta), back)
+    return _record(Tensor(out), (x, gamma, beta), back)
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:

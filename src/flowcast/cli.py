@@ -200,7 +200,16 @@ def build_model_config(cfg: dict, n_nodes: int) -> md.ModelConfig:
             f"model.n_nodes is {model_cfg.n_nodes} but the data has {n_nodes} nodes"
         )
     model_cfg.validate()
+    _check_channels(model_cfg)
     return model_cfg
+
+
+def _check_channels(model_cfg: md.ModelConfig):
+    """Series data has one channel per node and step (``make_windows`` gives
+    [..., 1]), so a model reading more would fail in its first forward."""
+    if model_cfg.input_channels != 1:
+        raise ConfigError(f"model.input_channels is {model_cfg.input_channels} "
+                          "but series data has 1 channel")
 
 
 def build_train_config(cfg: dict) -> tr.TrainConfig:
@@ -305,6 +314,7 @@ def cmd_eval(args) -> int:
         series, adjacency = load_dataset(cfg)
         model_cfg = md.config_from_dict(cfg["model"])
         model_cfg.validate()
+        _check_channels(model_cfg)
         train_cfg = build_train_config(cfg)
     if model_cfg.n_nodes != series.node_count:
         print(
@@ -348,16 +358,31 @@ def cmd_ablate(args) -> int:
     resolve_seeds(cfg, args.seed)
     graph_modes = args.graph_modes.split(",") if args.graph_modes else list(md.GRAPH_MODES)
     variants = args.variants.split(",") if args.variants else list(md.GST2_VARIANTS)
+    for flag, values, allowed in (("--graph-modes", graph_modes, md.GRAPH_MODES),
+                                  ("--variants", variants, md.GST2_VARIANTS)):
+        for value in values:
+            if value not in allowed:
+                raise ConfigError(f"{flag}: unknown value '{value}'; "
+                                  f"allowed: {', '.join(allowed)}")
     _make_out_dir(args.out)
+
+    def cell_config(mode: str, variant: str) -> dict:
+        cell = copy.deepcopy(cfg)
+        cell["model"]["graph_mode"] = mode
+        cell["model"]["gst2_variant"] = variant
+        return cell
+
+    # the data and the model settings every cell shares are checked once,
+    # before any cell trains; a failed cell is then one the grid caused
+    series, _ = load_dataset(cfg)
+    build_model_config(cell_config(graph_modes[0], variants[0]), series.node_count)
 
     rows = []
     failures = []
     summary = []
     for mode in graph_modes:
         for variant in variants:
-            cell = copy.deepcopy(cfg)
-            cell["model"]["graph_mode"] = mode
-            cell["model"]["gst2_variant"] = variant
+            cell = cell_config(mode, variant)
             cell_dir = os.path.join(args.out, "cells", f"{mode}__{variant}")
             try:
                 outcome = _run_training(cell, cell_dir, log_progress=False)

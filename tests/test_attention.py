@@ -236,6 +236,89 @@ def test_blocked_training_forward_retains_no_scores_buffer(three_blocks):
     assert retained < SCORES_BYTES, (retained, SCORES_BYTES)
 
 
+def test_attention_output_and_grads_have_the_layout_of_q():
+    # q as the projections make it: a [B, N, h, T, d_k] view of [B, N, T, h, d_k]
+    rng = np.random.default_rng(35)
+    b, n, t, h, d_k = 2, 3, 5, 2, 4
+    q, k, v = (Tensor(rng.standard_normal((b, n, t, h, d_k)).transpose(0, 1, 3, 2, 4),
+                      requires_grad=True) for _ in range(3))
+    ad.reset_tape()
+    out = att.scaled_dot_attention(q, k, v)
+    heads = ad.transpose(out, (0, 1, 3, 2, 4))
+    merged = ad.reshape(heads, (b, n, t, h * d_k))
+    assert out.data.strides == q.data.strides
+    assert np.shares_memory(merged.data, out.data)
+    ad.backward(ad.reduce_sum(ad.mul(merged, Tensor(rng.standard_normal(merged.shape)))))
+    for leaf in (q, k, v):
+        assert leaf.grad.strides == leaf.data.strides
+
+
+# -- the feed-forward network ---------------------------------------------------------
+
+
+def composed_feed_forward(x, w1, b1, w2, b2, dropout=0.0, training=False, rng=None):
+    """The network as the tape ops it replaces."""
+    hidden = ad.relu(ad.add(ad.matmul(x, w1), b1))
+    hidden = ad.dropout(hidden, dropout, training, rng)
+    return ad.add(ad.matmul(hidden, w2), b2)
+
+
+def ffn_arrays(seed, dim=4, ffn_dim=6, lead=(2, 3, 5)):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal(lead + (dim,)), rng.standard_normal((dim, ffn_dim)),
+            rng.standard_normal(ffn_dim), rng.standard_normal((ffn_dim, dim)),
+            rng.standard_normal(dim), rng.standard_normal(lead + (dim,))]
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_feed_forward_matches_composed_ops(dropout):
+    *arrays, weight = ffn_arrays(36)
+    results, next_draws, entries = [], [], []
+    for feed in (att.feed_forward, composed_feed_forward):
+        ad.reset_tape()
+        tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        draws = np.random.default_rng(22)
+        out = feed(*tensors, dropout, True, draws)
+        entries.append(len(ad.tape().entries))
+        ad.backward(ad.reduce_sum(ad.mul(out, Tensor(weight))))
+        results.append([out.data] + [t.grad for t in tensors])
+        next_draws.append(draws.random())
+    assert entries[0] == 1  # one tape entry for the whole network
+    for fused, composed in zip(*results):
+        assert fused.shape == composed.shape
+        assert np.abs(fused - composed).max() < 1e-12
+    assert next_draws[0] == next_draws[1]  # the same mask drawn from the stream
+    undropped = att.feed_forward(*(Tensor(a) for a in arrays))
+    assert (np.abs(results[0][0] - undropped.data).max() > 0.1) == (dropout > 0)
+
+
+def test_feed_forward_rejects_dropout_of_one():
+    with pytest.raises(ValueError):
+        att.feed_forward(*(Tensor(a) for a in ffn_arrays(37)[:5]), 1.0, True,
+                         np.random.default_rng(0))
+
+
+def test_feed_forward_training_forward_retains_one_hidden_array():
+    # the tape keeps x and one [.., ffn_dim] float activation besides the
+    # output; the composed ops kept four such arrays and two masks
+    lead, dim, ffn_dim = (4, 8, 16), 8, 64
+    x_arr, w1, b1, w2, b2, _ = ffn_arrays(38, dim, ffn_dim, lead)
+    ad.reset_tape()
+    params = [Tensor(a, requires_grad=True) for a in (w1, b1, w2, b2)]
+    x = Tensor(x_arr, requires_grad=True)
+    draws = np.random.default_rng(7)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = att.feed_forward(x, *params, 0.3, True, draws)
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    ad.reset_tape()
+    hidden_bytes = 8 * int(np.prod(lead)) * ffn_dim
+    assert retained - out.data.nbytes <= hidden_bytes + 4096, (retained, hidden_bytes)
+
+
 # -- multi-head temporal / spatial --------------------------------------------------
 
 

@@ -212,6 +212,32 @@ def test_layer_norm_grad_vs_finite_differences():
         assert (np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))).max() < 1e-6
 
 
+def test_layer_norm_matches_composed_formula():
+    rng = np.random.default_rng(20)
+    x = 3.0 * rng.standard_normal((2, 3, 5, 32)) + 1.5
+    gamma, beta = rng.standard_normal(32), rng.standard_normal(32)
+    weight = rng.standard_normal(x.shape)
+    tensors = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+    out = ad.layer_norm(*tensors)
+    ad.backward(ad.reduce_sum(ad.mul(out, Tensor(weight))))
+
+    # the textbook forward and backward, one numpy expression each
+    mu = x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(((x - mu) ** 2).mean(axis=-1, keepdims=True) + 1e-5)
+    xhat = (x - mu) * inv
+    dxhat = weight * gamma
+    expected = [
+        gamma * xhat + beta,
+        inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+               - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)),
+        (weight * xhat).sum(axis=(0, 1, 2)),
+        weight.sum(axis=(0, 1, 2)),
+    ]
+    for got, want in zip([out.data] + [t.grad for t in tensors], expected):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-12
+
+
 # -- elementwise --------------------------------------------------------------
 
 
@@ -223,6 +249,15 @@ def test_sigmoid_tanh_at_zero():
 def test_relu_subgradient_zero_at_zero():
     (g,) = grads_of(lambda x: ad.reduce_sum(ad.relu(x)), np.array([-1.0, 0.0, 2.0]))
     assert np.array_equal(g, [0.0, 0.0, 1.0])
+
+
+def test_relu_values_match_where_on_special_values():
+    x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0, 1e-300, -1e-300])
+    expected = np.where(x > 0, x, 0.0)
+    out = ad.relu(Tensor(x, requires_grad=True))
+    assert np.array_equal(out.data, expected)  # NaN -> 0, so no NaN is compared
+    (g,) = grads_of(lambda t: ad.reduce_sum(ad.relu(t)), x)
+    assert np.array_equal(g, (x > 0).astype(float))
 
 
 def test_concat_lastdim_shape():

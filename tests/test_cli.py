@@ -92,6 +92,8 @@ def _non_utf8_config(tmp_path):
                  id="series_path_not_a_string"),
     pytest.param(lambda tmp_path: ["--set", f"data.adjacency_csv={tmp_path / 'absent.csv'}"],
                  "data.adjacency_csv", id="adjacency_with_synth_data"),
+    pytest.param(["--set", "model.input_channels=2"], "input_channels",
+                 id="more_channels_than_the_data"),
 ])
 def test_bad_config_value_exits_one(tmp_path, capsys, extra, named):
     if callable(extra):
@@ -327,6 +329,15 @@ def _write_manifest(text):
     return lambda manifest, blob: open(manifest, "w").write(text)
 
 
+def _two_channel_model(manifest, blob):
+    # a well-formed checkpoint of a model that reads two input channels,
+    # which series data (one channel) cannot feed
+    doc = json.loads(open(manifest).read())
+    doc["config"]["model"]["input_channels"] = 2
+    model = cli.md.Forecaster(cli.md.config_from_dict(doc["config"]["model"]))
+    cli.md.save_checkpoint(manifest, blob, doc["config"], model.params)
+
+
 def _directory_in_place_of(which):
     def corrupt(manifest, blob):
         path = manifest if which == "manifest" else blob
@@ -361,6 +372,7 @@ def _directory_in_place_of(which):
                  "checkpoint.json", id="echo_field_wrong_type"),
     pytest.param(_edit_manifest(lambda d: d["config"]["model"].update(bogus=1)),
                  "checkpoint.json", id="echo_unknown_key"),
+    pytest.param(_two_channel_model, "checkpoint.json", id="more_channels_than_the_data"),
     pytest.param(_directory_in_place_of("manifest"), "checkpoint.json",
                  id="manifest_is_a_directory"),
     pytest.param(_directory_in_place_of("blob"), "checkpoint.bin", id="blob_is_a_directory"),
@@ -437,6 +449,27 @@ def test_ablate_records_failed_cells_and_continues(tmp_path):
     summary = json.loads(open(os.path.join(out, "ablation_summary.json")).read())
     assert len(summary["failures"]) == 1
     assert summary["failures"][0]["graph_mode"] == "static"
+
+
+@pytest.mark.parametrize("extra,named", [
+    pytest.param(["--graph-modes", "adaptive,bogus"],
+                 "--graph-modes: unknown value 'bogus'; allowed: static, adaptive, sequence_aware",
+                 id="unknown_graph_mode"),
+    pytest.param(["--variants", "none,bogus"], "--variants: unknown value 'bogus'; allowed: none,",
+                 id="unknown_variant"),
+    pytest.param(["--set", "model.input_channels=2"], "input_channels",
+                 id="more_channels_than_the_data"),
+])
+def test_ablate_bad_grid_or_shared_config_exits_one_before_any_cell(tmp_path, capsys, extra,
+                                                                   named):
+    out = tmp_path / "ablate"
+    code = run(["ablate", "--out", str(out), "--seed", "5",
+                *sum([["--set", s] for s in tiny_overrides(["train.max_epochs=1"])], []),
+                *extra])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:") and named in err
+    assert not (out / "cells").exists()
 
 
 def test_ablate_grid_subset(tmp_path):
