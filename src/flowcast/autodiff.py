@@ -8,6 +8,9 @@ entry's rule, so the arrays that entry keeps alive are released while the
 rest of the tape is still being replayed. The tape is not thread-safe: one
 training step owns it at a time.
 
+``matmul`` is the only contraction op: a contraction over other axes is
+brought to it with ``reshape``/``transpose`` views of its operands.
+
 An op output wraps the array the op produced without copying it, so it may be
 a view of an input (reshape, transpose) or the input itself (dropout when not
 training). Never write into the ``data`` of an op output; only leaves (see
@@ -16,9 +19,7 @@ training). Never write into the ``data`` of an op output; only leaves (see
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
-from functools import lru_cache
 
 import numpy as np
 
@@ -259,7 +260,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     Backward computes only the gradients an input needs. A 2-d ``b`` (a
     weight) gets its gradient from one GEMM over all rows of ``a``,
     a[rows, K]^T @ g[rows, N], and not from one product per leading index
-    summed afterwards."""
+    summed afterwards. When ``a`` is a transposed view, its gradient is
+    computed as (b @ g^T)^T, in ``a``'s own layout, so that transposing it
+    back to ``a``'s base gives a contiguous array and not a strided one."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must be >=2-d, got {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -271,7 +274,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def back(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
+            if a.data.strides[-1] > a.data.strides[-2]:
+                ga = np.swapaxes(np.matmul(b.data, np.swapaxes(g, -1, -2)), -1, -2)
+            else:
+                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+            _accum(a, _unbroadcast(ga, a.shape))
         if b.requires_grad:
             if b.ndim == 2:
                 gb = np.matmul(a.data.reshape(-1, a.shape[-1]).T, g.reshape(-1, g.shape[-1]))
@@ -280,93 +287,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accum(b, gb)
 
     return _record(out, (a, b), back)
-
-
-def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
-    """Two-operand einsum, run as one batched matmul (see _contraction_plan).
-    Each input index must appear in the output or in the other operand, so
-    the gradient is the same contraction with operands swapped. No ellipsis,
-    no repeated index within one operand. The output may be a view of the
-    product in another axis order."""
-    if "->" not in spec or "," not in spec or "..." in spec:
-        raise ValueError(f"einsum: spec '{spec}' must be explicit two-operand form")
-    lhs, out_spec = spec.split("->")
-    a_spec, b_spec = lhs.split(",")
-    for name, sub_spec, other in (("first", a_spec, b_spec), ("second", b_spec, a_spec)):
-        if len(set(sub_spec)) != len(sub_spec):
-            raise ValueError(f"einsum: repeated index in {name} operand of '{spec}'")
-        missing = set(sub_spec) - set(other) - set(out_spec)
-        if missing:
-            raise ValueError(f"einsum: indices {sorted(missing)} of '{spec}' are not differentiable")
-    if len(set(out_spec)) != len(out_spec) or not set(out_spec) <= set(a_spec + b_spec):
-        raise ValueError(f"einsum: output of '{spec}' repeats an index or names an unknown one")
-    out = Tensor(_contract(a_spec, b_spec, out_spec, a.data, b.data))
-
-    def back(g):
-        if a.requires_grad:
-            _accum(a, _contract(out_spec, b_spec, a_spec, g, b.data))
-        if b.requires_grad:
-            _accum(b, _contract(out_spec, a_spec, b_spec, g, a.data))
-
-    return _record(out, (a, b), back)
-
-
-def _contract(a_spec: str, b_spec: str, out_spec: str, a: np.ndarray,
-              b: np.ndarray) -> np.ndarray:
-    swap, first_axes, first_3d, second_axes, second_3d, product_shape, out_axes = \
-        _contraction_plan(a_spec, b_spec, out_spec, a.shape, b.shape)
-    first, second = (b, a) if swap else (a, b)
-    product = np.matmul(first.transpose(first_axes).reshape(first_3d),
-                        second.transpose(second_axes).reshape(second_3d))
-    return product.reshape(product_shape).transpose(out_axes)
-
-
-@lru_cache(maxsize=256)
-def _contraction_plan(a_spec: str, b_spec: str, out_spec: str, a_shape: tuple,
-                      b_shape: tuple) -> tuple:
-    """How one einsum runs as a single np.matmul, which uses BLAS where
-    np.einsum does not.
-
-    One operand is brought to [batch, rows, inner] and the other to
-    [batch, inner, cols]: batch indices are in both operands and the output,
-    rows and cols in one operand and the output, inner in both operands
-    only. Each group keeps the index order of the larger of its operand and
-    the output, so that the larger array is more often used as a view and
-    not copied; the operands swap sides when that makes the product come out
-    in the output's order. Returns whether they swap, each side's axis order
-    and 3-d shape, the product's shape with its groups unfolded and the axis
-    order that takes it to out_spec.
-    """
-    size = {}
-    for spec, shape in ((a_spec, a_shape), (b_spec, b_shape)):
-        if len(spec) != len(shape):
-            raise ShapeError(f"einsum: operand '{spec}' does not match shape {shape}")
-        for index, n in zip(spec, shape):
-            if size.setdefault(index, n) != n:
-                raise ShapeError(f"einsum: index '{index}' has sizes {size[index]} and {n}")
-    out_size = math.prod(size[i] for i in out_spec)
-
-    def ordered(group: set, spec: str, shape: tuple) -> list:
-        return [i for i in (out_spec if out_size > math.prod(shape) else spec) if i in group]
-
-    in_a, in_b, in_out = set(a_spec), set(b_spec), set(out_spec)
-    batch = ordered(in_a & in_b & in_out, a_spec, a_shape)
-    rows = ordered(in_a - in_b, a_spec, a_shape)
-    cols = ordered(in_b - in_a, b_spec, b_shape)
-    larger = a_spec if math.prod(a_shape) >= math.prod(b_shape) else b_spec
-    inner = [i for i in larger if i not in in_out]
-    swap = batch + rows + cols != list(out_spec) and batch + cols + rows == list(out_spec)
-    if swap:
-        a_spec, rows, b_spec, cols = b_spec, cols, a_spec, rows
-    extent = lambda group: math.prod(size[i] for i in group)
-    product = batch + rows + cols
-    return (swap,
-            tuple(a_spec.index(i) for i in batch + rows + inner),
-            (extent(batch), extent(rows), extent(inner)),
-            tuple(b_spec.index(i) for i in batch + inner + cols),
-            (extent(batch), extent(inner), extent(cols)),
-            tuple(size[i] for i in product),
-            tuple(product.index(i) for i in out_spec))
 
 
 # -- nonlinearities ----------------------------------------------------------

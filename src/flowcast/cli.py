@@ -46,10 +46,13 @@ _DATA_DEFAULTS = {
 
 
 def default_run_config() -> dict:
+    """The run config before any file or --set; the section seeds stay None
+    until resolve_seeds copies the top-level seed into them."""
     return {
         "data": dict(_DATA_DEFAULTS),
-        "model": md.config_to_dict(md.ModelConfig()),
-        "train": {f: getattr(tr.TrainConfig(), f) for f in tr.TrainConfig.__dataclass_fields__},
+        "model": {**md.config_to_dict(md.ModelConfig()), "seed": None},
+        "train": {**{f: getattr(tr.TrainConfig(), f) for f in tr.TrainConfig.__dataclass_fields__},
+                  "seed": None},
         "seed": 0,
     }
 
@@ -138,6 +141,13 @@ def apply_overrides(cfg: dict, sets: list[str]):
 
 
 def resolve_seeds(cfg: dict, seed_flag: int | None):
+    """Seed the model and training from the top-level seed (``--seed`` wins).
+    A section seed given by a config file or --set would be overwritten
+    here, so it is rejected instead."""
+    for section in ("model", "train"):
+        if cfg[section]["seed"] is not None:
+            raise ConfigError(f"{section}.seed cannot be set; the top-level 'seed' "
+                              "(or --seed) seeds both the model and training")
     if seed_flag is not None:
         cfg["seed"] = seed_flag
     cfg["model"]["seed"] = cfg["seed"]
@@ -213,10 +223,6 @@ def _check_channels(model_cfg: md.ModelConfig):
 
 
 def build_train_config(cfg: dict) -> tr.TrainConfig:
-    allowed = set(tr.TrainConfig.__dataclass_fields__)
-    unknown = set(cfg["train"]) - allowed
-    if unknown:
-        raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
     tcfg = tr.TrainConfig(**cfg["train"])
     tcfg.validate()
     return tcfg

@@ -16,7 +16,9 @@ Chebyshev matrix T_k(L) is formed: chebyshev_propagate computes the terms
 T_k(L) x on the signal by the recurrence T_k x = 2 L T_{k-1} x - T_{k-2} x,
 one L-product per term, as ChebNet does. The convolution (convolve) mixes
 those terms with node weights generated from the node features
-(SGCNParams.node_weights).
+(SGCNParams.node_weights). Both contractions are ad.matmul on views: the
+node weights one GEMM of the features with the flattened pool, the mix one
+batched product per node.
 """
 
 from __future__ import annotations
@@ -146,11 +148,9 @@ def _cheb_stack(laplacians: Tensor, order: int) -> Tensor:
     return ad.transpose(ad.reshape(terms, terms.shape[:3]), (1, 0, 2))
 
 
-def build_sequence_graphs(bank: EmbeddingBank, order: int) -> GraphBundle:
+def build_sequence_graphs(bank: EmbeddingBank) -> GraphBundle:
     """Learned per-step graphs: E[t] = LayerNorm(En + Ep[t]), row-softmax of
-    E[t] E[t]^T. Differentiable in the bank. ``order`` is not used by any of
-    the three builders (convolve takes it from the node weights); they keep
-    it so every mode is built by the same call."""
+    E[t] E[t]^T. Differentiable in the bank."""
     if bank.position is None:
         raise ShapeError("sequence-aware graphs need position embeddings in the bank")
     e = ad.layer_norm(ad.add(bank.node, bank.position), bank.ln_gamma, bank.ln_beta, LN_EPS)
@@ -159,7 +159,7 @@ def build_sequence_graphs(bank: EmbeddingBank, order: int) -> GraphBundle:
     return GraphBundle(laplacians, node_features=e)
 
 
-def build_adaptive_graph(node_embedding: Tensor, order: int) -> GraphBundle:
+def build_adaptive_graph(node_embedding: Tensor) -> GraphBundle:
     """Single learned graph softmax(En En^T), shared by every step."""
     scores = ad.matmul(node_embedding, ad.transpose(node_embedding, (1, 0)))
     lap = ad.softmax(scores, axis=-1)                        # [N, N]
@@ -204,7 +204,7 @@ def spectral_bound(matrix: np.ndarray) -> float:
     return 2.0
 
 
-def build_static_graph(adjacency: np.ndarray, order: int) -> GraphBundle:
+def build_static_graph(adjacency: np.ndarray) -> GraphBundle:
     """Scaled Laplacian (2/lambda_max) L - I from a fixed adjacency, shared by
     every step. The result is a constant (not learnable)."""
     lap = normalized_laplacian(adjacency)
@@ -233,20 +233,27 @@ class SGCNParams:
         return SGCNParams(w, b)
 
     def node_weights(self, e: Tensor) -> tuple[Tensor, Tensor]:
-        """Per-node weights e @ weight_pool [N, K+1, C_in, C_out] and bias
-        e @ bias_pool [N, C_out] from node features e [N, d_e]."""
-        return ad.einsum("nd,dkio->nkio", e, self.weight_pool), ad.matmul(e, self.bias_pool)
+        """Per-node weights [N, (K+1) C_in, C_out] and bias [N, C_out] from
+        node features e [N, d_e]: e @ weight_pool as one [N, d_e] x
+        [d_e, (K+1) C_in C_out] GEMM, its rows per node ordered (k, i), and
+        e @ bias_pool."""
+        d, _, _, c_out = self.weight_pool.shape
+        theta = ad.matmul(e, ad.reshape(self.weight_pool, (d, -1)))
+        return ad.reshape(theta, (e.shape[0], -1, c_out)), ad.matmul(e, self.bias_pool)
 
 
 def convolve(x: Tensor, lap_t: Tensor, *weights: tuple[Tensor, Tensor]) -> list[Tensor]:
     """Chebyshev graph convolution of x [B, N, C_in] on the graph lap_t
     [N, N], one [B, N, C_out] output per (weights, bias) given. The order K
-    is read from the K+1 axis of the node weights [N, K+1, C_in, C_out]. x is
-    propagated once (chebyshev_propagate), then each output is one
-    [B, (K+1) C_in] x [(K+1) C_in, C_out] product per node."""
-    order = weights[0][0].shape[1] - 1
-    propagated = chebyshev_propagate(lap_t, x, order)       # [N, K+1, C_in, B]
-    return [ad.add(ad.einsum("nkib,nkio->bno", propagated, theta), bias)
+    is read from the (K+1) C_in rows of the node weights [N, (K+1) C_in,
+    C_out]. x is propagated once (chebyshev_propagate) and its terms viewed as
+    [N, B, (K+1) C_in]; each output is then one batched per-node product
+    [B, (K+1) C_in] x [(K+1) C_in, C_out], viewed as [B, N, C_out]."""
+    b, n, c_in = x.shape
+    order = weights[0][0].shape[1] // c_in - 1
+    terms = chebyshev_propagate(lap_t, x, order)              # [N, K+1, C_in, B]
+    rows = ad.transpose(ad.reshape(terms, (n, -1, b)), (0, 2, 1))
+    return [ad.add(ad.transpose(ad.matmul(rows, theta), (1, 0, 2)), bias)
             for theta, bias in weights]
 
 

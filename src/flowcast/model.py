@@ -210,7 +210,7 @@ class Forecaster:
         if cfg.graph_mode == "static":
             if adjacency is None:
                 raise ConfigError("graph_mode 'static' requires an adjacency matrix")
-            self._static_bundle = graphs.build_static_graph(adjacency, cfg.cheb_order)
+            self._static_bundle = graphs.build_static_graph(adjacency)
 
     def _register_gst2(self, p: att.Gst2Params):
         for att_name, ap in (("temporal", p.temporal), ("spatial", p.spatial), ("fusion", p.fusion)):
@@ -234,8 +234,8 @@ class Forecaster:
         if cfg.graph_mode == "static":
             return self._static_bundle
         if cfg.graph_mode == "adaptive":
-            return graphs.build_adaptive_graph(self.bank.node, cfg.cheb_order)
-        return graphs.build_sequence_graphs(self.bank, cfg.cheb_order)
+            return graphs.build_adaptive_graph(self.bank.node)
+        return graphs.build_sequence_graphs(self.bank)
 
     def forward(self, x: Tensor, training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
         cfg = self.cfg

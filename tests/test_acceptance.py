@@ -121,9 +121,9 @@ def test_criterion_4_stochasticity_structure():
         rng = np.random.default_rng(4)
         for seed in range(3):
             bank = graphs.EmbeddingBank.create(5, 4, 3, np.random.default_rng(seed))
-            seq = graphs.build_sequence_graphs(bank, order=2)
+            seq = graphs.build_sequence_graphs(bank)
             assert np.abs(seq.laplacians.data.sum(axis=-1) - 1.0).max() < 1e-9
-            adaptive = graphs.build_adaptive_graph(bank.node, order=2)
+            adaptive = graphs.build_adaptive_graph(bank.node)
             assert np.abs(adaptive.laplacians.data.sum(axis=-1) - 1.0).max() < 1e-9
 
         x = rng.standard_normal((2, 6, 4, 1))
@@ -144,11 +144,11 @@ def test_criterion_5_sequence_awareness():
                       "bit-identical in adaptive mode"):
         for seed in range(5):
             bank = graphs.EmbeddingBank.create(6, 5, 4, np.random.default_rng(seed))
-            seq = graphs.build_sequence_graphs(bank, order=1).laplacians.data
+            seq = graphs.build_sequence_graphs(bank).laplacians.data
             for i in range(5):
                 for j in range(i + 1, 5):
                     assert np.abs(seq[i] - seq[j]).max() > 1e-6, (seed, i, j)
-            adaptive = graphs.build_adaptive_graph(bank.node, order=1)
+            adaptive = graphs.build_adaptive_graph(bank.node)
             first = adaptive.at(0, bank)[0].data
             for i in range(5):
                 assert np.array_equal(adaptive.at(i, bank)[0].data, first), (seed, i)

@@ -78,6 +78,17 @@ def _non_utf8_config(tmp_path):
     return ["--config", str(path)]
 
 
+def _section_seed_config(section):
+    def make(tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({section: {"seed": 9}}))
+        return ["--config", str(path)]
+    return make
+
+
+SEED_NAMED = "seed cannot be set; the top-level 'seed' (or --seed)"
+
+
 @pytest.mark.parametrize("extra,named", [
     pytest.param(["--set", "hidden_dim=abc"], "hidden_dim", id="int_field_not_a_number"),
     pytest.param(["--set", "train.lr=fast"], "lr", id="float_field_not_a_number"),
@@ -94,6 +105,12 @@ def _non_utf8_config(tmp_path):
                  "data.adjacency_csv", id="adjacency_with_synth_data"),
     pytest.param(["--set", "model.input_channels=2"], "input_channels",
                  id="more_channels_than_the_data"),
+    pytest.param(["--set", "model.seed=5"], "model." + SEED_NAMED, id="model_seed_set"),
+    pytest.param(["--set", "train.seed=9"], "train." + SEED_NAMED, id="train_seed_set"),
+    pytest.param(_section_seed_config("model"), "model." + SEED_NAMED,
+                 id="model_seed_in_config_file"),
+    pytest.param(_section_seed_config("train"), "train." + SEED_NAMED,
+                 id="train_seed_in_config_file"),
 ])
 def test_bad_config_value_exits_one(tmp_path, capsys, extra, named):
     if callable(extra):
@@ -422,11 +439,20 @@ def test_train_bit_identical_reruns(tmp_path):
 # -- gradcheck ------------------------------------------------------------------------
 
 
-def test_gradcheck_command_passes(tmp_path, capsys):
-    code = run(["gradcheck", "--seed", "0", "--set", "gst2_variant=serial"])
+@pytest.mark.parametrize("mode", ["static", "adaptive", "sequence_aware"])
+def test_gradcheck_command_passes(tmp_path, capsys, mode):
+    code = run(["gradcheck", "--seed", "0", "--set", "gst2_variant=serial",
+                "--set", f"graph_mode={mode}"])
     assert code == 0
     out = capsys.readouterr().out
     assert "max relative error" in out
+
+
+def test_gradcheck_section_seed_exits_one(capsys):
+    code = run(["gradcheck", "--seed", "3", "--set", "train.seed=3"])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "train." + SEED_NAMED in err
 
 
 # -- ablate ---------------------------------------------------------------------------
@@ -459,6 +485,7 @@ def test_ablate_records_failed_cells_and_continues(tmp_path):
                  id="unknown_variant"),
     pytest.param(["--set", "model.input_channels=2"], "input_channels",
                  id="more_channels_than_the_data"),
+    pytest.param(["--set", "model.seed=5"], "model." + SEED_NAMED, id="model_seed_set"),
 ])
 def test_ablate_bad_grid_or_shared_config_exits_one_before_any_cell(tmp_path, capsys, extra,
                                                                    named):

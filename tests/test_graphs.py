@@ -20,7 +20,7 @@ def test_identical_rows_give_uniform_matrix():
     bank = make_bank(n=3, steps=2, d=2, seed=1)
     bank.node.data[:] = np.array([[0.3, -0.7]] * 3)
     bank.position.data[:] = 0.0
-    bundle = graphs.build_sequence_graphs(bank, order=1)
+    bundle = graphs.build_sequence_graphs(bank)
     assert np.allclose(bundle.laplacians.data, 1.0 / 3.0, atol=1e-12)
 
 
@@ -34,7 +34,7 @@ def test_uniform_matrix_t2_is_antidiagonal():
 def test_distinct_position_embeddings_give_distinct_graphs():
     for seed in range(5):
         bank = make_bank(n=4, steps=3, d=3, seed=seed)
-        bundle = graphs.build_sequence_graphs(bank, order=1)
+        bundle = graphs.build_sequence_graphs(bank)
         lap = bundle.laplacians.data
         for i in range(3):
             for j in range(i + 1, 3):
@@ -43,7 +43,7 @@ def test_distinct_position_embeddings_give_distinct_graphs():
 
 def test_sequence_rows_are_stochastic():
     bank = make_bank(n=5, steps=4, d=3, seed=9)
-    bundle = graphs.build_sequence_graphs(bank, order=1)
+    bundle = graphs.build_sequence_graphs(bank)
     sums = bundle.laplacians.data.sum(axis=-1)
     assert np.abs(sums - 1.0).max() < 1e-9
 
@@ -52,7 +52,7 @@ def test_sequence_graphs_differentiable_wrt_bank():
     bank = make_bank(n=3, steps=2, d=2, seed=5)
     weight = np.random.default_rng(0).standard_normal((2, 3, 3))
 
-    bundle = graphs.build_sequence_graphs(bank, order=1)
+    bundle = graphs.build_sequence_graphs(bank)
     loss = ad.reduce_sum(ad.mul(bundle.laplacians, Tensor(weight)))
     ad.backward(loss)
 
@@ -78,7 +78,7 @@ def test_sequence_graphs_differentiable_wrt_bank():
 
 def test_adaptive_mode_has_one_graph():
     bank = make_bank(n=4, steps=5, d=3, seed=2)
-    bundle = graphs.build_adaptive_graph(bank.node, order=1)
+    bundle = graphs.build_adaptive_graph(bank.node)
     assert bundle.laplacians.shape == (4, 4)
     assert bundle.node_features is None
     cheb = graphs._cheb_stack(bundle.laplacians, 1).data
@@ -88,13 +88,13 @@ def test_adaptive_mode_has_one_graph():
 
 def test_adaptive_identical_rows_uniform():
     node = Tensor(np.tile([[1.0, 2.0]], (4, 1)), requires_grad=True)
-    bundle = graphs.build_adaptive_graph(node, order=1)
+    bundle = graphs.build_adaptive_graph(node)
     assert np.allclose(bundle.laplacians.data, 0.25, atol=1e-12)
 
 
 def test_adaptive_rows_sum_to_one():
     bank = make_bank(n=6, steps=3, d=4, seed=3)
-    bundle = graphs.build_adaptive_graph(bank.node, order=2)
+    bundle = graphs.build_adaptive_graph(bank.node)
     assert np.abs(bundle.laplacians.data.sum(axis=-1) - 1.0).max() < 1e-9
 
 
@@ -107,7 +107,7 @@ def test_static_complete_graph_k2():
     assert np.allclose(lap, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-12)
     lam = graphs.spectral_bound(lap)
     assert abs(lam - 2.0) < 1e-9
-    bundle = graphs.build_static_graph(adjacency, order=1)
+    bundle = graphs.build_static_graph(adjacency)
     assert np.allclose(bundle.laplacians.data, [[0.0, -1.0], [-1.0, 0.0]], atol=1e-12)
 
 
@@ -115,13 +115,13 @@ def test_static_isolated_node_rejected():
     adjacency = np.zeros((3, 3))
     adjacency[0, 1] = adjacency[1, 0] = 1.0
     with pytest.raises(InvalidGraphError):
-        graphs.build_static_graph(adjacency, order=1)
+        graphs.build_static_graph(adjacency)
 
 
 def test_static_asymmetric_rejected():
     adjacency = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(InvalidGraphError):
-        graphs.build_static_graph(adjacency, order=1)
+        graphs.build_static_graph(adjacency)
 
 
 def test_static_scaled_laplacian_symmetric():
@@ -129,7 +129,7 @@ def test_static_scaled_laplacian_symmetric():
     raw = rng.random((6, 6))
     adjacency = (raw + raw.T) / 2
     np.fill_diagonal(adjacency, 0.0)
-    bundle = graphs.build_static_graph(adjacency, order=1)
+    bundle = graphs.build_static_graph(adjacency)
     lap = bundle.laplacians.data
     assert np.abs(lap - lap.T).max() < 1e-12
 
@@ -150,7 +150,7 @@ def test_spectral_bound_matches_eigvalsh():
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_cheb_recurrence_invariant(order):
     bank = make_bank(n=4, steps=3, d=3, seed=order)
-    bundle = graphs.build_sequence_graphs(bank, order=order)
+    bundle = graphs.build_sequence_graphs(bank)
     cheb = graphs._cheb_stack(bundle.laplacians, order).data
     lap = bundle.laplacians.data
     for t in range(3):
@@ -185,13 +185,22 @@ def _matrix_stack(lap, order):
     return ad.stack(terms[: order + 1], axis=0)
 
 
+def _propagate_by_matrices(lap, x, order):
+    """The terms T_k(L) x [N, K+1, C, B] as products of the matrix stack with
+    x [B, N, C], from matmul, reshape and transpose tape ops."""
+    b, n, c = x.shape
+    signal = ad.reshape(ad.transpose(x, (1, 2, 0)), (n, c * b))            # [N, C B]
+    terms = ad.matmul(_matrix_stack(lap, order), signal)                  # [K+1, N, C B]
+    return ad.transpose(ad.reshape(terms, (order + 1, n, c, b)), (1, 0, 2, 3))
+
+
 @pytest.mark.parametrize("mode", ["static", "adaptive", "sequence_aware"])
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_propagate_matches_matrix_power_terms(mode, order):
     # B=2, N=5, C=3: T_k(L) x from explicit matrix powers, every step's graph
     rng = np.random.default_rng(70 + order)
     bank = make_bank(n=5, steps=3, d=2, seed=71)
-    bundle = _graph_bundle(mode, bank, order)
+    bundle = _graph_bundle(mode, bank)
     x = rng.standard_normal((2, 5, 3))
     for t in range(3):
         lap_t, _ = bundle.at(t, bank)
@@ -219,7 +228,7 @@ def test_propagate_gradients_match_matrix_stack_and_finite_differences(order, gr
         return lap.grad, x.grad
 
     got = grads_of(lambda lap, x: graphs.chebyshev_propagate(lap, x, order))
-    ref = grads_of(lambda lap, x: ad.einsum("knm,bmi->nkib", _matrix_stack(lap, order), x))
+    ref = grads_of(lambda lap, x: _propagate_by_matrices(lap, x, order))
 
     def loss_value():
         return float((graphs.chebyshev_propagate(Tensor(lap_data), Tensor(x_data), order).data
@@ -248,8 +257,8 @@ def test_propagate_rejects_mismatched_shapes():
 def test_bundle_at_returns_the_shared_graph_outside_sequence_mode():
     adjacency = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
     bank = graphs.EmbeddingBank.create(3, 4, 2, np.random.default_rng(9), with_positions=False)
-    for bundle in (graphs.build_static_graph(adjacency, order=2),
-                   graphs.build_adaptive_graph(bank.node, order=2)):
+    for bundle in (graphs.build_static_graph(adjacency),
+                   graphs.build_adaptive_graph(bank.node)):
         assert bundle.laplacians.shape == (3, 3)
         for t in range(4):
             lap_t, e_t = bundle.at(t, bank)
@@ -259,7 +268,7 @@ def test_bundle_at_returns_the_shared_graph_outside_sequence_mode():
 
 def test_bundle_at_selects_step_t_in_sequence_mode():
     bank = make_bank(n=3, steps=4, d=2, seed=10)
-    bundle = graphs.build_sequence_graphs(bank, order=2)
+    bundle = graphs.build_sequence_graphs(bank)
     for t in range(4):
         lap_t, e_t = bundle.at(t, bank)
         assert np.array_equal(lap_t.data, bundle.laplacians.data[t])
@@ -273,7 +282,7 @@ def make_sgcn(n=2, d=2, order=1, c_in=1, c_out=1, seed=0):
 
 def test_sgcn_zero_input_zero_bias():
     bank = make_bank(n=2, steps=2, d=2, seed=6)
-    bundle = graphs.build_sequence_graphs(bank, order=1)
+    bundle = graphs.build_sequence_graphs(bank)
     params = make_sgcn(seed=6)
     params.bias_pool.data[:] = 0.0
     out = graphs.sgcn_forward(Tensor(np.zeros((3, 2, 1))), *bundle.at(0, bank), params)
@@ -282,7 +291,7 @@ def test_sgcn_zero_input_zero_bias():
 
 def test_sgcn_bias_only_path():
     bank = make_bank(n=2, steps=2, d=2, seed=7)
-    bundle = graphs.build_sequence_graphs(bank, order=1)
+    bundle = graphs.build_sequence_graphs(bank)
     params = make_sgcn(seed=7)
     out = graphs.sgcn_forward(Tensor(np.zeros((4, 2, 1))), *bundle.at(1, bank), params)
     e_t = bundle.node_features.data[1]
@@ -294,7 +303,7 @@ def test_sgcn_bias_only_path():
 def test_sgcn_matches_loop_oracle():
     rng = np.random.default_rng(21)
     bank = make_bank(n=2, steps=3, d=2, seed=21)
-    bundle = graphs.build_sequence_graphs(bank, order=1)
+    bundle = graphs.build_sequence_graphs(bank)
     params = make_sgcn(n=2, d=2, order=1, c_in=1, c_out=1, seed=21)
     x = rng.standard_normal((2, 2, 1))
     out = graphs.sgcn_forward(Tensor(x), *bundle.at(2, bank), params)
@@ -304,14 +313,14 @@ def test_sgcn_matches_loop_oracle():
     assert np.abs(out.data - expected).max() < 1e-12
 
 
-def _graph_bundle(mode, bank, order):
+def _graph_bundle(mode, bank):
     """The bundle of a graph mode; static mode reads a ring adjacency."""
     if mode == "static":
         ring = np.roll(np.eye(bank.node.shape[0]), 1, axis=1)
-        return graphs.build_static_graph(ring + ring.T, order)
+        return graphs.build_static_graph(ring + ring.T)
     if mode == "adaptive":
-        return graphs.build_adaptive_graph(bank.node, order)
-    return graphs.build_sequence_graphs(bank, order)
+        return graphs.build_adaptive_graph(bank.node)
+    return graphs.build_sequence_graphs(bank)
 
 
 @pytest.mark.parametrize("mode", ["static", "adaptive", "sequence_aware"])
@@ -320,7 +329,7 @@ def test_sgcn_matches_loop_oracle_at_higher_order(mode, order):
     # B=3, N=5, C_in=3, C_out=4, against Chebyshev terms from matrix powers
     rng = np.random.default_rng(60 + order)
     bank = make_bank(n=5, steps=3, d=2, seed=61)
-    bundle = _graph_bundle(mode, bank, order)
+    bundle = _graph_bundle(mode, bank)
     params = make_sgcn(d=2, order=order, c_in=3, c_out=4, seed=62)
     x = rng.standard_normal((3, 5, 3))
     for t in range(3):
@@ -332,16 +341,64 @@ def test_sgcn_matches_loop_oracle_at_higher_order(mode, order):
         assert np.abs(out.data - expected).max() < 1e-12
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_node_weights_and_convolve_match_einsum_references(order):
+    # The model's two contractions, e @ weight_pool and the per-node mix of
+    # the Chebyshev terms, with two outputs sharing one propagation as the
+    # z and r gates do. Forward and the gradients of x, L, both pools and e
+    # against np.einsum; x is a non-contiguous view.
+    rng = np.random.default_rng(90 + order)
+    b, n, c_in, c_out, d = 3, 5, 2, 4, 3
+    x_data = rng.standard_normal((c_in, n, b)).T                   # [B, N, C_in], a view
+    lap_data = softmax_rows(rng.standard_normal((n, n)))
+    e_data = rng.standard_normal((n, d))
+    upstream = rng.standard_normal((2, b, n, c_out))
+    x = Tensor(x_data, requires_grad=True)
+    lap = Tensor(lap_data, requires_grad=True)
+    e = Tensor(e_data, requires_grad=True)
+    gates = [make_sgcn(d=d, order=order, c_in=c_in, c_out=c_out, seed=91 + g) for g in range(2)]
+    outs = graphs.convolve(x, lap, *(gate.node_weights(e) for gate in gates))
+    ad.backward(ad.reduce_sum(ad.add(ad.mul(outs[0], Tensor(upstream[0])),
+                                     ad.mul(outs[1], Tensor(upstream[1])))))
+
+    cheb = np.stack([cheb_polynomial(lap_data, k) for k in range(order + 1)])
+    terms = np.einsum("knm,bmi->nkib", cheb, x_data)
+    g_terms = np.zeros_like(terms)
+    g_e = np.zeros_like(e_data)
+    for gate, out, g in zip(gates, outs, upstream):
+        pool, bias_pool = gate.weight_pool.data, gate.bias_pool.data
+        theta = np.einsum("nd,dkio->nkio", e_data, pool)
+        expected = np.einsum("nkib,nkio->bno", terms, theta) + e_data @ bias_pool
+        assert np.abs(out.data - expected).max() < 1e-12 * np.abs(expected).max()
+        g_theta = np.einsum("nkib,bno->nkio", terms, g)
+        g_terms += np.einsum("nkio,bno->nkib", theta, g)
+        g_e += np.einsum("nkio,dkio->nd", g_theta, pool) + np.einsum("bno,do->nd", g, bias_pool)
+        for got, want in ((gate.weight_pool.grad, np.einsum("nd,nkio->dkio", e_data, g_theta)),
+                          (gate.bias_pool.grad, np.einsum("nd,bno->do", e_data, g))):
+            assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+    # adjoints of the matrix recurrence T_k = 2 L T_{k-1} - T_{k-2}, top down
+    adj = list(np.einsum("nkib,bmi->knm", g_terms, x_data))
+    g_lap = np.zeros_like(lap_data)
+    for k in range(order, 1, -1):
+        g_lap += 2.0 * adj[k] @ cheb[k - 1].T
+        adj[k - 1] = adj[k - 1] + 2.0 * lap_data.T @ adj[k]
+        adj[k - 2] = adj[k - 2] - adj[k]
+    g_lap += adj[1]
+    for got, want in ((x.grad, np.einsum("knm,nkib->bmi", cheb, g_terms)),
+                      (lap.grad, g_lap), (e.grad, g_e)):
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+
 def test_sgcn_time_index_out_of_range():
     bank = make_bank(n=2, steps=2, d=2, seed=8)
-    bundle = graphs.build_sequence_graphs(bank, order=1)
+    bundle = graphs.build_sequence_graphs(bank)
     with pytest.raises(IndexError):
         bundle.at(2, bank)
 
 
 def test_sgcn_static_mode_uses_node_embedding():
     adjacency = np.array([[0.0, 1.0], [1.0, 0.0]])
-    bundle = graphs.build_static_graph(adjacency, order=1)
+    bundle = graphs.build_static_graph(adjacency)
     bank = graphs.EmbeddingBank.create(2, 2, 2, np.random.default_rng(5), with_positions=False)
     params = make_sgcn(seed=5)
     out = graphs.sgcn_forward(Tensor(np.zeros((1, 2, 1))), *bundle.at(0, bank), params)
@@ -356,7 +413,7 @@ def test_sgcn_gradients_vs_finite_differences():
     x = rng.standard_normal((2, 3, 2))
     weight = rng.standard_normal((2, 3, 2))
 
-    bundle = graphs.build_sequence_graphs(bank, order=1)
+    bundle = graphs.build_sequence_graphs(bank)
     out = graphs.sgcn_forward(Tensor(x), *bundle.at(1, bank), params)
     ad.backward(ad.reduce_sum(ad.mul(out, Tensor(weight))))
 
@@ -384,12 +441,12 @@ def test_sgcn_permutation_equivariance():
     x = rng.standard_normal((2, n, 2))
     perm = rng.permutation(n)
 
-    bundle = graphs.build_sequence_graphs(bank, order=1)
+    bundle = graphs.build_sequence_graphs(bank)
     base = graphs.sgcn_forward(Tensor(x), *bundle.at(0, bank), params).data
 
     bank_p = graphs.EmbeddingBank(
         Tensor(bank.node.data[perm]), bank.position, bank.ln_gamma, bank.ln_beta
     )
-    bundle_p = graphs.build_sequence_graphs(bank_p, order=1)
+    bundle_p = graphs.build_sequence_graphs(bank_p)
     permuted = graphs.sgcn_forward(Tensor(x[:, perm]), *bundle_p.at(0, bank_p), params).data
     assert np.abs(permuted - base[:, perm]).max() < 1e-10

@@ -12,7 +12,7 @@ def setup_cell(n=2, steps=3, d=2, d_h=2, c=1, seed=0):
     rng = np.random.default_rng(seed)
     bank = graphs.EmbeddingBank.create(n, steps, d, rng)
     cell = recurrent.GruCellParams.create(c, d_h, d, 1, rng)
-    bundle = graphs.build_sequence_graphs(bank, order=1)
+    bundle = graphs.build_sequence_graphs(bank)
     return bank, cell, bundle
 
 
@@ -127,7 +127,7 @@ def test_bptt_gradients_vs_finite_differences():
     x = rng.standard_normal((1, 3, 2, 1))
     weight = rng.standard_normal((1, 2, 3, 2))
 
-    bundle = graphs.build_sequence_graphs(bank, order=1)
+    bundle = graphs.build_sequence_graphs(bank)
     h = recurrent.encode_sequence(Tensor(x), cell, bundle, bank)
     ad.backward(ad.reduce_sum(ad.mul(h, Tensor(weight))))
 
@@ -175,11 +175,11 @@ def test_encoder_and_cell_step_match_loop_oracle_at_higher_order(mode, order):
     cell = recurrent.GruCellParams.create(3, 4, 2, order, rng)
     if mode == "static":
         ring = np.roll(np.eye(5), 1, axis=1)
-        bundle = graphs.build_static_graph(ring + ring.T, order)
+        bundle = graphs.build_static_graph(ring + ring.T)
     elif mode == "adaptive":
-        bundle = graphs.build_adaptive_graph(bank.node, order)
+        bundle = graphs.build_adaptive_graph(bank.node)
     else:
-        bundle = graphs.build_sequence_graphs(bank, order)
+        bundle = graphs.build_sequence_graphs(bank)
     x = rng.standard_normal((3, 3, 5, 3))
     encoded = recurrent.encode_sequence(Tensor(x), cell, bundle, bank).data
     h_prev = np.zeros((3, 5, 4))
@@ -202,7 +202,7 @@ def test_bptt_gradients_vs_finite_differences_adaptive_order_two():
     x = rng.standard_normal((2, 3, 3, 1))
     weight = rng.standard_normal((2, 3, 3, 2))
 
-    bundle = graphs.build_adaptive_graph(bank.node, order=2)
+    bundle = graphs.build_adaptive_graph(bank.node)
     h = recurrent.encode_sequence(Tensor(x), cell, bundle, bank)
     ad.backward(ad.reduce_sum(ad.mul(h, Tensor(weight))))
     pools = cell_pools(cell)
