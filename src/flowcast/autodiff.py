@@ -292,18 +292,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- nonlinearities ----------------------------------------------------------
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: no exp overflows.
-    ex = np.exp(-np.abs(x.data))
-    y = np.where(x.data >= 0, 1.0, ex) / (1.0 + ex)
-    out = Tensor(y)
-
-    def back(g):
-        _accum(x, g * y * (1.0 - y))
-
-    return _record(out, (x,), back)
-
-
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
     out = Tensor(y)

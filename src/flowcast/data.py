@@ -228,6 +228,8 @@ def synthesize(n_nodes: int, steps: int, seed: int, noise_level: float = 1.0,
         raise ValueError(f"need at least {DAY_STEPS} steps (one day), got {steps}")
     if not 0.0 <= diffusion < 1.0:
         raise ValueError(f"diffusion weight must be in [0, 1), got {diffusion}")
+    if not 0.0 <= noise_level < np.inf:
+        raise ValueError(f"noise level must be finite and >= 0, got {noise_level}")
     rng = np.random.default_rng(seed)
 
     points = rng.random((n_nodes, 2))

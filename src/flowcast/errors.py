@@ -30,9 +30,13 @@ class MissingGradientError(RuntimeError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss becomes NaN/Inf."""
+    """Raised when the training loss, or a parameter after an update, becomes
+    NaN/Inf; ``parameter`` names the first non-finite parameter."""
 
-    def __init__(self, epoch: int, loss: float):
-        super().__init__(f"training diverged at epoch {epoch} (loss={loss})")
+    def __init__(self, epoch: int, loss: float, parameter: str | None = None):
+        what = f"loss={loss}" if parameter is None else \
+            f"parameter '{parameter}' is not finite after an update, loss={loss}"
+        super().__init__(f"training diverged at epoch {epoch} ({what})")
         self.epoch = epoch
         self.loss = loss
+        self.parameter = parameter

@@ -12,13 +12,17 @@ Three ways to obtain the propagation matrices:
 
 Each mode yields a GraphBundle holding only its matrices L;
 GraphBundle.at(t, bank) picks the graph and node features step t reads. No
-Chebyshev matrix T_k(L) is formed: chebyshev_propagate computes the terms
+Chebyshev matrix T_k(L) is formed: cheb_recurrence computes the terms
 T_k(L) x on the signal by the recurrence T_k x = 2 L T_{k-1} x - T_{k-2} x,
-one L-product per term, as ChebNet does. The convolution (convolve) mixes
-those terms with node weights generated from the node features
-(SGCNParams.node_weights). Both contractions are ad.matmul on views: the
-node weights one GEMM of the features with the flattened pool, the mix one
-batched product per node.
+one L-product per term, as ChebNet does, and cheb_recurrence_adjoint is its
+backward. They work on arrays in the layout [N, K+1, C, B], node-major and
+batch-last; chebyshev_propagate wraps them as one tape op, and the GRU's
+gate and candidate ops in :mod:`recurrent` call them inside their own. The
+node weights (SGCNParams.node_weights) are one GEMM of the node features
+with the flattened pool; given the z and r pools concatenated along their
+output channels, one product builds both gates' weights. The composed
+convolution (convolve: chebyshev_propagate, then one batched ad.matmul per
+node and weight set) is the reference the fused GRU ops are tested against.
 """
 
 from __future__ import annotations
@@ -86,6 +90,43 @@ class GraphBundle:
         return ad.select(self.laplacians, t, axis=0), ad.select(self.node_features, t, axis=0)
 
 
+def cheb_recurrence(lap: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Fill the terms T_1(L) x .. T_K(L) x of flat [N, K+1, M], whose term 0
+    holds the signal x, in place: T_1 x = L x, then T_k x = 2 L T_{k-1} x -
+    T_{k-2} x, one [N, N] x [N, M] GEMM per term. Returns 2L for
+    cheb_recurrence_adjoint."""
+    np.matmul(lap, flat[:, 0], out=flat[:, 1])
+    lap2 = 2.0 * lap          # (2L) y is 2 (L y) exactly: scaling by 2 is exact
+    for k in range(2, flat.shape[1]):
+        np.matmul(lap2, flat[:, k - 1], out=flat[:, k])
+        flat[:, k] -= flat[:, k - 2]
+    return lap2
+
+
+def cheb_recurrence_adjoint(lap: Tensor, lap2: np.ndarray, flat: np.ndarray,
+                            grads: np.ndarray, need_signal: bool) -> np.ndarray | None:
+    """Backward of cheb_recurrence, given the gradients [N, K+1, M] of the
+    terms flat: accumulates L's gradient into lap when it needs one and
+    returns the signal's gradient [N, M] (None unless need_signal). It runs
+    the recurrence in reverse, one L^T-product per term for the adjoints and
+    one (adjoint) x (term)^T product per term for L's gradient."""
+    order = flat.shape[1] - 1
+    # a[k] is the adjoint of T_k x, from the top down:
+    # a_k = g_k + 2 L^T a_{k+1} - a_{k+2}, with L^T in place of 2 L^T for k = 0
+    a = [None] * order + [grads[:, order]]
+    for k in range(order - 1, -1 if need_signal else 0, -1):
+        a[k] = (lap2 if k >= 1 else lap.data).T @ a[k + 1]
+        a[k] += grads[:, k]
+        if k + 2 <= order:
+            a[k] -= a[k + 2]
+    if lap.requires_grad:
+        # T_k x = 2 L T_{k-1} x - ..., so L's gradient is a_1 (T_0 x)^T
+        # + 2 sum_{k >= 2} a_k (T_{k-1} x)^T
+        gl = sum(a[k] @ flat[:, k - 1].T for k in range(2, order + 1))
+        ad._accum(lap, a[1] @ flat[:, 0].T + 2.0 * gl)
+    return a[0]
+
+
 def chebyshev_propagate(lap: Tensor, x: Tensor, order: int) -> Tensor:
     """The Chebyshev terms T_0(L) x .. T_order(L) x of x [B, N, C] on the
     graph lap [N, N], as one [N, K+1, C, B] array (the layout convolve mixes
@@ -93,48 +134,26 @@ def chebyshev_propagate(lap: Tensor, x: Tensor, order: int) -> Tensor:
 
         T_0 x = x,  T_1 x = L x,  T_k x = 2 L T_{k-1} x - T_{k-2} x.
 
-    T_0 x is x copied into place and each later term one [N, N] x [N, C B]
-    GEMM. One tape entry with a hand-written backward that reads only L and
-    the output: it runs the recurrence in reverse, with one L^T-product per
-    term for the adjoints (the last one gives x's gradient) and, when L
-    needs a gradient, one (adjoint) x (term)^T product per term for it.
+    T_0 x is x copied into place and each later term one GEMM
+    (cheb_recurrence). One tape entry with a hand-written backward that reads
+    only L and the output (cheb_recurrence_adjoint).
     """
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
         raise ShapeError(f"chebyshev_propagate: graph must be [N, N], got {lap.shape}")
     if x.ndim != 3 or x.shape[1] != lap.shape[0]:
         raise ShapeError(f"chebyshev_propagate: signal {x.shape} is not [B, {lap.shape[0]}, C]")
     b, n, c = x.shape
-    m = c * b
-    x0 = x.data.transpose(1, 2, 0).reshape(n, m)      # [N, C B]
     terms = np.empty((n, order + 1, c, b))
-    flat = terms.reshape(n, order + 1, m)              # a view: [N, K+1, C B]
-    flat[:, 0] = x0
-    np.matmul(lap.data, x0, out=flat[:, 1])
-    lap2 = 2.0 * lap.data          # (2L) y is 2 (L y) exactly: scaling by 2 is exact
-    for k in range(2, order + 1):
-        np.matmul(lap2, flat[:, k - 1], out=flat[:, k])
-        flat[:, k] -= flat[:, k - 2]
-    out = Tensor(terms)
+    terms[:, 0] = x.data.transpose(1, 2, 0)
+    flat = terms.reshape(n, order + 1, c * b)          # a view: [N, K+1, C B]
+    lap2 = cheb_recurrence(lap.data, flat)
 
     def back(g):
-        # a[k] is the adjoint of T_k x, from the top down:
-        # a_k = g_k + 2 L^T a_{k+1} - a_{k+2}, with L^T in place of 2 L^T for k = 0
-        grads = g.reshape(n, order + 1, m)
-        a = [None] * order + [grads[:, order]]
-        for k in range(order - 1, -1 if x.requires_grad else 0, -1):
-            a[k] = (lap2 if k >= 1 else lap.data).T @ a[k + 1]
-            a[k] += grads[:, k]
-            if k + 2 <= order:
-                a[k] -= a[k + 2]
-        if lap.requires_grad:
-            # T_k x = 2 L T_{k-1} x - ..., so L's gradient is a_1 (T_0 x)^T
-            # + 2 sum_{k >= 2} a_k (T_{k-1} x)^T
-            gl = sum(a[k] @ flat[:, k - 1].T for k in range(2, order + 1))
-            ad._accum(lap, a[1] @ flat[:, 0].T + 2.0 * gl)
+        g_x = cheb_recurrence_adjoint(lap, lap2, flat, g.reshape(flat.shape), x.requires_grad)
         if x.requires_grad:
-            ad._accum(x, a[0].reshape(n, c, b).transpose(2, 0, 1))
+            ad._accum(x, g_x.reshape(n, c, b).transpose(2, 0, 1))
 
-    return ad._record(out, (lap, x), back)
+    return ad._record(Tensor(terms), (lap, x), back)
 
 
 def _cheb_stack(laplacians: Tensor, order: int) -> Tensor:

@@ -1,13 +1,29 @@
 """Recurrent encoder: a GRU whose gates are graph convolutions.
 
-Each gate applies the node-adaptive graph convolution from :mod:`graphs` to
-the concatenation of the step input and the previous hidden state, so spatial
-mixing happens inside every recurrent update:
+Each gate applies the node-adaptive Chebyshev graph convolution of
+:mod:`graphs` to the concatenation of the step input and the previous hidden
+state, so spatial mixing happens inside every recurrent update:
 
-    z = sigmoid(conv_z([x_t, h]))        update gate
-    r = sigmoid(conv_r([x_t, h]))        reset gate
-    c = tanh(conv_c([x_t, r * h]))       candidate state
-    h' = z * h + (1 - z) * c
+    [z, r] = sigmoid(conv_zr([x_t, h]))     update and reset gates
+    c = tanh(conv_c([x_t, r * h]))          candidate state
+    h' = c + z * (h - c)                    (= z * h + (1 - z) * c)
+
+A step records four tape entries:
+
+* ``gate_op``: [x_t, h] -> Chebyshev terms -> one per-node product into the
+  2 d_h channels of z and r together -> bias -> sigmoid, computed in place as
+  0.5 + 0.5 tanh(x / 2), which cannot overflow;
+* ``candidate_op``: [x_t, r * h] -> terms -> product -> bias;
+* ``ad.tanh`` of the candidate;
+* ``blend_op``: h' = c + z (h - c).
+
+The three ops of this module have hand-written backward rules. The gate and
+blend ops both read z from the gate output, so the gradients of z and r
+meet there. The state is carried node-major and batch-last, [N, d_h, B]:
+that is the layout of the Chebyshev terms [N, K+1, C, B], so z and r are row
+blocks of the gate output and no step copies between [B, N] and [N, B]. The
+z and r pools are concatenated once per forward (GruCellParams.gate_params),
+so one node-weight product serves both gates.
 """
 
 from __future__ import annotations
@@ -18,7 +34,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graphs import EmbeddingBank, GraphBundle, SGCNParams, convolve
+from .graphs import (EmbeddingBank, GraphBundle, SGCNParams, cheb_recurrence,
+                     cheb_recurrence_adjoint)
 
 
 @dataclass
@@ -37,37 +54,169 @@ class GruCellParams:
         make = lambda: SGCNParams.create(embed_dim, order, c_in, hidden_dim, rng)
         return GruCellParams(make(), make(), make(), hidden_dim)
 
-    def node_weights(self, e: Tensor) -> tuple:
-        """The (weights, bias) of each gate from node features e [N, d_e]."""
-        return tuple(gate.node_weights(e) for gate in (self.update, self.reset, self.candidate))
+    def gate_params(self) -> tuple[SGCNParams, SGCNParams]:
+        """The pools of gate_op, z's and r's concatenated along the output
+        channels (z first), and the pools of candidate_op."""
+        zr = SGCNParams(ad.concat([self.update.weight_pool, self.reset.weight_pool], axis=-1),
+                        ad.concat([self.update.bias_pool, self.reset.bias_pool], axis=-1))
+        return zr, self.candidate
+
+
+def _conv(x_t: Tensor, y: np.ndarray, lap: Tensor, theta: Tensor, bias: Tensor):
+    """Chebyshev graph convolution of the concatenation [x_t, y] of x_t
+    [N, C, B] and y [N, d_h, B] on the graph lap [N, N]: the terms [N, K+1,
+    C + d_h, B] (cheb_recurrence), then one per-node product with theta
+    [N, (K+1)(C + d_h), C_out] and the bias [N, C_out].
+
+    Returns the [N, C_out, B] output and its backward. Given the output's
+    gradient and whether y needs one, the backward accumulates the gradients
+    of x_t, lap, theta and bias and returns y's gradient (None when nothing
+    upstream of the terms needs one)."""
+    n, c, b = x_t.shape
+    c_in = c + y.shape[1]
+    k1 = theta.shape[1] // c_in
+    terms = np.empty((n, k1, c_in, b))
+    terms[:, 0, :c] = x_t.data
+    terms[:, 0, c:] = y
+    flat = terms.reshape(n, k1, c_in * b)            # views of terms
+    rows = terms.reshape(n, k1 * c_in, b)
+    lap2 = cheb_recurrence(lap.data, flat)
+    out = np.matmul(theta.data.transpose(0, 2, 1), rows)
+    out += bias.data[:, :, None]
+
+    def back(g, need_y):
+        ad._accum(bias, g.sum(axis=2))
+        ad._accum(theta, np.matmul(rows, g.transpose(0, 2, 1)))
+        need_signal = need_y or x_t.requires_grad
+        if not (need_signal or lap.requires_grad):
+            return None
+        g_terms = np.matmul(theta.data, g).reshape(flat.shape)
+        g_in = cheb_recurrence_adjoint(lap, lap2, flat, g_terms, need_signal)
+        if g_in is None:
+            return None
+        g_in = g_in.reshape(n, c_in, b)
+        ad._accum(x_t, g_in[:, :c])
+        return g_in[:, c:]
+
+    return out, back
+
+
+def gate_op(x_t: Tensor, h: Tensor, lap: Tensor, theta: Tensor, bias: Tensor) -> Tensor:
+    """sigmoid(conv([x_t, h])) for x_t [N, C, B] and h [N, d_h, B] (see
+    _conv): one [N, C_out, B] tape entry. With the pools of
+    GruCellParams.gate_params, C_out = 2 d_h: z, then r."""
+    s, conv_back = _conv(x_t, h.data, lap, theta, bias)
+    s *= 0.5
+    np.tanh(s, out=s)
+    s *= 0.5
+    s += 0.5
+
+    def back(g):
+        g = g * s
+        g *= 1.0 - s
+        ad._accum(h, conv_back(g, h.requires_grad))
+
+    return ad._record(Tensor(s), (x_t, h, lap, theta, bias), back)
+
+
+def candidate_op(x_t: Tensor, h: Tensor, gates: Tensor, lap: Tensor, theta: Tensor,
+                 bias: Tensor) -> Tensor:
+    """conv([x_t, r * h]) (see _conv), before its tanh, with r the last d_h
+    channels of the gate_op output gates [N, 2 d_h, B]: one [N, d_h, B]
+    tape entry."""
+    d_h = h.shape[1]
+    r = gates.data[:, d_h:]
+    out, conv_back = _conv(x_t, r * h.data, lap, theta, bias)
+
+    def back(g):
+        g_rh = conv_back(g, h.requires_grad or gates.requires_grad)
+        if g_rh is None:
+            return
+        ad._accum(h, g_rh * r)
+        if gates.requires_grad:
+            g_gates = np.zeros(gates.shape)
+            np.multiply(g_rh, h.data, out=g_gates[:, d_h:])
+            ad._accum(gates, g_gates)
+
+    return ad._record(Tensor(out), (x_t, h, gates, lap, theta, bias), back)
+
+
+def blend_op(gates: Tensor, h: Tensor, c: Tensor) -> Tensor:
+    """h' = c + z (h - c) for h and c [N, d_h, B], with z the first d_h
+    channels of the gate_op output gates [N, 2 d_h, B]: one tape entry."""
+    d_h = h.shape[1]
+    z = gates.data[:, :d_h]
+    out = h.data - c.data
+    out *= z
+    out += c.data
+
+    def back(g):
+        g_h = g * z
+        ad._accum(h, g_h)
+        ad._accum(c, g - g_h)
+        if gates.requires_grad:
+            g_gates = np.empty(gates.shape)
+            np.subtract(h.data, c.data, out=g_gates[:, :d_h])
+            g_gates[:, :d_h] *= g
+            g_gates[:, d_h:] = 0.0
+            ad._accum(gates, g_gates)
+
+    return ad._record(Tensor(out), (gates, h, c), back)
+
+
+def _step(x_t: Tensor, h: Tensor, lap_t: Tensor, weights: tuple) -> Tensor:
+    """The four tape entries of one update on batch-last x_t [N, C, B] and h
+    [N, d_h, B]; weights holds the (theta, bias) of gate_op and candidate_op."""
+    (theta_zr, bias_zr), (theta_c, bias_c) = weights
+    gates = gate_op(x_t, h, lap_t, theta_zr, bias_zr)
+    c = ad.tanh(candidate_op(x_t, h, gates, lap_t, theta_c, bias_c))
+    return blend_op(gates, h, c)
 
 
 def gru_cell_step(x_t: Tensor, h_prev: Tensor, cell: GruCellParams,
                   bundle: GraphBundle, bank: EmbeddingBank, t: int) -> Tensor:
-    """One recurrent update at time step t. x_t is [B, N, C], h_prev and the
-    result are [B, N, d_h]. All three gates read the step-t graph."""
+    """One recurrent update at time step t, the one encode_sequence runs,
+    on batch-first tensors: x_t is [B, N, C], h_prev and the result are
+    [B, N, d_h]. All three gates read the step-t graph."""
     lap_t, e_t = bundle.at(t, bank)
-    return _update(x_t, h_prev, lap_t, cell.node_weights(e_t))
+    weights = tuple(p.node_weights(e_t) for p in cell.gate_params())
+    h = _step(ad.transpose(x_t, (1, 2, 0)), ad.transpose(h_prev, (1, 2, 0)), lap_t, weights)
+    return ad.transpose(h, (2, 0, 1))
 
 
-def _update(x_t: Tensor, h_prev: Tensor, lap_t: Tensor, weights: tuple) -> Tensor:
-    w_z, w_r, w_c = weights
-    z, r = (ad.sigmoid(g) for g in convolve(ad.concat([x_t, h_prev], axis=-1), lap_t, w_z, w_r))
-    (cand,) = convolve(ad.concat([x_t, ad.mul(r, h_prev)], axis=-1), lap_t, w_c)
-    return ad.add(ad.mul(z, h_prev), ad.mul(ad.scalar_affine(z, -1.0, 1.0), ad.tanh(cand)))
+def _stack_states(states: list[Tensor]) -> Tensor:
+    """The states [N, d_h, B] of the T steps as one contiguous [B, N, T, d_h]
+    tape entry."""
+    n, d_h, b = states[0].shape
+    out = np.empty((b, n, len(states), d_h))
+    for t, h in enumerate(states):
+        out[:, :, t] = h.data.transpose(2, 0, 1)
+
+    def back(g):
+        for h, g_t in zip(states, np.ascontiguousarray(g.transpose(2, 1, 3, 0))):
+            ad._accum(h, g_t)
+
+    return ad._record(Tensor(out), tuple(states), back)
 
 
 def encode_sequence(x: Tensor, cell: GruCellParams, bundle: GraphBundle,
                     bank: EmbeddingBank) -> Tensor:
     """Run the cell over x [B, T, N, C] from a zero initial state and stack
-    the hidden states into [B, N, T, d_h]. Outside sequence-aware mode every
-    step reads the same node features, so the node weights are built once."""
+    the hidden states into one contiguous [B, N, T, d_h] array. Outside
+    sequence-aware mode every step reads the same node features, so the node
+    weights are built once."""
     b, steps, n, _ = x.shape
-    h = Tensor(np.zeros((b, n, cell.hidden_dim)))
-    shared = cell.node_weights(bank.node) if bundle.node_features is None else None
+    xs = ad.transpose(x, (1, 2, 3, 0))                 # [T, N, C, B], a view
+    h = Tensor(np.zeros((n, cell.hidden_dim, b)))
+    pools = cell.gate_params()
+    shared = None
+    if bundle.node_features is None:
+        shared = tuple(p.node_weights(bank.node) for p in pools)
     states = []
     for t in range(steps):
         lap_t, e_t = bundle.at(t, bank)
-        h = _update(ad.select(x, t, axis=1), h, lap_t, shared or cell.node_weights(e_t))
+        # the weights are a temporary, so one step's are alive at a time
+        h = _step(ad.select(xs, t, axis=0), h, lap_t,
+                  shared or tuple(p.node_weights(e_t) for p in pools))
         states.append(h)
-    return ad.stack(states, axis=2)
+    return _stack_states(states)

@@ -29,8 +29,8 @@ class TrainConfig:
 
     def validate(self):
         check_field_types(self)
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.max_epochs < 1 or self.batch_size < 1:
@@ -121,7 +121,9 @@ def fit(model: Forecaster, train_xy: tuple[np.ndarray, np.ndarray],
     epoch. Stops after ``patience`` consecutive epochs without improvement and
     restores the parameters of the best epoch before returning.
 
-    Raises TrainingDiverged as soon as a batch loss is NaN/Inf.
+    Raises TrainingDiverged as soon as a batch loss is NaN/Inf, or a
+    parameter is after an Adam update: the ReLUs map NaN to 0, so a
+    non-finite parameter need not reach the loss.
     """
     cfg.validate()
     x_train, y_train = train_xy
@@ -146,6 +148,9 @@ def fit(model: Forecaster, train_xy: tuple[np.ndarray, np.ndarray],
                 raise TrainingDiverged(epoch, value)
             ad.backward(loss)
             adam_step(model.params, state, cfg)
+            for name, p in model.params:
+                if not np.isfinite(p.data).all():
+                    raise TrainingDiverged(epoch, value, name)
             losses.append(value)
         val = evaluate(model, x_val, y_val, normalizer, cfg.batch_size)
         record = EpochRecord(epoch, float(np.mean(losses)), val.mae, val.rmse, val.mape)

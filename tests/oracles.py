@@ -1,10 +1,16 @@
 """Independent reference implementations used to check the library.
 
 Everything here is written as plain scalar/nested loops over numpy arrays,
-deliberately avoiding the code paths under test.
+deliberately avoiding the code paths under test, except the composed
+encoder (encode_composed), which builds the recurrent update from the small
+tape ops the fused encoder ops replace.
 """
 
 import numpy as np
+
+from flowcast import autodiff as ad
+from flowcast import graphs
+from flowcast.autodiff import Tensor
 
 
 def finite_diff_grad(loss_fn, array: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -90,6 +96,45 @@ def gru_step_loop(x_t, h_prev, cheb_t, e_t, cell_pools):
     gated = np.concatenate([x_t, r * h_prev], axis=-1)
     c = np.tanh(sgcn_loop(gated, cheb_t, e_t, *cell_pools["candidate"]))
     return z * h_prev + (1.0 - z) * c
+
+
+def sigmoid_op(x: Tensor) -> Tensor:
+    """The logistic function as one tape op: 1 / (1 + e^-x) for x >= 0 and
+    e^x / (1 + e^x) below, so no exp overflows."""
+    ex = np.exp(-np.abs(x.data))
+    y = np.where(x.data >= 0, 1.0, ex) / (1.0 + ex)
+
+    def back(g):
+        ad._accum(x, g * y * (1.0 - y))
+
+    return ad._record(Tensor(y), (x,), back)
+
+
+def gru_update_composed(x_t, h_prev, lap_t, weights):
+    """The GRU update of x_t [B, N, C] and h_prev [B, N, d_h] from small tape
+    ops: concat, graphs.convolve (z and r share one propagation), sigmoid,
+    mul, tanh, scalar_affine and add. weights holds the per-node (weights,
+    bias) of the update, reset and candidate gates."""
+    w_z, w_r, w_c = weights
+    z, r = (sigmoid_op(g)
+            for g in graphs.convolve(ad.concat([x_t, h_prev], axis=-1), lap_t, w_z, w_r))
+    (cand,) = graphs.convolve(ad.concat([x_t, ad.mul(r, h_prev)], axis=-1), lap_t, w_c)
+    return ad.add(ad.mul(z, h_prev), ad.mul(ad.scalar_affine(z, -1.0, 1.0), ad.tanh(cand)))
+
+
+def encode_composed(x, cell, bundle, bank):
+    """recurrent.encode_sequence from gru_update_composed steps: x [B, T, N, C]
+    -> [B, N, T, d_h]."""
+    b, steps, n, _ = x.shape
+    gates = (cell.update, cell.reset, cell.candidate)
+    h = Tensor(np.zeros((b, n, cell.hidden_dim)))
+    states = []
+    for t in range(steps):
+        lap_t, e_t = bundle.at(t, bank)
+        h = gru_update_composed(ad.select(x, t, axis=1), h, lap_t,
+                                tuple(gate.node_weights(e_t) for gate in gates))
+        states.append(h)
+    return ad.stack(states, axis=2)
 
 
 def attention_loop(q, k, v):

@@ -105,6 +105,12 @@ SEED_NAMED = "seed cannot be set; the top-level 'seed' (or --seed)"
                  "data.adjacency_csv", id="adjacency_with_synth_data"),
     pytest.param(["--set", "model.input_channels=2"], "input_channels",
                  id="more_channels_than_the_data"),
+    pytest.param(["--set", "train.lr=NaN"], "lr", id="lr_nan"),
+    pytest.param(["--set", "train.lr=Infinity"], "lr", id="lr_infinite"),
+    pytest.param(["--set", "data.synth.noise_level=-1"], "data.synth: noise level",
+                 id="synth_noise_negative"),
+    pytest.param(["--set", "data.synth.noise_level=NaN"], "data.synth: noise level",
+                 id="synth_noise_nan"),
     pytest.param(["--set", "model.seed=5"], "model." + SEED_NAMED, id="model_seed_set"),
     pytest.param(["--set", "train.seed=9"], "train." + SEED_NAMED, id="train_seed_set"),
     pytest.param(_section_seed_config("model"), "model." + SEED_NAMED,
@@ -145,6 +151,8 @@ def test_synth_writes_series_and_adjacency(tmp_path):
     pytest.param("--nodes", "0", "2 nodes", id="too_few_nodes"),
     pytest.param("--steps", "5", "288 steps", id="shorter_than_a_day"),
     pytest.param("--diffusion", "5", "diffusion", id="diffusion_out_of_range"),
+    pytest.param("--noise-level", "-1", "noise level", id="noise_negative"),
+    pytest.param("--noise-level", "nan", "noise level", id="noise_nan"),
 ])
 def test_synth_out_of_range_exits_one(tmp_path, capsys, flag, value, named):
     code = run(["synth", flag, value, "--out", str(tmp_path / "synth")])

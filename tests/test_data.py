@@ -274,3 +274,9 @@ def test_synthesize_validates_sizes():
         dp.synthesize(1, 300, seed=0)
     with pytest.raises(ValueError):
         dp.synthesize(4, 100, seed=0)
+
+
+@pytest.mark.parametrize("noise_level", [-1.0, np.nan, np.inf])
+def test_synthesize_rejects_a_noise_level_out_of_range(noise_level):
+    with pytest.raises(ValueError, match="noise level"):
+        dp.synthesize(4, 300, seed=0, noise_level=noise_level)

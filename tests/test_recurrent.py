@@ -1,11 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from flowcast import autodiff as ad
 from flowcast import graphs, recurrent
+from flowcast import model as md
 from flowcast.autodiff import Tensor
 
-from oracles import cheb_polynomial, finite_diff_grad, gru_step_loop, sgcn_loop, softmax_rows
+from oracles import (cheb_polynomial, encode_composed, finite_diff_grad, gru_step_loop,
+                     sgcn_loop, softmax_rows)
 
 
 def setup_cell(n=2, steps=3, d=2, d_h=2, c=1, seed=0):
@@ -222,3 +226,166 @@ def test_bptt_gradients_vs_finite_differences_adaptive_order_two():
         fd = finite_diff_grad(loss_value, p.data)
         rel = np.abs(p.grad - fd) / np.maximum(1.0, np.abs(fd))
         assert rel.max() < 1e-4
+
+
+# -- the fused step ops ----------------------------------------------------------
+
+
+def build_bundle(mode, bank):
+    if mode == "adaptive":
+        return graphs.build_adaptive_graph(bank.node)
+    return graphs.build_sequence_graphs(bank)
+
+
+def weighted_sum(out, weight):
+    return ad.reduce_sum(ad.mul(out, Tensor(weight)))
+
+
+def assert_grads_match_finite_differences(run, leaves):
+    # run() gives the op output; the loss is its weighted sum
+    def output():
+        with ad.no_grad():
+            return run().data
+
+    weight = np.random.default_rng(99).standard_normal(output().shape)
+    ad.backward(weighted_sum(run(), weight))
+    loss_value = lambda: float((output() * weight).sum())
+
+    for name, p in leaves.items():
+        fd = finite_diff_grad(loss_value, p.data)
+        assert p.grad is not None, name
+        rel = np.abs(p.grad - fd) / np.maximum(1.0, np.abs(fd))
+        assert rel.max() < 1e-4, (name, rel.max())
+
+
+@pytest.mark.parametrize("op", ["gate", "candidate"])
+@pytest.mark.parametrize("mode", ["adaptive", "sequence_aware"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_conv_ops_match_finite_differences(op, mode, order):
+    # Every input: x_t, h, the gate output (candidate), the per-node weights
+    # and bias, and the embeddings the step-1 graph is built from.
+    rng = np.random.default_rng(90 + order)
+    n, c, d_h, b = 4, 2, 3, 2
+    bank = graphs.EmbeddingBank.create(n, 3, 2, rng, with_positions=mode == "sequence_aware")
+    leaf = lambda *shape: Tensor(rng.standard_normal(shape), requires_grad=True)
+    c_out = 2 * d_h if op == "gate" else d_h
+    leaves = {"x_t": leaf(n, c, b), "h": leaf(n, d_h, b),
+              "theta": leaf(n, (order + 1) * (c + d_h), c_out), "bias": leaf(n, c_out),
+              "embed.node": bank.node}
+    if mode == "sequence_aware":
+        leaves["embed.position"] = bank.position
+    if op == "candidate":
+        leaves["gates"] = Tensor(rng.uniform(0.05, 0.95, (n, 2 * d_h, b)), requires_grad=True)
+
+    def run():
+        lap, _ = build_bundle(mode, bank).at(1, bank)
+        if op == "gate":
+            return recurrent.gate_op(leaves["x_t"], leaves["h"], lap, leaves["theta"],
+                                     leaves["bias"])
+        return recurrent.candidate_op(leaves["x_t"], leaves["h"], leaves["gates"], lap,
+                                      leaves["theta"], leaves["bias"])
+
+    assert_grads_match_finite_differences(run, leaves)
+
+
+def test_blend_op_matches_finite_differences():
+    rng = np.random.default_rng(95)
+    leaves = {"gates": Tensor(rng.uniform(0.05, 0.95, (4, 6, 2)), requires_grad=True),
+              "h": Tensor(rng.standard_normal((4, 3, 2)), requires_grad=True),
+              "c": Tensor(np.tanh(rng.standard_normal((4, 3, 2))), requires_grad=True)}
+    assert_grads_match_finite_differences(lambda: recurrent.blend_op(*leaves.values()), leaves)
+
+
+def test_gate_sigmoid_saturates_without_overflow():
+    n, d_h, b = 2, 1, 3
+    theta = Tensor(np.zeros((n, 2 * (1 + d_h), 2 * d_h)))
+    bias = Tensor(np.array([[800.0, -800.0], [0.0, -30.0]]))
+    with np.errstate(over="raise", invalid="raise"):
+        s = recurrent.gate_op(Tensor(np.zeros((n, 1, b))), Tensor(np.zeros((n, d_h, b))),
+                              Tensor(np.eye(n)), theta, bias).data
+    assert np.array_equal(s[0, 0], [1.0] * b) and np.array_equal(s[0, 1], [0.0] * b)
+    assert np.array_equal(s[1, 0], [0.5] * b)
+    assert np.abs(s[1, 1] - 1.0 / (1.0 + np.exp(30.0))).max() < 1e-15
+
+
+def encoder_case(mode, order, seed):
+    rng = np.random.default_rng(seed)
+    bank = graphs.EmbeddingBank.create(5, 4, 3, rng, with_positions=mode == "sequence_aware")
+    cell = recurrent.GruCellParams.create(2, 4, 3, order, rng)
+    x = Tensor(rng.standard_normal((3, 4, 5, 2)), requires_grad=True)
+    leaves = [x, bank.node] + [p for gate in (cell.update, cell.reset, cell.candidate)
+                               for p in (gate.weight_pool, gate.bias_pool)]
+    if mode == "sequence_aware":
+        leaves += [bank.position, bank.ln_gamma, bank.ln_beta]
+
+    def bundle():
+        if mode == "static":
+            ring = np.roll(np.eye(5), 1, axis=1)
+            return graphs.build_static_graph(ring + ring.T)
+        return build_bundle(mode, bank)
+
+    return x, cell, bank, bundle, leaves
+
+
+def values_and_grads(encode, x, cell, bank, bundle, leaves):
+    for p in leaves:
+        p.zero_grad()
+    out = encode(x, cell, bundle(), bank)
+    weight = np.random.default_rng(7).standard_normal(out.shape)
+    ad.backward(weighted_sum(out, weight))
+    return [out.data] + [p.grad for p in leaves]
+
+
+@pytest.mark.parametrize("mode", ["static", "adaptive", "sequence_aware"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_encoder_matches_composed_oracle_in_values_and_gradients(mode, order):
+    # The fused ops against the composed step they replace (tests/oracles.py):
+    # the states and the gradients of the input, the embeddings and every pool.
+    case = encoder_case(mode, order, 100 + order)
+    fused = values_and_grads(recurrent.encode_sequence, *case)
+    composed = values_and_grads(encode_composed, *case)
+    for got, want in zip(fused, composed):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def tape_entries_of_forward(steps):
+    cfg = md.ModelConfig(n_nodes=8, input_steps=steps, embed_dim=8, hidden_dim=32,
+                         cheb_order=2, graph_mode="static", gst2_variant="none",
+                         dropout_input=0.0, dropout_inner=0.0)
+    ring = np.roll(np.eye(8), 1, axis=1)
+    model = md.Forecaster(cfg, adjacency=ring + ring.T)
+    x = np.random.default_rng(0).standard_normal((4, steps, 8, 1))
+    model.forward(Tensor(x), training=True)
+    count = len(ad.tape().entries)
+    ad.reset_tape()
+    return count
+
+
+def test_static_forward_records_four_tape_entries_per_step():
+    # gate op, candidate op, tanh and blend op per step; the rest is the pool
+    # concatenation, the node weights, the stacked states and the head
+    assert tape_entries_of_forward(12) - tape_entries_of_forward(6) == 4 * 6
+    assert tape_entries_of_forward(12) <= 4 * 12 + 20
+
+
+def test_wrong_tanh_backward_moves_encoder_gradients():
+    # The benchmark's self-test checks its correctness gate by patching
+    # ad.tanh's backward; that only works while the encoder's training path
+    # runs ad.tanh.
+    x, cell, bank, bundle, leaves = encoder_case("adaptive", 2, 110)
+    exact = values_and_grads(recurrent.encode_sequence, x, cell, bank, bundle, leaves)
+    tanh = ad.tanh
+
+    def tanh_with_wrong_backward(t):
+        out = tanh(t)
+        entries = ad.tape().entries
+        if entries and entries[-1][0] is out:
+            _, inputs, back = entries[-1]
+            entries[-1] = (out, inputs, lambda g: back(g * (1 + 1e-6)))
+        return out
+
+    with mock.patch.object(ad, "tanh", tanh_with_wrong_backward):
+        wrong = values_and_grads(recurrent.encode_sequence, x, cell, bank, bundle, leaves)
+    moved = max(np.abs(w - e).max() / np.abs(e).max() for w, e in zip(wrong[2:], exact[2:]))
+    assert moved > 1e-9, "the encoder's training path no longer runs ad.tanh"

@@ -166,6 +166,22 @@ def test_fit_raises_on_divergence():
     assert excinfo.value.epoch == 1
 
 
+@pytest.mark.parametrize("mode,variant", [("adaptive", "none"),
+                                          ("sequence_aware", "parallel")])
+def test_fit_raises_on_a_non_finite_parameter_the_loss_does_not_see(mode, variant):
+    # The ReLUs map NaN to 0, so one NaN in the node embedding leaves the loss
+    # finite while the update spreads it to most parameters.
+    cfg, (x, y), val, norm, _ = fit_setup(n=6)
+    cfg.n_nodes, cfg.graph_mode, cfg.gst2_variant = 6, mode, variant
+    model = md.Forecaster(cfg)
+    model.params["embed.node"].data[0, 0] = np.nan
+    batch = -(-x.shape[0] // 3)          # three steps
+    with pytest.raises(TrainingDiverged, match="embed.node") as excinfo:
+        tr.fit(model, (x, y), val, norm, tr.TrainConfig(max_epochs=1, batch_size=batch))
+    assert (excinfo.value.epoch, excinfo.value.parameter) == (1, "embed.node")
+    assert np.isfinite(excinfo.value.loss)
+
+
 def test_history_csv_roundtrip(tmp_path):
     cfg, train, val, norm, _ = fit_setup()
     model = md.Forecaster(cfg)
