@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -28,50 +30,48 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_DIVERGED = 3
 
-_SYNTH_DEFAULTS = {
-    "nodes": 8,
-    "steps": 2016,
-    "noise_level": 1.0,
-    "diffusion": 0.25,
-    "seed": None,  # falls back to the run seed
-}
-_SYNTH_TYPES = {"nodes": "int", "steps": "int", "noise_level": "float", "diffusion": "float",
-                "seed": "int"}
+# data.synth's keys and the synth command's flags: the parameters of
+# data.synthesize, with their kinds and defaults (data.synth's seed defaults
+# to the run seed instead)
+_SYNTH_PARAMS = inspect.signature(dp.synthesize).parameters
+_SYNTH_DEFAULTS = {**{name: p.default for name, p in _SYNTH_PARAMS.items()}, "seed": None}
 
-_DATA_DEFAULTS = {
-    "series_csv": None,
-    "adjacency_csv": None,
-    "synth": None,
-}
+# the objects a run config nests; data.synth may also be None (no synthetic data)
+_SECTIONS = ("data", "model", "train", "data.synth")
+
+# gradcheck's desk-size problem, whatever the configured sizes
+_GRADCHECK_SIZES = dict(n_nodes=4, input_steps=6, output_steps=3, embed_dim=2, hidden_dim=4,
+                        heads=2, cheb_order=1, dropout_input=0.0, dropout_inner=0.0, ffn_dim=8,
+                        fc_hidden=16)
 
 
 def default_run_config() -> dict:
     """The run config before any file or --set; the section seeds stay None
-    until resolve_seeds copies the top-level seed into them."""
+    until resolve_run_config copies the top-level seed into them."""
     return {
-        "data": dict(_DATA_DEFAULTS),
-        "model": {**md.config_to_dict(md.ModelConfig()), "seed": None},
-        "train": {**{f: getattr(tr.TrainConfig(), f) for f in tr.TrainConfig.__dataclass_fields__},
-                  "seed": None},
+        "data": {"series_csv": None, "adjacency_csv": None, "synth": None},
+        "model": {**dataclasses.asdict(md.ModelConfig()), "seed": None},
+        "train": {**dataclasses.asdict(tr.TrainConfig()), "seed": None},
         "seed": 0,
     }
 
 
-def _merge_section(base: dict, update: dict, path: str):
+def _merge(base: dict, update: dict, path: str = ""):
+    """Update ``base`` in place from ``update``, the one merge behind config
+    files, checkpoint echoes and --set. An object given for a section merges
+    into it; data.synth, None (no synthetic data) until given, starts from
+    _SYNTH_DEFAULTS."""
     for key, value in update.items():
         if key not in base:
             raise ConfigError(f"unknown config key '{path}{key}'")
-        if key == "synth" and value is not None:
-            merged = dict(_SYNTH_DEFAULTS)
+        name = path + key
+        if name in _SECTIONS and (value is not None or name != "data.synth"):
             if not isinstance(value, dict):
-                raise ConfigError("data.synth must be an object")
-            for k, v in value.items():
-                if k not in merged:
-                    raise ConfigError(f"unknown config key 'data.synth.{k}'")
-                merged[k] = v
-            base[key] = merged
-        else:
-            base[key] = value
+                raise ConfigError(f"config section '{name}' must be an object")
+            section = dict(base[key] or _SYNTH_DEFAULTS)
+            _merge(section, value, name + ".")
+            value = section
+        base[key] = value
 
 
 def load_run_config(path: str | None) -> dict:
@@ -90,18 +90,10 @@ def load_run_config(path: str | None) -> dict:
 
 
 def merge_run_config(raw: dict) -> dict:
-    """The default run config updated by the sections of ``raw``; unknown keys
-    and non-object sections raise ConfigError."""
+    """The default run config updated from ``raw``; unknown keys and
+    non-object sections raise ConfigError."""
     cfg = default_run_config()
-    for key, value in raw.items():
-        if key == "seed":
-            cfg["seed"] = value
-        elif key in ("data", "model", "train"):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section '{key}' must be an object")
-            _merge_section(cfg[key], value, f"{key}.")
-        else:
-            raise ConfigError(f"unknown config key '{key}'")
+    _merge(cfg, raw)
     return cfg
 
 
@@ -113,23 +105,13 @@ def _parse_set_value(text: str):
 
 
 def apply_overrides(cfg: dict, sets: list[str]):
-    """Apply --set KEY=VALUE pairs. Dotted keys address a section directly;
-    bare keys must match exactly one section field."""
+    """Apply --set KEY=VALUE pairs. Dotted keys address a section (or
+    data.synth) directly; bare keys must match exactly one section field."""
     for item in sets:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got '{item}'")
         key, _, raw_value = item.partition("=")
-        value = _parse_set_value(raw_value)
-        if "." in key:
-            section, _, name = key.partition(".")
-            if section not in ("data", "model", "train"):
-                raise ConfigError(f"unknown config key '{key}'")
-            if section == "data" and name.startswith("synth."):
-                name, value = "synth", {**(cfg["data"]["synth"] or {}), name[len("synth."):]: value}
-            _merge_section(cfg[section], {name: value}, f"{section}.")
-        elif key == "seed":
-            cfg["seed"] = value
-        else:
+        if "." not in key and key != "seed":
             hits = [s for s in ("model", "train", "data") if key in cfg[s]]
             if not hits:
                 raise ConfigError(f"unknown config key '{key}'")
@@ -137,21 +119,31 @@ def apply_overrides(cfg: dict, sets: list[str]):
                 raise ConfigError(
                     f"ambiguous key '{key}' (in sections {hits}); qualify it as section.key"
                 )
-            _merge_section(cfg[hits[0]], {key: value}, f"{hits[0]}.")
+            key = f"{hits[0]}.{key}"
+        if key.rpartition(".")[0] not in ("", *_SECTIONS):
+            raise ConfigError(f"unknown config key '{key}'")
+        update = _parse_set_value(raw_value)
+        for part in reversed(key.split(".")):
+            update = {part: update}
+        _merge(cfg, update)
 
 
-def resolve_seeds(cfg: dict, seed_flag: int | None):
-    """Seed the model and training from the top-level seed (``--seed`` wins).
-    A section seed given by a config file or --set would be overwritten
-    here, so it is rejected instead."""
+def resolve_run_config(args) -> dict:
+    """The run config of train, ablate and gradcheck: the --config file (or
+    the defaults), each --set in order, then --seed. The top-level seed seeds
+    both the model and training, so a section seed, which it would
+    overwrite, is rejected instead."""
+    cfg = load_run_config(args.config)
+    apply_overrides(cfg, args.set or [])
     for section in ("model", "train"):
         if cfg[section]["seed"] is not None:
             raise ConfigError(f"{section}.seed cannot be set; the top-level 'seed' "
                               "(or --seed) seeds both the model and training")
-    if seed_flag is not None:
-        cfg["seed"] = seed_flag
-    cfg["model"]["seed"] = cfg["seed"]
-    cfg["train"]["seed"] = cfg["seed"]
+    seed = cfg["seed"] if args.seed is None else args.seed
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    cfg["seed"] = cfg["model"]["seed"] = cfg["train"]["seed"] = seed
+    return cfg
 
 
 def load_dataset(cfg: dict) -> tuple[dp.TrafficSeries, np.ndarray | None]:
@@ -175,18 +167,18 @@ def load_dataset(cfg: dict) -> tuple[dp.TrafficSeries, np.ndarray | None]:
         spec = dict(section["synth"])
         if spec["seed"] is None:
             spec["seed"] = cfg["seed"]
-        for key, kind in _SYNTH_TYPES.items():
-            md.check_type(f"data.synth.{key}", spec[key], kind)
-        return _synthesize("data.synth", spec["nodes"], spec["steps"], spec["seed"],
-                           spec["noise_level"], spec["diffusion"])
+        return _synthesize("data.synth", spec)
     raise ConfigError("config needs either data.series_csv or data.synth")
 
 
-def _synthesize(source: str, nodes: int, steps: int, seed: int, noise_level: float,
-                diffusion: float) -> tuple[dp.TrafficSeries, np.ndarray]:
-    """data.synthesize, its range errors raised as ConfigError naming ``source``."""
+def _synthesize(source: str, spec: dict) -> tuple[dp.TrafficSeries, np.ndarray]:
+    """data.synthesize on a full synth spec, checked the same way for
+    data.synth and the synth command: each value of its parameter's kind,
+    and the generator's range errors raised as ConfigError naming ``source``."""
+    for name, param in _SYNTH_PARAMS.items():
+        md.check_type(f"{source}.{name}", spec[name], param.annotation)
     try:
-        return dp.synthesize(nodes, steps, seed, noise_level=noise_level, diffusion=diffusion)
+        return dp.synthesize(**spec)
     except ValueError as exc:  # the generator's own range checks
         raise ConfigError(f"{source}: {exc}") from None
 
@@ -202,6 +194,10 @@ def _make_out_dir(path: str):
 
 
 def build_model_config(cfg: dict, n_nodes: int) -> md.ModelConfig:
+    """The model section as a validated ModelConfig for data with ``n_nodes``
+    nodes. Series data has one channel per node and step (``make_windows``
+    gives [..., 1]), so a model reading more is refused here rather than in
+    its first forward."""
     model_cfg = md.config_from_dict(cfg["model"])
     if model_cfg.n_nodes is None:
         model_cfg.n_nodes = n_nodes
@@ -210,16 +206,10 @@ def build_model_config(cfg: dict, n_nodes: int) -> md.ModelConfig:
             f"model.n_nodes is {model_cfg.n_nodes} but the data has {n_nodes} nodes"
         )
     model_cfg.validate()
-    _check_channels(model_cfg)
-    return model_cfg
-
-
-def _check_channels(model_cfg: md.ModelConfig):
-    """Series data has one channel per node and step (``make_windows`` gives
-    [..., 1]), so a model reading more would fail in its first forward."""
     if model_cfg.input_channels != 1:
         raise ConfigError(f"model.input_channels is {model_cfg.input_channels} "
                           "but series data has 1 channel")
+    return model_cfg
 
 
 def build_train_config(cfg: dict) -> tr.TrainConfig:
@@ -240,15 +230,27 @@ def prepare_splits(series: dp.TrafficSeries, model_cfg: md.ModelConfig):
     return splits, normalizer
 
 
-def _metrics_json(report: dp.MetricsReport, per_horizon: list[dp.MetricsReport]) -> str:
+def _score_test_split(model: md.Forecaster, splits: dict, normalizer: dp.Normalizer,
+                      batch_size: int, out_dir: str, verbose: bool = True):
+    """Forecast the test windows and write metrics.json (overall and per
+    horizon) into ``out_dir``; ``verbose`` prints the summary line. Returns
+    (report, normalized predictions)."""
+    x_test, y_test = splits["test"]
+    preds = tr.predict_batched(model, x_test, batch_size)
+    report = dp.metrics(preds, y_test, normalizer)
     doc = report.as_dict()
-    doc["per_horizon"] = [
-        {"horizon": i + 1, **r.as_dict()} for i, r in enumerate(per_horizon)
-    ]
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    doc["per_horizon"] = [{"horizon": i + 1, **r.as_dict()}
+                          for i, r in enumerate(dp.metrics_per_horizon(preds, y_test, normalizer))]
+    dp.write_atomic(os.path.join(out_dir, "metrics.json"),
+                    (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
+    if verbose:
+        print(f"test mae={report.mae:.4f} rmse={report.rmse:.4f} "
+              f"mape={'n/a' if report.mape is None else f'{report.mape:.2f}%'}")
+    return report, preds
 
 
-def _run_training(cfg: dict, out_dir: str, log_progress: bool = True) -> dict:
+def _run_training(cfg: dict, out_dir: str, verbose: bool = True):
+    """Train one run into ``out_dir``; returns (fit result, test report)."""
     _make_out_dir(out_dir)
     series, adjacency = load_dataset(cfg)
     model_cfg = build_model_config(cfg, series.node_count)
@@ -261,7 +263,7 @@ def _run_training(cfg: dict, out_dir: str, log_progress: bool = True) -> dict:
 
     model = md.Forecaster(model_cfg, adjacency=adjacency)
     log = None
-    if log_progress:
+    if verbose:
         log = lambda r: print(
             f"epoch {r.epoch}: train_loss={r.train_loss:.5f} val_mae={r.val_mae:.4f}",
             file=sys.stderr,
@@ -274,22 +276,13 @@ def _run_training(cfg: dict, out_dir: str, log_progress: bool = True) -> dict:
         os.path.join(out_dir, "checkpoint.bin"),
         cfg, model.params,
     )
-    x_test, y_test = splits["test"]
-    preds = tr.predict_batched(model, x_test, train_cfg.batch_size)
-    report = dp.metrics(preds, y_test, normalizer)
-    horizon = dp.metrics_per_horizon(preds, y_test, normalizer)
-    dp.write_atomic(os.path.join(out_dir, "metrics.json"), _metrics_json(report, horizon).encode())
-    return {"model": model, "result": result, "report": report, "config": cfg}
+    report, _ = _score_test_split(model, splits, normalizer, train_cfg.batch_size, out_dir,
+                                  verbose)
+    return result, report
 
 
 def cmd_train(args) -> int:
-    cfg = load_run_config(args.config)
-    apply_overrides(cfg, args.set or [])
-    resolve_seeds(cfg, args.seed)
-    outcome = _run_training(cfg, args.out)
-    report = outcome["report"]
-    print(f"test mae={report.mae:.4f} rmse={report.rmse:.4f} "
-          f"mape={'n/a' if report.mape is None else f'{report.mape:.2f}%'}")
+    _run_training(resolve_run_config(args), args.out)
     return EXIT_OK
 
 
@@ -318,17 +311,8 @@ def cmd_eval(args) -> int:
         cfg["data"]["adjacency_csv"] = args.adjacency
     with _blame_echo(args.checkpoint):
         series, adjacency = load_dataset(cfg)
-        model_cfg = md.config_from_dict(cfg["model"])
-        model_cfg.validate()
-        _check_channels(model_cfg)
+        model_cfg = build_model_config(cfg, series.node_count)
         train_cfg = build_train_config(cfg)
-    if model_cfg.n_nodes != series.node_count:
-        print(
-            f"error: checkpoint was trained with {model_cfg.n_nodes} nodes "
-            f"but the data has {series.node_count}",
-            file=sys.stderr,
-        )
-        return EXIT_DATA
     splits, normalizer = prepare_splits(series, model_cfg)
     model = md.Forecaster(model_cfg, adjacency=adjacency)
     try:
@@ -336,16 +320,9 @@ def cmd_eval(args) -> int:
     except (KeyError, ShapeError) as exc:
         raise ParseError(f"{args.checkpoint}: {exc.args[0]}") from None
 
-    x_test, y_test = splits["test"]
-    preds = tr.predict_batched(model, x_test, train_cfg.batch_size)
-    report = dp.metrics(preds, y_test, normalizer)
-    horizon = dp.metrics_per_horizon(preds, y_test, normalizer)
-    dp.write_atomic(os.path.join(args.out, "metrics.json"),
-                    _metrics_json(report, horizon).encode())
+    _, preds = _score_test_split(model, splits, normalizer, train_cfg.batch_size, args.out)
     dp.write_predictions_csv(os.path.join(args.out, "predictions.csv"),
                              normalizer.denormalize(preds))
-    print(f"test mae={report.mae:.4f} rmse={report.rmse:.4f} "
-          f"mape={'n/a' if report.mape is None else f'{report.mape:.2f}%'}")
     return EXIT_OK
 
 
@@ -359,9 +336,7 @@ def _convergence_epoch(history: list[tr.EpochRecord]) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = load_run_config(args.config)
-    apply_overrides(cfg, args.set or [])
-    resolve_seeds(cfg, args.seed)
+    cfg = resolve_run_config(args)
     graph_modes = args.graph_modes.split(",") if args.graph_modes else list(md.GRAPH_MODES)
     variants = args.variants.split(",") if args.variants else list(md.GST2_VARIANTS)
     for flag, values, allowed in (("--graph-modes", graph_modes, md.GRAPH_MODES),
@@ -391,19 +366,18 @@ def cmd_ablate(args) -> int:
             cell = cell_config(mode, variant)
             cell_dir = os.path.join(args.out, "cells", f"{mode}__{variant}")
             try:
-                outcome = _run_training(cell, cell_dir, log_progress=False)
+                result, report = _run_training(cell, cell_dir, verbose=False)
             except Exception as exc:  # record and continue with the grid
                 failures.append({"graph_mode": mode, "variant": variant, "error": str(exc)})
                 print(f"cell {mode}/{variant} failed: {exc}", file=sys.stderr)
                 continue
-            report = outcome["report"]
             rows.append((mode, variant, report.mae, report.rmse, report.mape))
             summary.append({
                 "graph_mode": mode,
                 "variant": variant,
-                "epochs_run": len(outcome["result"].history),
-                "best_epoch": outcome["result"].best_epoch,
-                "convergence_epoch": _convergence_epoch(outcome["result"].history),
+                "epochs_run": len(result.history),
+                "best_epoch": result.best_epoch,
+                "convergence_epoch": _convergence_epoch(result.history),
             })
             print(f"cell {mode}/{variant}: mae={report.mae:.4f}")
     lines = ["graph_mode,variant,mae,rmse,mape"]
@@ -426,29 +400,15 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg = load_run_config(args.config)
-    apply_overrides(cfg, args.set or [])
-    resolve_seeds(cfg, args.seed)
-    # force a desk-size problem regardless of the configured data
-    model_cfg = md.config_from_dict(cfg["model"])
-    model_cfg.n_nodes = 4
-    model_cfg.input_steps = 6
-    model_cfg.output_steps = 3
-    model_cfg.embed_dim = 2
-    model_cfg.hidden_dim = 4
-    model_cfg.heads = 2
-    model_cfg.cheb_order = 1
-    model_cfg.dropout_input = 0.0
-    model_cfg.dropout_inner = 0.0
-    model_cfg.ffn_dim = 8
-    model_cfg.fc_hidden = 16
+    cfg = resolve_run_config(args)
+    model_cfg = dataclasses.replace(md.config_from_dict(cfg["model"]), **_GRADCHECK_SIZES)
     model_cfg.validate()
     rng = np.random.default_rng(cfg["seed"])
     x = rng.standard_normal((2, model_cfg.input_steps, model_cfg.n_nodes, 1))
     y = rng.standard_normal((2, model_cfg.output_steps, model_cfg.n_nodes))
     adjacency = None
     if model_cfg.graph_mode == "static":
-        _, adjacency = dp.synthesize(model_cfg.n_nodes, 288, int(cfg["seed"]))
+        _, adjacency = dp.synthesize(model_cfg.n_nodes, 288, cfg["seed"])
     report = tr.grad_check(model_cfg, x, y, adjacency=adjacency, tol=args.tol,
                            seed=cfg["seed"])
     for entry in report.entries:
@@ -461,24 +421,28 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_synth(args) -> int:
     _make_out_dir(args.out)
-    series, adjacency = _synthesize("synth", args.nodes, args.steps, args.seed,
-                                    args.noise_level, args.diffusion)
+    series, adjacency = _synthesize("synth", {name: getattr(args, name) for name in _SYNTH_PARAMS})
     dp.write_series_csv(os.path.join(args.out, "series.csv"), series.values)
     dp.write_series_csv(os.path.join(args.out, "adjacency.csv"), adjacency)
     print(f"wrote {series.steps}x{series.node_count} series to {args.out}")
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is a config error: one line and exit 1, through
+        main's mapping, not argparse's usage text and exit 2."""
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="flowcast",
-                                     description="traffic flow forecasting harness")
+    parser = _Parser(prog="flowcast", description="traffic flow forecasting harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", default=None, help="JSON run config")
-            p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                           help="override a config field (repeatable)")
+    def common(p):
+        p.add_argument("--config", default=None, help="JSON run config")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                       help="override a config field (repeatable)")
         p.add_argument("--seed", type=int, default=None, help="run seed override")
         p.add_argument("--out", default="out", help="output directory")
 
@@ -508,11 +472,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc.set_defaults(fn=cmd_gradcheck)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic series + adjacency")
-    p_synth.add_argument("--nodes", type=int, default=8)
-    p_synth.add_argument("--steps", type=int, default=2016)
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--noise-level", type=float, default=1.0)
-    p_synth.add_argument("--diffusion", type=float, default=0.25)
+    for name, param in _SYNTH_PARAMS.items():
+        p_synth.add_argument("--" + name.replace("_", "-"), default=param.default,
+                             type={"int": int, "float": float}[param.annotation],
+                             help="default: %(default)s")
     p_synth.add_argument("--out", default="out", help="output directory")
     p_synth.set_defaults(fn=cmd_synth)
 
@@ -520,8 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

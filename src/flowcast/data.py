@@ -209,9 +209,12 @@ def metrics_per_horizon(pred: np.ndarray, truth: np.ndarray, normalizer: Normali
     return [metrics(pred[:, t], truth[:, t], normalizer) for t in range(pred.shape[1])]
 
 
-def synthesize(n_nodes: int, steps: int, seed: int, noise_level: float = 1.0,
+def synthesize(nodes: int = 8, steps: int = 2016, seed: int = 0, noise_level: float = 1.0,
                diffusion: float = 0.25) -> tuple[TrafficSeries, np.ndarray]:
     """Generate a synthetic flow series on a random geometric graph.
+
+    The parameters, their annotated kinds and their defaults are also the
+    CLI's ``data.synth`` keys and ``synth`` flags.
 
     Each node carries a daily sinusoid (period 288 steps) with its own phase,
     amplitude and offset; every tick mixes in the neighbors' previous values
@@ -222,27 +225,29 @@ def synthesize(n_nodes: int, steps: int, seed: int, noise_level: float = 1.0,
         (series, adjacency) with a symmetric zero-diagonal adjacency in which
         every node has at least one neighbor.
     """
-    if n_nodes < 2:
-        raise ValueError(f"need at least 2 nodes, got {n_nodes}")
+    if nodes < 2:
+        raise ValueError(f"need at least 2 nodes, got {nodes}")
     if steps < DAY_STEPS:
         raise ValueError(f"need at least {DAY_STEPS} steps (one day), got {steps}")
     if not 0.0 <= diffusion < 1.0:
         raise ValueError(f"diffusion weight must be in [0, 1), got {diffusion}")
     if not 0.0 <= noise_level < np.inf:
         raise ValueError(f"noise level must be finite and >= 0, got {noise_level}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
 
-    points = rng.random((n_nodes, 2))
+    points = rng.random((nodes, 2))
     dists = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
-    adjacency = ((dists < 0.5) & ~np.eye(n_nodes, dtype=bool)).astype(np.float64)
-    for i in range(n_nodes):  # connect isolated nodes to their nearest neighbor
+    adjacency = ((dists < 0.5) & ~np.eye(nodes, dtype=bool)).astype(np.float64)
+    for i in range(nodes):  # connect isolated nodes to their nearest neighbor
         if adjacency[i].sum() == 0:
-            j = int(np.argmin(np.where(np.arange(n_nodes) == i, np.inf, dists[i])))
+            j = int(np.argmin(np.where(np.arange(nodes) == i, np.inf, dists[i])))
             adjacency[i, j] = adjacency[j, i] = 1.0
 
-    amplitude = rng.uniform(40.0, 120.0, n_nodes)
-    phase = rng.uniform(0.0, 2.0 * np.pi, n_nodes)
-    offset = amplitude + rng.uniform(10.0, 50.0, n_nodes)
+    amplitude = rng.uniform(40.0, 120.0, nodes)
+    phase = rng.uniform(0.0, 2.0 * np.pi, nodes)
+    offset = amplitude + rng.uniform(10.0, 50.0, nodes)
     ticks = np.arange(steps)[:, None]
     base = offset + amplitude * np.sin(2.0 * np.pi * ticks / DAY_STEPS + phase)
 

@@ -307,7 +307,9 @@ def load_checkpoint(manifest_path: str) -> tuple[dict, dict[str, np.ndarray]]:
     object with an object ``model`` section; ``data`` and ``train`` sections,
     where present, are objects too) and ``parameters`` (a list), has a
     malformed parameter entry (name, a shape that is a list of non-negative
-    ints, a non-negative int offset), or points past the end of the blob."""
+    ints, a non-negative int offset), or points past the end of the blob,
+    and naming the blob and the parameter when a stored value is NaN or
+    infinite."""
     try:
         with open(manifest_path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
@@ -356,6 +358,8 @@ def load_checkpoint(manifest_path: str) -> tuple[dict, dict[str, np.ndarray]]:
                 f"runs past the end of the {len(blob)}-byte blob"
             )
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start)
+        if not np.isfinite(arr).all():
+            raise ParseError(f"{blob_path}: parameter '{name}' holds a non-finite value")
         values[name] = arr.reshape(shape).astype(np.float64)
     return config, values
 

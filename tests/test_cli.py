@@ -117,6 +117,14 @@ SEED_NAMED = "seed cannot be set; the top-level 'seed' (or --seed)"
                  id="model_seed_in_config_file"),
     pytest.param(_section_seed_config("train"), "train." + SEED_NAMED,
                  id="train_seed_in_config_file"),
+    pytest.param(["--seed", "-1"], "config error: seed must be a non-negative integer, got -1",
+                 id="seed_negative"),
+    pytest.param(["--set", "seed=1.5"], "config error: seed must be a non-negative integer, got 1.5",
+                 id="seed_not_an_integer"),
+    pytest.param(["--set", "seed=true"], "config error: seed must be a non-negative integer, "
+                 "got True", id="seed_a_bool"),
+    pytest.param(["--seed", "1e3"], "config error: flowcast train: argument --seed: invalid int",
+                 id="seed_flag_not_an_int"),
 ])
 def test_bad_config_value_exits_one(tmp_path, capsys, extra, named):
     if callable(extra):
@@ -153,6 +161,9 @@ def test_synth_writes_series_and_adjacency(tmp_path):
     pytest.param("--diffusion", "5", "diffusion", id="diffusion_out_of_range"),
     pytest.param("--noise-level", "-1", "noise level", id="noise_negative"),
     pytest.param("--noise-level", "nan", "noise level", id="noise_nan"),
+    pytest.param("--nodes", "x", "argument --nodes: invalid int value: 'x'",
+                 id="nodes_not_a_number"),
+    pytest.param("--seed", "-1", "synth: seed must be >= 0, got -1", id="seed_negative"),
 ])
 def test_synth_out_of_range_exits_one(tmp_path, capsys, flag, value, named):
     code = run(["synth", flag, value, "--out", str(tmp_path / "synth")])
@@ -412,6 +423,25 @@ def test_eval_bad_checkpoint_exits_two(trained_run, tmp_path, capsys, corrupt, n
     assert code == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and named_file in err
+
+
+def test_eval_non_finite_checkpoint_value_exits_two(trained_run, tmp_path, capsys):
+    # a well-formed checkpoint holding one NaN: the ReLUs would map it to
+    # finite forecasts, so only the load can catch it
+    run_dir = str(tmp_path / "run")
+    shutil.copytree(trained_run, run_dir)
+    manifest = os.path.join(run_dir, "checkpoint.json")
+    entry = next(p for p in json.loads(open(manifest).read())["parameters"]
+                 if p["name"] == "embed.node")
+    with open(os.path.join(run_dir, "checkpoint.bin"), "r+b") as f:
+        f.seek(entry["offset"] + 8)
+        f.write(np.array([np.nan], dtype="<f8").tobytes())
+    capsys.readouterr()
+    code = run(["eval", "--checkpoint", manifest, "--out", str(tmp_path / "eval")])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "checkpoint.bin" in err and "'embed.node'" in err
+    assert not os.path.exists(tmp_path / "eval" / "metrics.json")
 
 
 def test_eval_adjacency_with_synth_data_exits_one(trained_run, tmp_path, capsys):
