@@ -487,22 +487,6 @@ def concat(tensors: list, axis: int = -1) -> Tensor:
     return _record(out, tuple(tensors), back)
 
 
-def stack(tensors: list, axis: int = 0) -> Tensor:
-    if not tensors:
-        raise ValueError("stack: need at least one tensor")
-    for t in tensors[1:]:
-        if t.shape != tensors[0].shape:
-            raise ShapeError(f"stack: shapes {tensors[0].shape} and {t.shape} differ")
-    out = Tensor(np.stack([t.data for t in tensors], axis=axis))
-    ax = axis % out.ndim
-
-    def back(g):
-        for i, t in enumerate(tensors):
-            _accum(t, np.take(g, i, axis=ax))
-
-    return _record(out, tuple(tensors), back)
-
-
 def select(x: Tensor, index: int, axis: int) -> Tensor:
     """Pick one slice along ``axis`` (the axis is removed)."""
     ax = axis % x.ndim

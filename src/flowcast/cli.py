@@ -238,8 +238,8 @@ def _score_test_split(model: md.Forecaster, splits: dict, normalizer: dp.Normali
     x_test, y_test = splits["test"]
     preds = tr.predict_batched(model, x_test, batch_size)
     report = dp.metrics(preds, y_test, normalizer)
-    doc = report.as_dict()
-    doc["per_horizon"] = [{"horizon": i + 1, **r.as_dict()}
+    doc = dataclasses.asdict(report)
+    doc["per_horizon"] = [{"horizon": i + 1, **dataclasses.asdict(r)}
                           for i, r in enumerate(dp.metrics_per_horizon(preds, y_test, normalizer))]
     dp.write_atomic(os.path.join(out_dir, "metrics.json"),
                     (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())

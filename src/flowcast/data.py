@@ -175,14 +175,6 @@ class MetricsReport:
     mape: float | None
     mape_mask_count: int
 
-    def as_dict(self) -> dict:
-        return {
-            "mae": self.mae,
-            "rmse": self.rmse,
-            "mape": self.mape,
-            "mape_mask_count": self.mape_mask_count,
-        }
-
 
 def metrics(pred: np.ndarray, truth: np.ndarray, normalizer: Normalizer) -> MetricsReport:
     """Compute MAE / RMSE / MAPE between normalized arrays, in original units.

@@ -1,4 +1,5 @@
-"""Graph structure learning and node-adaptive Chebyshev graph convolution.
+"""Graph structure learning and the parts of the node-adaptive Chebyshev
+graph convolution: the Chebyshev terms and the node weights.
 
 Three ways to obtain the propagation matrices:
 
@@ -16,13 +17,11 @@ Chebyshev matrix T_k(L) is formed: cheb_recurrence computes the terms
 T_k(L) x on the signal by the recurrence T_k x = 2 L T_{k-1} x - T_{k-2} x,
 one L-product per term, as ChebNet does, and cheb_recurrence_adjoint is its
 backward. They work on arrays in the layout [N, K+1, C, B], node-major and
-batch-last; chebyshev_propagate wraps them as one tape op, and the GRU's
-gate and candidate ops in :mod:`recurrent` call them inside their own. The
-node weights (SGCNParams.node_weights) are one GEMM of the node features
-with the flattened pool; given the z and r pools concatenated along their
-output channels, one product builds both gates' weights. The composed
-convolution (convolve: chebyshev_propagate, then one batched ad.matmul per
-node and weight set) is the reference the fused GRU ops are tested against.
+batch-last, and their only callers are the GRU's gate and candidate ops in
+:mod:`recurrent`, which hold the graph convolution. The node weights
+(SGCNParams.node_weights) are one GEMM of the node features with the
+flattened pool; given the z and r pools concatenated along their output
+channels, one product builds both gates' weights.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ class GraphBundle:
     and ``node_features`` the per-step embedding E[t] [T, N, d_e]. Static
     and adaptive mode have the one graph every step shares: ``laplacians``
     is [N, N] and ``node_features`` None. The Chebyshev order is not part of
-    the bundle; convolve reads it from the node weights.
+    the bundle; the GRU's convolution reads it from the node weights.
     """
 
     laplacians: Tensor
@@ -125,46 +124,6 @@ def cheb_recurrence_adjoint(lap: Tensor, lap2: np.ndarray, flat: np.ndarray,
         gl = sum(a[k] @ flat[:, k - 1].T for k in range(2, order + 1))
         ad._accum(lap, a[1] @ flat[:, 0].T + 2.0 * gl)
     return a[0]
-
-
-def chebyshev_propagate(lap: Tensor, x: Tensor, order: int) -> Tensor:
-    """The Chebyshev terms T_0(L) x .. T_order(L) x of x [B, N, C] on the
-    graph lap [N, N], as one [N, K+1, C, B] array (the layout convolve mixes
-    from), without forming any T_k(L):
-
-        T_0 x = x,  T_1 x = L x,  T_k x = 2 L T_{k-1} x - T_{k-2} x.
-
-    T_0 x is x copied into place and each later term one GEMM
-    (cheb_recurrence). One tape entry with a hand-written backward that reads
-    only L and the output (cheb_recurrence_adjoint).
-    """
-    if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
-        raise ShapeError(f"chebyshev_propagate: graph must be [N, N], got {lap.shape}")
-    if x.ndim != 3 or x.shape[1] != lap.shape[0]:
-        raise ShapeError(f"chebyshev_propagate: signal {x.shape} is not [B, {lap.shape[0]}, C]")
-    b, n, c = x.shape
-    terms = np.empty((n, order + 1, c, b))
-    terms[:, 0] = x.data.transpose(1, 2, 0)
-    flat = terms.reshape(n, order + 1, c * b)          # a view: [N, K+1, C B]
-    lap2 = cheb_recurrence(lap.data, flat)
-
-    def back(g):
-        g_x = cheb_recurrence_adjoint(lap, lap2, flat, g.reshape(flat.shape), x.requires_grad)
-        if x.requires_grad:
-            ad._accum(x, g_x.reshape(n, c, b).transpose(2, 0, 1))
-
-    return ad._record(Tensor(terms), (lap, x), back)
-
-
-def _cheb_stack(laplacians: Tensor, order: int) -> Tensor:
-    """Stack T_0..T_order of the [..., N, N] matrices into [K+1, ..., N, N]:
-    the terms chebyshev_propagate gives for the identity signal."""
-    if laplacians.ndim > 2:
-        return ad.stack([_cheb_stack(ad.select(laplacians, t, axis=0), order)
-                         for t in range(laplacians.shape[0])], axis=1)
-    eye = Tensor(np.eye(laplacians.shape[-1])[None])       # B = 1, C = N
-    terms = chebyshev_propagate(laplacians, eye, order)     # [N, K+1, N, 1]
-    return ad.transpose(ad.reshape(terms, terms.shape[:3]), (1, 0, 2))
 
 
 def build_sequence_graphs(bank: EmbeddingBank) -> GraphBundle:
@@ -259,23 +218,3 @@ class SGCNParams:
         d, _, _, c_out = self.weight_pool.shape
         theta = ad.matmul(e, ad.reshape(self.weight_pool, (d, -1)))
         return ad.reshape(theta, (e.shape[0], -1, c_out)), ad.matmul(e, self.bias_pool)
-
-
-def convolve(x: Tensor, lap_t: Tensor, *weights: tuple[Tensor, Tensor]) -> list[Tensor]:
-    """Chebyshev graph convolution of x [B, N, C_in] on the graph lap_t
-    [N, N], one [B, N, C_out] output per (weights, bias) given. The order K
-    is read from the (K+1) C_in rows of the node weights [N, (K+1) C_in,
-    C_out]. x is propagated once (chebyshev_propagate) and its terms viewed as
-    [N, B, (K+1) C_in]; each output is then one batched per-node product
-    [B, (K+1) C_in] x [(K+1) C_in, C_out], viewed as [B, N, C_out]."""
-    b, n, c_in = x.shape
-    order = weights[0][0].shape[1] // c_in - 1
-    terms = chebyshev_propagate(lap_t, x, order)              # [N, K+1, C_in, B]
-    rows = ad.transpose(ad.reshape(terms, (n, -1, b)), (0, 2, 1))
-    return [ad.add(ad.transpose(ad.matmul(rows, theta), (1, 0, 2)), bias)
-            for theta, bias in weights]
-
-
-def sgcn_forward(x: Tensor, lap_t: Tensor, e_t: Tensor, params: SGCNParams) -> Tensor:
-    """convolve with the node weights of params at e_t [N, d_e] (see GraphBundle.at)."""
-    return convolve(x, lap_t, params.node_weights(e_t))[0]

@@ -307,9 +307,10 @@ def load_checkpoint(manifest_path: str) -> tuple[dict, dict[str, np.ndarray]]:
     object with an object ``model`` section; ``data`` and ``train`` sections,
     where present, are objects too) and ``parameters`` (a list), has a
     malformed parameter entry (name, a shape that is a list of non-negative
-    ints, a non-negative int offset), or points past the end of the blob,
-    and naming the blob and the parameter when a stored value is NaN or
-    infinite."""
+    ints, a non-negative int offset), or does not tile the blob: each
+    parameter must start where the previous one ends, the first at 0, and
+    the last must end at the blob's end. Names the blob and the parameter
+    when a stored value is NaN or infinite."""
     try:
         with open(manifest_path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
@@ -345,6 +346,7 @@ def load_checkpoint(manifest_path: str) -> tuple[dict, dict[str, np.ndarray]]:
     except OSError as exc:
         raise ParseError(f"{blob_path}: cannot read checkpoint blob: {exc.strerror}") from None
     values = {}
+    end = 0
     for entry in entries:
         name, shape, start = (entry.get(key) for key in ("name", "shape", "offset")) \
             if isinstance(entry, dict) else (None, None, None)
@@ -352,7 +354,11 @@ def load_checkpoint(manifest_path: str) -> tuple[dict, dict[str, np.ndarray]]:
                 not all(_is_int(n) and n >= 0 for n in shape + [start]):
             raise ParseError(f"{manifest_path}: malformed parameter entry {entry!r}")
         count = math.prod(shape)
-        if start + 8 * count > len(blob):
+        if start != end:
+            raise ParseError(f"{manifest_path}: parameter '{name}' starts at offset {start} of "
+                             f"{blob_path}, not at {end} where the previous one ends")
+        end = start + 8 * count
+        if end > len(blob):
             raise ParseError(
                 f"{blob_path}: parameter '{name}' ({8 * count} bytes at offset {start}) "
                 f"runs past the end of the {len(blob)}-byte blob"
@@ -361,6 +367,9 @@ def load_checkpoint(manifest_path: str) -> tuple[dict, dict[str, np.ndarray]]:
         if not np.isfinite(arr).all():
             raise ParseError(f"{blob_path}: parameter '{name}' holds a non-finite value")
         values[name] = arr.reshape(shape).astype(np.float64)
+    if end != len(blob):
+        raise ParseError(f"{blob_path}: the parameters of {manifest_path} end at byte {end} "
+                         f"of the {len(blob)}-byte blob")
     return config, values
 
 

@@ -1,8 +1,9 @@
 """Recurrent encoder: a GRU whose gates are graph convolutions.
 
-Each gate applies the node-adaptive Chebyshev graph convolution of
-:mod:`graphs` to the concatenation of the step input and the previous hidden
-state, so spatial mixing happens inside every recurrent update:
+Each gate applies a node-adaptive Chebyshev graph convolution (_conv: the
+terms of graphs.cheb_recurrence mixed by the node weights of
+graphs.SGCNParams) to the concatenation of the step input and the previous
+hidden state, so spatial mixing happens inside every recurrent update:
 
     [z, r] = sigmoid(conv_zr([x_t, h]))     update and reset gates
     c = tanh(conv_c([x_t, r * h]))          candidate state
@@ -171,17 +172,6 @@ def _step(x_t: Tensor, h: Tensor, lap_t: Tensor, weights: tuple) -> Tensor:
     gates = gate_op(x_t, h, lap_t, theta_zr, bias_zr)
     c = ad.tanh(candidate_op(x_t, h, gates, lap_t, theta_c, bias_c))
     return blend_op(gates, h, c)
-
-
-def gru_cell_step(x_t: Tensor, h_prev: Tensor, cell: GruCellParams,
-                  bundle: GraphBundle, bank: EmbeddingBank, t: int) -> Tensor:
-    """One recurrent update at time step t, the one encode_sequence runs,
-    on batch-first tensors: x_t is [B, N, C], h_prev and the result are
-    [B, N, d_h]. All three gates read the step-t graph."""
-    lap_t, e_t = bundle.at(t, bank)
-    weights = tuple(p.node_weights(e_t) for p in cell.gate_params())
-    h = _step(ad.transpose(x_t, (1, 2, 0)), ad.transpose(h_prev, (1, 2, 0)), lap_t, weights)
-    return ad.transpose(h, (2, 0, 1))
 
 
 def _stack_states(states: list[Tensor]) -> Tensor:

@@ -82,15 +82,6 @@ class EpochRecord:
     val_rmse: float
     val_mape: float | None
 
-    def as_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "val_mae": self.val_mae,
-            "val_rmse": self.val_rmse,
-            "val_mape": self.val_mape,
-        }
-
 
 @dataclass
 class FitResult:

@@ -2,14 +2,14 @@
 
 Everything here is written as plain scalar/nested loops over numpy arrays,
 deliberately avoiding the code paths under test, except the composed
-encoder (encode_composed), which builds the recurrent update from the small
-tape ops the fused encoder ops replace.
+encoder (encode_composed), which builds the recurrent update from generic
+tape ops (matmul, concat, transpose, ...) and none of the encoder's own
+Chebyshev or GRU code.
 """
 
 import numpy as np
 
 from flowcast import autodiff as ad
-from flowcast import graphs
 from flowcast.autodiff import Tensor
 
 
@@ -110,31 +110,47 @@ def sigmoid_op(x: Tensor) -> Tensor:
     return ad._record(Tensor(y), (x,), back)
 
 
-def gru_update_composed(x_t, h_prev, lap_t, weights):
-    """The GRU update of x_t [B, N, C] and h_prev [B, N, d_h] from small tape
-    ops: concat, graphs.convolve (z and r share one propagation), sigmoid,
-    mul, tanh, scalar_affine and add. weights holds the per-node (weights,
-    bias) of the update, reset and candidate gates."""
-    w_z, w_r, w_c = weights
-    z, r = (sigmoid_op(g)
-            for g in graphs.convolve(ad.concat([x_t, h_prev], axis=-1), lap_t, w_z, w_r))
-    (cand,) = graphs.convolve(ad.concat([x_t, ad.mul(r, h_prev)], axis=-1), lap_t, w_c)
-    return ad.add(ad.mul(z, h_prev), ad.mul(ad.scalar_affine(z, -1.0, 1.0), ad.tanh(cand)))
+def conv_composed(x, lap, e, gates):
+    """Node-adaptive Chebyshev graph convolution of x [B, N, C_in] on the
+    graph lap [N, N] from generic tape ops, one [B, N, C_out] output per
+    SGCNParams in gates (they share the terms). T_0 x = x, T_1 x = L x and
+    T_k x = 2 L T_{k-1} x - T_{k-2} x by matmul, scalar_affine and sub; the
+    terms are joined by concat into per-node rows [N, B, (K+1) C_in], each
+    multiplied by that node's weights e @ weight_pool."""
+    _, n, c_in = x.shape
+    k1 = gates[0].weight_pool.shape[1]
+    terms = [x, ad.matmul(lap, x)][:k1]
+    while len(terms) < k1:
+        terms.append(ad.sub(ad.scalar_affine(ad.matmul(lap, terms[-1]), 2.0, 0.0), terms[-2]))
+    rows = ad.transpose(ad.concat(terms, axis=-1), (1, 0, 2))
+    outs = []
+    for gate in gates:
+        d, _, _, c_out = gate.weight_pool.shape
+        theta = ad.reshape(ad.matmul(e, ad.reshape(gate.weight_pool, (d, -1))),
+                           (n, k1 * c_in, c_out))
+        outs.append(ad.add(ad.transpose(ad.matmul(rows, theta), (1, 0, 2)),
+                           ad.matmul(e, gate.bias_pool)))
+    return outs
 
 
 def encode_composed(x, cell, bundle, bank):
-    """recurrent.encode_sequence from gru_update_composed steps: x [B, T, N, C]
-    -> [B, N, T, d_h]."""
+    """The GRU encoder of x [B, T, N, C] -> [B, N, T, d_h] from generic tape
+    ops: conv_composed (z and r share one set of terms), sigmoid_op, mul,
+    tanh, scalar_affine and add per step, the states joined by concat. It
+    reads the pools of cell and the graphs of bundle, and nothing else of
+    the encoder under test."""
     b, steps, n, _ = x.shape
-    gates = (cell.update, cell.reset, cell.candidate)
     h = Tensor(np.zeros((b, n, cell.hidden_dim)))
     states = []
     for t in range(steps):
-        lap_t, e_t = bundle.at(t, bank)
-        h = gru_update_composed(ad.select(x, t, axis=1), h, lap_t,
-                                tuple(gate.node_weights(e_t) for gate in gates))
-        states.append(h)
-    return ad.stack(states, axis=2)
+        lap, e = bundle.at(t, bank)
+        x_t = ad.select(x, t, axis=1)
+        z, r = (sigmoid_op(g) for g in
+                conv_composed(ad.concat([x_t, h], axis=-1), lap, e, (cell.update, cell.reset)))
+        (cand,) = conv_composed(ad.concat([x_t, ad.mul(r, h)], axis=-1), lap, e, (cell.candidate,))
+        h = ad.add(ad.mul(z, h), ad.mul(ad.scalar_affine(z, -1.0, 1.0), ad.tanh(cand)))
+        states.append(ad.reshape(h, (b, n, 1, cell.hidden_dim)))
+    return ad.concat(states, axis=2)
 
 
 def attention_loop(q, k, v):

@@ -361,6 +361,11 @@ def _truncate_blob(manifest, blob):
         f.truncate(os.path.getsize(blob) - 8)
 
 
+def _append_to_blob(manifest, blob):
+    with open(blob, "ab") as f:
+        f.write(bytes(24))
+
+
 def _write_manifest(text):
     return lambda manifest, blob: open(manifest, "w").write(text)
 
@@ -384,6 +389,9 @@ def _directory_in_place_of(which):
 
 @pytest.mark.parametrize("corrupt,named_file", [
     pytest.param(_truncate_blob, "checkpoint.bin", id="truncated_blob"),
+    pytest.param(_append_to_blob, "checkpoint.bin", id="bytes_after_last_parameter"),
+    pytest.param(_edit_manifest(lambda d: d["parameters"][1].update(offset=0)),
+                 "checkpoint.bin", id="offset_reused"),
     pytest.param(_write_manifest('{"format_version": 1,'), "checkpoint.json", id="invalid_json"),
     pytest.param(_write_manifest("[1, 2]"), "checkpoint.json", id="not_an_object"),
     pytest.param(_edit_manifest(lambda d: d.pop("parameters")), "checkpoint.json",
@@ -442,6 +450,24 @@ def test_eval_non_finite_checkpoint_value_exits_two(trained_run, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "checkpoint.bin" in err and "'embed.node'" in err
     assert not os.path.exists(tmp_path / "eval" / "metrics.json")
+
+
+def test_eval_v1_checkpoint_fixture_exits_zero(tmp_path, capsys):
+    # the committed v1 checkpoint (see tests/test_model.py) evaluates to the
+    # test metrics its training run wrote
+    fixture = os.path.join(os.path.dirname(__file__), "fixtures", "checkpoint_v1")
+    out = tmp_path / "eval"
+    code = run(["eval", "--checkpoint", os.path.join(fixture, "checkpoint.json"),
+                "--out", str(out)])
+    assert code == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    with open(os.path.join(fixture, "metrics.json")) as f:
+        want = json.load(f)
+    got = json.loads((out / "metrics.json").read_text())
+    assert len(got["per_horizon"]) == len(want["per_horizon"]) == 3
+    for got_row, want_row in zip([got] + got["per_horizon"], [want] + want["per_horizon"]):
+        for key in ("mae", "rmse", "mape", "mape_mask_count"):
+            assert abs(got_row[key] - want_row[key]) <= 1e-12 * abs(want_row[key])
 
 
 def test_eval_adjacency_with_synth_data_exits_one(trained_run, tmp_path, capsys):

@@ -2,15 +2,25 @@ import numpy as np
 import pytest
 
 from flowcast import autodiff as ad
-from flowcast import graphs
+from flowcast import graphs, recurrent
 from flowcast.autodiff import Tensor
-from flowcast.errors import InvalidGraphError, ShapeError
+from flowcast.errors import InvalidGraphError
 
 from oracles import cheb_polynomial, finite_diff_grad, sgcn_loop, softmax_rows
 
 
 def make_bank(n=3, steps=4, d=2, seed=0):
     return graphs.EmbeddingBank.create(n, steps, d, np.random.default_rng(seed))
+
+
+def cheb_matrices(lap, order):
+    """T_0(L) .. T_order(L) of lap [N, N] as [K+1, N, N]: the terms
+    graphs.cheb_recurrence gives for the identity signal."""
+    n = lap.shape[0]
+    flat = np.empty((n, order + 1, n))
+    flat[:, 0] = np.eye(n)
+    graphs.cheb_recurrence(lap, flat)
+    return flat.transpose(1, 0, 2)
 
 
 # -- sequence-aware graphs ------------------------------------------------------
@@ -26,9 +36,8 @@ def test_identical_rows_give_uniform_matrix():
 
 def test_uniform_matrix_t2_is_antidiagonal():
     # T_2(L) = 2 L^2 - I at the uniform 2x2 matrix
-    lap = Tensor(np.full((1, 2, 2), 0.5))
-    stack = graphs._cheb_stack(lap, order=2)
-    assert np.allclose(stack.data[2, 0], [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
+    t2 = cheb_matrices(np.full((2, 2), 0.5), 2)[2]
+    assert np.allclose(t2, [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
 
 
 def test_distinct_position_embeddings_give_distinct_graphs():
@@ -81,7 +90,7 @@ def test_adaptive_mode_has_one_graph():
     bundle = graphs.build_adaptive_graph(bank.node)
     assert bundle.laplacians.shape == (4, 4)
     assert bundle.node_features is None
-    cheb = graphs._cheb_stack(bundle.laplacians, 1).data
+    cheb = cheb_matrices(bundle.laplacians.data, 1)
     for k in range(2):
         assert np.array_equal(cheb[k], cheb_polynomial(bundle.laplacians.data, k))
 
@@ -144,21 +153,20 @@ def test_spectral_bound_matches_eigvalsh():
         assert abs(graphs.spectral_bound(lap) - np.linalg.eigvalsh(lap).max()) < 1e-8
 
 
-# -- Chebyshev stack --------------------------------------------------------------
+# -- Chebyshev terms --------------------------------------------------------------
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_cheb_recurrence_invariant(order):
     bank = make_bank(n=4, steps=3, d=3, seed=order)
     bundle = graphs.build_sequence_graphs(bank)
-    cheb = graphs._cheb_stack(bundle.laplacians, order).data
-    lap = bundle.laplacians.data
-    for t in range(3):
-        assert np.array_equal(cheb[0, t], np.eye(4))
-        assert np.array_equal(cheb[1, t], lap[t])
+    for lap in bundle.laplacians.data:
+        cheb = cheb_matrices(lap, order)
+        assert np.array_equal(cheb[0], np.eye(4))
+        assert np.array_equal(cheb[1], lap)
         for k in range(1, order):
-            expected = 2.0 * lap[t] @ cheb[k, t] - cheb[k - 1, t]
-            assert np.abs(cheb[k + 1, t] - expected).max() < 1e-10
+            expected = 2.0 * lap @ cheb[k] - cheb[k - 1]
+            assert np.abs(cheb[k + 1] - expected).max() < 1e-10
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -166,50 +174,60 @@ def test_cheb_stack_matches_matrix_power_oracle(order):
     rng = np.random.default_rng(100 + order)
     for n in (2, 4, 6):
         scores = rng.standard_normal((2, n, n))
-        lap = Tensor(softmax_rows(scores.reshape(-1, n)).reshape(2, n, n))
-        stack = graphs._cheb_stack(lap, order)
-        for k in range(order + 1):
-            for t in range(2):
-                assert np.abs(stack.data[k, t] - cheb_polynomial(lap.data[t], k)).max() < 1e-10
+        for lap in softmax_rows(scores.reshape(-1, n)).reshape(2, n, n):
+            cheb = cheb_matrices(lap, order)
+            for k in range(order + 1):
+                assert np.abs(cheb[k] - cheb_polynomial(lap, k)).max() < 1e-10
 
 
 # -- Chebyshev propagation ----------------------------------------------------------
 
 
-def _matrix_stack(lap, order):
-    """T_0..T_order of lap [N, N] as a [K+1, N, N] stack of tape ops: the
-    matrix recurrence the propagation op replaced."""
-    terms = [Tensor(np.eye(lap.shape[0])), lap]
-    for _ in range(2, order + 1):
-        terms.append(ad.sub(ad.scalar_affine(ad.matmul(lap, terms[-1]), 2.0, 0.0), terms[-2]))
-    return ad.stack(terms[: order + 1], axis=0)
+def _propagate(lap, x, order):
+    """graphs.cheb_recurrence and its adjoint as one tape op: the terms
+    [N, K+1, M] of the signal x [N, M] on the graph lap [N, N]."""
+    n, m = x.shape
+    flat = np.empty((n, order + 1, m))
+    flat[:, 0] = x.data
+    lap2 = graphs.cheb_recurrence(lap.data, flat)
+
+    def back(g):
+        g_x = graphs.cheb_recurrence_adjoint(lap, lap2, flat, g, x.requires_grad)
+        if x.requires_grad:
+            ad._accum(x, g_x)
+
+    return ad._record(Tensor(flat), (lap, x), back)
 
 
 def _propagate_by_matrices(lap, x, order):
-    """The terms T_k(L) x [N, K+1, C, B] as products of the matrix stack with
-    x [B, N, C], from matmul, reshape and transpose tape ops."""
-    b, n, c = x.shape
-    signal = ad.reshape(ad.transpose(x, (1, 2, 0)), (n, c * b))            # [N, C B]
-    terms = ad.matmul(_matrix_stack(lap, order), signal)                  # [K+1, N, C B]
-    return ad.transpose(ad.reshape(terms, (order + 1, n, c, b)), (1, 0, 2, 3))
+    """The same terms as products of x with the matrices T_k(L), built by the
+    matrix recurrence from matmul, scalar_affine and sub tape ops and joined
+    by concat."""
+    mats = [Tensor(np.eye(lap.shape[0])), lap]
+    for _ in range(2, order + 1):
+        mats.append(ad.sub(ad.scalar_affine(ad.matmul(lap, mats[-1]), 2.0, 0.0), mats[-2]))
+    n, m = x.shape
+    return ad.concat([ad.reshape(ad.matmul(t, x), (n, 1, m)) for t in mats[: order + 1]], axis=1)
 
 
 @pytest.mark.parametrize("mode", ["static", "adaptive", "sequence_aware"])
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_propagate_matches_matrix_power_terms(mode, order):
-    # B=2, N=5, C=3: T_k(L) x from explicit matrix powers, every step's graph
+    # B=2, N=5, C=3 in the GRU ops' [N, K+1, C, B] layout: T_k(L) x from
+    # explicit matrix powers, every step's graph
     rng = np.random.default_rng(70 + order)
     bank = make_bank(n=5, steps=3, d=2, seed=71)
     bundle = _graph_bundle(mode, bank)
     x = rng.standard_normal((2, 5, 3))
     for t in range(3):
         lap_t, _ = bundle.at(t, bank)
-        out = graphs.chebyshev_propagate(lap_t, Tensor(x), order)
-        assert out.shape == (5, order + 1, 3, 2)
+        terms = np.empty((5, order + 1, 3, 2))
+        terms[:, 0] = x.transpose(1, 2, 0)
+        graphs.cheb_recurrence(lap_t.data, terms.reshape(5, order + 1, 6))
         for k in range(order + 1):
             term = cheb_polynomial(lap_t.data, k)
             for b in range(2):
-                assert np.abs(out.data[:, k, :, b] - term @ x[b]).max() < 1e-12
+                assert np.abs(terms[:, k, :, b] - term @ x[b]).max() < 1e-12
 
 
 @pytest.mark.parametrize("grads", [(True, True), (True, False), (False, True)],
@@ -218,8 +236,8 @@ def test_propagate_matches_matrix_power_terms(mode, order):
 def test_propagate_gradients_match_matrix_stack_and_finite_differences(order, grads):
     rng = np.random.default_rng(80 + order)
     lap_data = softmax_rows(rng.standard_normal((4, 4)))
-    x_data = rng.standard_normal((3, 4, 2))
-    weight = rng.standard_normal((4, order + 1, 2, 3))
+    x_data = rng.standard_normal((4, 6))
+    weight = rng.standard_normal((4, order + 1, 6))
 
     def grads_of(propagate):
         lap = Tensor(lap_data.copy(), requires_grad=grads[0])
@@ -227,12 +245,11 @@ def test_propagate_gradients_match_matrix_stack_and_finite_differences(order, gr
         ad.backward(ad.reduce_sum(ad.mul(propagate(lap, x), Tensor(weight))))
         return lap.grad, x.grad
 
-    got = grads_of(lambda lap, x: graphs.chebyshev_propagate(lap, x, order))
+    got = grads_of(lambda lap, x: _propagate(lap, x, order))
     ref = grads_of(lambda lap, x: _propagate_by_matrices(lap, x, order))
 
     def loss_value():
-        return float((graphs.chebyshev_propagate(Tensor(lap_data), Tensor(x_data), order).data
-                      * weight).sum())
+        return float((_propagate(Tensor(lap_data), Tensor(x_data), order).data * weight).sum())
 
     for wanted, g, r, array in zip(grads, got, ref, (lap_data, x_data)):
         if not wanted:
@@ -241,14 +258,6 @@ def test_propagate_gradients_match_matrix_stack_and_finite_differences(order, gr
         assert np.abs(g - r).max() < 1e-12 * np.abs(r).max()
         fd = finite_diff_grad(loss_value, array)
         assert (np.abs(g - fd) / np.maximum(1.0, np.abs(fd))).max() < 1e-4
-
-
-def test_propagate_rejects_mismatched_shapes():
-    lap = Tensor(np.eye(3))
-    with pytest.raises(ShapeError):
-        graphs.chebyshev_propagate(lap, Tensor(np.zeros((2, 4, 1))), 1)
-    with pytest.raises(ShapeError):
-        graphs.chebyshev_propagate(Tensor(np.eye(3)[None]), Tensor(np.zeros((2, 3, 1))), 1)
 
 
 # -- convolution -------------------------------------------------------------------
@@ -280,12 +289,23 @@ def make_sgcn(n=2, d=2, order=1, c_in=1, c_out=1, seed=0):
     return graphs.SGCNParams.create(d, order, c_in, c_out, rng)
 
 
+def conv(x, lap_t, e_t, params):
+    """The model's graph convolution of x [B, N, C_in] with the node weights
+    of params at e_t [N, d_e], as [B, N, C_out]: recurrent.candidate_op with
+    an empty state (d_h = 0), so that its input [x_t, r h] is x_t."""
+    b, n, _ = x.shape
+    empty = Tensor(np.zeros((n, 0, b)))
+    theta, bias = params.node_weights(e_t)
+    out = recurrent.candidate_op(ad.transpose(x, (1, 2, 0)), empty, empty, lap_t, theta, bias)
+    return ad.transpose(out, (2, 0, 1))
+
+
 def test_sgcn_zero_input_zero_bias():
     bank = make_bank(n=2, steps=2, d=2, seed=6)
     bundle = graphs.build_sequence_graphs(bank)
     params = make_sgcn(seed=6)
     params.bias_pool.data[:] = 0.0
-    out = graphs.sgcn_forward(Tensor(np.zeros((3, 2, 1))), *bundle.at(0, bank), params)
+    out = conv(Tensor(np.zeros((3, 2, 1))), *bundle.at(0, bank), params)
     assert np.array_equal(out.data, np.zeros((3, 2, 1)))
 
 
@@ -293,7 +313,7 @@ def test_sgcn_bias_only_path():
     bank = make_bank(n=2, steps=2, d=2, seed=7)
     bundle = graphs.build_sequence_graphs(bank)
     params = make_sgcn(seed=7)
-    out = graphs.sgcn_forward(Tensor(np.zeros((4, 2, 1))), *bundle.at(1, bank), params)
+    out = conv(Tensor(np.zeros((4, 2, 1))), *bundle.at(1, bank), params)
     e_t = bundle.node_features.data[1]
     expected = e_t @ params.bias_pool.data
     for b in range(4):
@@ -306,7 +326,7 @@ def test_sgcn_matches_loop_oracle():
     bundle = graphs.build_sequence_graphs(bank)
     params = make_sgcn(n=2, d=2, order=1, c_in=1, c_out=1, seed=21)
     x = rng.standard_normal((2, 2, 1))
-    out = graphs.sgcn_forward(Tensor(x), *bundle.at(2, bank), params)
+    out = conv(Tensor(x), *bundle.at(2, bank), params)
     terms = np.stack([cheb_polynomial(bundle.laplacians.data[2], k) for k in range(2)])
     expected = sgcn_loop(x, terms, bundle.node_features.data[2],
                          params.weight_pool.data, params.bias_pool.data)
@@ -336,7 +356,7 @@ def test_sgcn_matches_loop_oracle_at_higher_order(mode, order):
         lap_t, e_t = bundle.at(t, bank)
         lap = bundle.laplacians.data[t] if mode == "sequence_aware" else bundle.laplacians.data
         terms = np.stack([cheb_polynomial(lap, k) for k in range(order + 1)])
-        out = graphs.sgcn_forward(Tensor(x), lap_t, e_t, params)
+        out = conv(Tensor(x), lap_t, e_t, params)
         expected = sgcn_loop(x, terms, e_t.data, params.weight_pool.data, params.bias_pool.data)
         assert np.abs(out.data - expected).max() < 1e-12
 
@@ -344,9 +364,10 @@ def test_sgcn_matches_loop_oracle_at_higher_order(mode, order):
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_node_weights_and_convolve_match_einsum_references(order):
     # The model's two contractions, e @ weight_pool and the per-node mix of
-    # the Chebyshev terms, with two outputs sharing one propagation as the
-    # z and r gates do. Forward and the gradients of x, L, both pools and e
-    # against np.einsum; x is a non-contiguous view.
+    # the Chebyshev terms, with two gates' pools concatenated along their
+    # outputs as gate_op's z and r are. Forward and the gradients of x, L,
+    # both pools and e against np.einsum and the adjoints of the matrix
+    # recurrence; x is a non-contiguous view.
     rng = np.random.default_rng(90 + order)
     b, n, c_in, c_out, d = 3, 5, 2, 4, 3
     x_data = rng.standard_normal((c_in, n, b)).T                   # [B, N, C_in], a view
@@ -357,9 +378,11 @@ def test_node_weights_and_convolve_match_einsum_references(order):
     lap = Tensor(lap_data, requires_grad=True)
     e = Tensor(e_data, requires_grad=True)
     gates = [make_sgcn(d=d, order=order, c_in=c_in, c_out=c_out, seed=91 + g) for g in range(2)]
-    outs = graphs.convolve(x, lap, *(gate.node_weights(e) for gate in gates))
-    ad.backward(ad.reduce_sum(ad.add(ad.mul(outs[0], Tensor(upstream[0])),
-                                     ad.mul(outs[1], Tensor(upstream[1])))))
+    both = graphs.SGCNParams(ad.concat([gate.weight_pool for gate in gates], axis=-1),
+                             ad.concat([gate.bias_pool for gate in gates], axis=-1))
+    out = conv(x, lap, e, both)
+    ad.backward(ad.reduce_sum(ad.mul(out, Tensor(np.concatenate(upstream, axis=-1)))))
+    outs = (out.data[..., :c_out], out.data[..., c_out:])
 
     cheb = np.stack([cheb_polynomial(lap_data, k) for k in range(order + 1)])
     terms = np.einsum("knm,bmi->nkib", cheb, x_data)
@@ -369,7 +392,7 @@ def test_node_weights_and_convolve_match_einsum_references(order):
         pool, bias_pool = gate.weight_pool.data, gate.bias_pool.data
         theta = np.einsum("nd,dkio->nkio", e_data, pool)
         expected = np.einsum("nkib,nkio->bno", terms, theta) + e_data @ bias_pool
-        assert np.abs(out.data - expected).max() < 1e-12 * np.abs(expected).max()
+        assert np.abs(out - expected).max() < 1e-12 * np.abs(expected).max()
         g_theta = np.einsum("nkib,bno->nkio", terms, g)
         g_terms += np.einsum("nkio,bno->nkib", theta, g)
         g_e += np.einsum("nkio,dkio->nd", g_theta, pool) + np.einsum("bno,do->nd", g, bias_pool)
@@ -401,36 +424,9 @@ def test_sgcn_static_mode_uses_node_embedding():
     bundle = graphs.build_static_graph(adjacency)
     bank = graphs.EmbeddingBank.create(2, 2, 2, np.random.default_rng(5), with_positions=False)
     params = make_sgcn(seed=5)
-    out = graphs.sgcn_forward(Tensor(np.zeros((1, 2, 1))), *bundle.at(0, bank), params)
+    out = conv(Tensor(np.zeros((1, 2, 1))), *bundle.at(0, bank), params)
     expected = bank.node.data @ params.bias_pool.data
     assert np.allclose(out.data[0], expected, atol=1e-12)
-
-
-def test_sgcn_gradients_vs_finite_differences():
-    rng = np.random.default_rng(33)
-    bank = make_bank(n=3, steps=2, d=2, seed=33)
-    params = make_sgcn(n=3, d=2, order=1, c_in=2, c_out=2, seed=34)
-    x = rng.standard_normal((2, 3, 2))
-    weight = rng.standard_normal((2, 3, 2))
-
-    bundle = graphs.build_sequence_graphs(bank)
-    out = graphs.sgcn_forward(Tensor(x), *bundle.at(1, bank), params)
-    ad.backward(ad.reduce_sum(ad.mul(out, Tensor(weight))))
-
-    def loss_value():
-        e_all = bank.node.data + bank.position.data
-        mu = e_all.mean(axis=-1, keepdims=True)
-        var = ((e_all - mu) ** 2).mean(axis=-1, keepdims=True)
-        e = bank.ln_gamma.data * ((e_all - mu) / np.sqrt(var + graphs.LN_EPS)) + bank.ln_beta.data
-        lap = softmax_rows(e[1] @ e[1].T)
-        cheb_t = np.stack([np.eye(3), lap])
-        z = sgcn_loop(x, cheb_t, e[1], params.weight_pool.data, params.bias_pool.data)
-        return float((z * weight).sum())
-
-    for p in (bank.node, bank.position, params.weight_pool, params.bias_pool):
-        fd = finite_diff_grad(loss_value, p.data)
-        rel = np.abs(p.grad - fd) / np.maximum(1.0, np.abs(fd))
-        assert rel.max() < 1e-4
 
 
 def test_sgcn_permutation_equivariance():
@@ -442,11 +438,11 @@ def test_sgcn_permutation_equivariance():
     perm = rng.permutation(n)
 
     bundle = graphs.build_sequence_graphs(bank)
-    base = graphs.sgcn_forward(Tensor(x), *bundle.at(0, bank), params).data
+    base = conv(Tensor(x), *bundle.at(0, bank), params).data
 
     bank_p = graphs.EmbeddingBank(
         Tensor(bank.node.data[perm]), bank.position, bank.ln_gamma, bank.ln_beta
     )
     bundle_p = graphs.build_sequence_graphs(bank_p)
-    permuted = graphs.sgcn_forward(Tensor(x[:, perm]), *bundle_p.at(0, bank_p), params).data
+    permuted = conv(Tensor(x[:, perm]), *bundle_p.at(0, bank_p), params).data
     assert np.abs(permuted - base[:, perm]).max() < 1e-10

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -273,3 +274,22 @@ def test_checkpoint_blob_is_little_endian_float64(tmp_path):
     first = model.params[model.params.names()[0]]
     raw = np.fromfile(blob, dtype="<f8", count=first.size)
     assert np.array_equal(raw.reshape(first.shape), first.data)
+
+
+# A v1 checkpoint written by save_checkpoint (`flowcast train`: 4 synthetic
+# nodes, sequence_aware, parallel, cheb_order 2, one epoch) with its model's
+# predictions for one seeded input and its test metrics. It pins the format
+# and the numerics across refactors: never regenerate it.
+V1_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "checkpoint_v1")
+
+
+def test_v1_checkpoint_fixture_reproduces_its_predictions():
+    config, values = md.load_checkpoint(os.path.join(V1_FIXTURE, "checkpoint.json"))
+    model = md.Forecaster(md.config_from_dict(config["model"]))
+    model.params.load_values(values)
+    with open(os.path.join(V1_FIXTURE, "predictions.json")) as f:
+        stored = json.load(f)
+    want = np.array(stored["predictions"])
+    got = model.predict(np.array(stored["input"]))
+    assert got.shape == want.shape == (2, 3, 4)
+    assert np.abs(got - want).max() <= 1e-12

@@ -24,6 +24,17 @@ def cheb_terms(lap, order):
     return np.stack([cheb_polynomial(lap, k) for k in range(order + 1)])
 
 
+def cell_step(x_t, h_prev, cell, bundle, bank, t):
+    """One update of encode_sequence (recurrent._step) at step t on
+    batch-first x_t [B, N, C] and h_prev [B, N, d_h]; all three gates read
+    the step-t graph."""
+    lap_t, e_t = bundle.at(t, bank)
+    weights = tuple(p.node_weights(e_t) for p in cell.gate_params())
+    h = recurrent._step(ad.transpose(x_t, (1, 2, 0)), ad.transpose(h_prev, (1, 2, 0)), lap_t,
+                        weights)
+    return ad.transpose(h, (2, 0, 1))
+
+
 def zero_cell(cell):
     for gate in (cell.update, cell.reset, cell.candidate):
         gate.weight_pool.data[:] = 0.0
@@ -33,7 +44,7 @@ def zero_cell(cell):
 def test_all_zero_step_stays_zero():
     bank, cell, bundle = setup_cell(seed=1)
     zero_cell(cell)
-    h = recurrent.gru_cell_step(
+    h = cell_step(
         Tensor(np.zeros((2, 2, 1))), Tensor(np.zeros((2, 2, 2))), cell, bundle, bank, t=0
     )
     assert np.array_equal(h.data, np.zeros((2, 2, 2)))
@@ -44,7 +55,7 @@ def test_zero_params_halve_previous_state():
     bank, cell, bundle = setup_cell(seed=2)
     zero_cell(cell)
     h_prev = np.random.default_rng(3).standard_normal((2, 2, 2))
-    h = recurrent.gru_cell_step(
+    h = cell_step(
         Tensor(np.zeros((2, 2, 1))), Tensor(h_prev), cell, bundle, bank, t=1
     )
     assert np.allclose(h.data, 0.5 * h_prev, atol=1e-15)
@@ -55,7 +66,7 @@ def test_cell_step_matches_loop_oracle():
     rng = np.random.default_rng(6)
     x_t = rng.standard_normal((1, 2, 1))
     h_prev = rng.standard_normal((1, 2, 2))
-    out = recurrent.gru_cell_step(Tensor(x_t), Tensor(h_prev), cell, bundle, bank, t=0)
+    out = cell_step(Tensor(x_t), Tensor(h_prev), cell, bundle, bank, t=0)
     pools = {
         "update": (cell.update.weight_pool.data, cell.update.bias_pool.data),
         "reset": (cell.reset.weight_pool.data, cell.reset.bias_pool.data),
@@ -70,7 +81,7 @@ def test_single_step_sequence_equals_cell_step():
     bank, cell, bundle = setup_cell(steps=1, seed=7)
     x = np.random.default_rng(8).standard_normal((2, 1, 2, 1))
     h_seq = recurrent.encode_sequence(Tensor(x), cell, bundle, bank)
-    h_one = recurrent.gru_cell_step(
+    h_one = cell_step(
         Tensor(x[:, 0]), Tensor(np.zeros((2, 2, 2))), cell, bundle, bank, t=0
     )
     assert np.array_equal(h_seq.data[:, :, 0], h_one.data)
@@ -89,7 +100,7 @@ def test_encode_matches_manual_iteration_bit_exact():
     h_seq = recurrent.encode_sequence(Tensor(x), cell, bundle, bank)
     h = Tensor(np.zeros((2, 2, 2)))
     for t in range(3):
-        h = recurrent.gru_cell_step(Tensor(x[:, t]), h, cell, bundle, bank, t)
+        h = cell_step(Tensor(x[:, t]), h, cell, bundle, bank, t)
         assert np.array_equal(h_seq.data[:, :, t], h.data)
 
 
@@ -118,7 +129,7 @@ def test_convex_combination_bound():
     cand = np.tanh(sgcn_loop(np.concatenate([x_t, r * h_prev], axis=-1), cheb_t, e_t,
                              *pools["candidate"]))
 
-    h = recurrent.gru_cell_step(Tensor(x_t), Tensor(h_prev), cell, bundle, bank, t=0).data
+    h = cell_step(Tensor(x_t), Tensor(h_prev), cell, bundle, bank, t=0).data
     lo = np.minimum(h_prev, cand)
     hi = np.maximum(h_prev, cand)
     assert np.all(h >= lo - 1e-12) and np.all(h <= hi + 1e-12)
@@ -190,7 +201,7 @@ def test_encoder_and_cell_step_match_loop_oracle_at_higher_order(mode, order):
     for t in range(3):
         lap = bundle.laplacians.data[t] if mode == "sequence_aware" else bundle.laplacians.data
         e_t = bank.node.data if bundle.node_features is None else bundle.node_features.data[t]
-        step = recurrent.gru_cell_step(Tensor(x[:, t]), Tensor(h_prev), cell, bundle, bank, t)
+        step = cell_step(Tensor(x[:, t]), Tensor(h_prev), cell, bundle, bank, t)
         h_prev = gru_step_loop(x[:, t], h_prev, cheb_terms(lap, order), e_t, cell_pools(cell))
         assert np.abs(step.data - h_prev).max() < 1e-12
         assert np.abs(encoded[:, :, t] - h_prev).max() < 1e-12
@@ -339,8 +350,9 @@ def values_and_grads(encode, x, cell, bank, bundle, leaves):
 @pytest.mark.parametrize("mode", ["static", "adaptive", "sequence_aware"])
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_encoder_matches_composed_oracle_in_values_and_gradients(mode, order):
-    # The fused ops against the composed step they replace (tests/oracles.py):
-    # the states and the gradients of the input, the embeddings and every pool.
+    # The fused ops against an encoder composed of generic tape ops
+    # (tests/oracles.py) that shares no Chebyshev or GRU code with them: the
+    # states and the gradients of the input, the embeddings and every pool.
     case = encoder_case(mode, order, 100 + order)
     fused = values_and_grads(recurrent.encode_sequence, *case)
     composed = values_and_grads(encode_composed, *case)
