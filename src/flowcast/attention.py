@@ -82,7 +82,6 @@ class AttentionParams:
     w_k: Tensor
     w_v: Tensor
     w_o: Tensor
-    heads: int
 
     @staticmethod
     def create(dim: int, heads: int, rng: np.random.Generator) -> "AttentionParams":
@@ -96,7 +95,6 @@ class AttentionParams:
             w_k=mk((heads, dim, d_k)),
             w_v=mk((heads, dim, d_k)),
             w_o=mk((dim, dim)),
-            heads=heads,
         )
 
 
@@ -321,6 +319,29 @@ BLOCKS = {
 
 
 @dataclass
+class FfnParams:
+    """Two dense layers, w1 [d_in, d_hidden] and w2 [d_hidden, d_out] with
+    their biases, run by ``feed_forward``: the FFN site of a block and the
+    model's output head."""
+
+    w1: Tensor
+    b1: Tensor
+    w2: Tensor
+    b2: Tensor
+
+    @staticmethod
+    def create(d_in: int, d_hidden: int, d_out: int, rng: np.random.Generator) -> "FfnParams":
+        # weights uniform in +-sqrt(1/fan_in), w1 drawn before w2; zero biases
+        bound1, bound2 = np.sqrt(1.0 / d_in), np.sqrt(1.0 / d_hidden)
+        return FfnParams(
+            Tensor(rng.uniform(-bound1, bound1, (d_in, d_hidden)), requires_grad=True),
+            Tensor(np.zeros(d_hidden), requires_grad=True),
+            Tensor(rng.uniform(-bound2, bound2, (d_hidden, d_out)), requires_grad=True),
+            Tensor(np.zeros(d_out), requires_grad=True),
+        )
+
+
+@dataclass
 class Gst2Params:
     """Parameters of one global awareness block; only the fields the sites of
     the variant use are allocated."""
@@ -330,11 +351,8 @@ class Gst2Params:
     spatial: AttentionParams | None = None
     fusion: AttentionParams | None = None
     concat_proj: Tensor | None = None          # [2d, d], merge site only
-    ffn_w1: Tensor | None = None
-    ffn_b1: Tensor | None = None
-    ffn_w2: Tensor | None = None
-    ffn_b2: Tensor | None = None
-    norms: dict = field(default_factory=dict)  # site name -> LayerNormParams
+    ffn: FfnParams | None = None
+    norm: dict = field(default_factory=dict)   # site name -> LayerNormParams
 
     @staticmethod
     def create(variant: str, dim: int, heads: int, ffn_dim: int,
@@ -356,31 +374,29 @@ class Gst2Params:
             bound = np.sqrt(1.0 / (2 * dim))
             p.concat_proj = Tensor(rng.uniform(-bound, bound, (2 * dim, dim)), requires_grad=True)
         if "ffn" in sites:
-            w_bound = np.sqrt(1.0 / dim)
-            p.ffn_w1 = Tensor(rng.uniform(-w_bound, w_bound, (dim, ffn_dim)), requires_grad=True)
-            p.ffn_b1 = Tensor(np.zeros(ffn_dim), requires_grad=True)
-            v_bound = np.sqrt(1.0 / ffn_dim)
-            p.ffn_w2 = Tensor(rng.uniform(-v_bound, v_bound, (ffn_dim, dim)), requires_grad=True)
-            p.ffn_b2 = Tensor(np.zeros(dim), requires_grad=True)
-        p.norms = {site: LayerNormParams.create(dim) for site in BLOCKS[variant]}
+            p.ffn = FfnParams.create(dim, ffn_dim, dim, rng)
+        p.norm = {site: LayerNormParams.create(dim) for site in BLOCKS[variant]}
         return p
 
 
-def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-                 dropout: float = 0.0, training: bool = False,
+def feed_forward(x: Tensor, p: FfnParams, dropout: float = 0.0, training: bool = False,
                  rng: np.random.Generator | None = None) -> Tensor:
-    """The position-wise feed-forward network relu(x w1 + b1) w2 + b2 over
-    the last axis of x, with inverted dropout on the hidden activation when
-    ``training`` and ``dropout`` > 0, as one tape entry.
+    """The feed-forward network relu(x w1 + b1) w2 + b2 over the last axis
+    of x, with inverted dropout on the hidden activation when ``training``
+    and ``dropout`` > 0, as one tape entry. It is the position-wise FFN site
+    of the global block and, with dropout 0, the model's output head.
 
-    The hidden activation is one [rows, ffn_dim] array: the bias, the ReLU
+    The hidden activation is one [rows, d_hidden] array: the bias, the ReLU
     and the dropout mask (the one ``autodiff.dropout`` would draw for it) act
-    on it in place, and the dropout scale goes into a scaled copy of w2.
-    Backward keeps x and that activation and no mask, since ReLU and dropout
-    pass a gradient exactly where the activation is positive; bias gradients
-    are products with a ones vector."""
+    on it in place, and the dropout scale goes into a scaled copy of w2. The
+    ReLU is ``np.fmax(h, 0)``, which maps NaN to 0. Backward keeps x and that
+    activation and no mask, since ReLU and dropout pass a gradient exactly
+    where the activation is positive (so the subgradient at 0 is 0). It
+    skips the products for the gradients of x, w1 and w2 when that input
+    needs none; bias gradients are products with a ones vector."""
     if not 0.0 <= dropout < 1.0:
         raise ValueError(f"dropout: p must be in [0, 1), got {dropout}")
+    w1, b1, w2, b2 = p.w1, p.b1, p.w2, p.b2
     rows = x.data.reshape(-1, w1.shape[0])
     hidden = np.matmul(rows, w1.data)
     hidden += b1.data
@@ -396,13 +412,15 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
         g_rows = g.reshape(out.shape)
         ones = np.ones(len(rows))
         ad._accum(b2, np.matmul(ones, g_rows))
-        w2_grad = np.matmul(hidden.T, g_rows)
-        w2_grad *= scale
-        ad._accum(w2, w2_grad)
+        if w2.requires_grad:
+            w2_grad = np.matmul(hidden.T, g_rows)
+            w2_grad *= scale
+            ad._accum(w2, w2_grad)
         g_hidden = np.matmul(g_rows, (w2.data * scale).T)
         g_hidden *= hidden > 0.0
         ad._accum(b1, np.matmul(ones, g_hidden))
-        ad._accum(w1, np.matmul(rows.T, g_hidden))
+        if w1.requires_grad:
+            ad._accum(w1, np.matmul(rows.T, g_hidden))
         if x.requires_grad:
             ad._accum(x, np.matmul(g_hidden, w1.data.T).reshape(x.shape))
 
@@ -423,7 +441,7 @@ def _sublayer(site: str, x: Tensor, p: Gst2Params, dropout: float, training: boo
     if site == "fusion":
         return stfa(x, p.fusion, p.spatial, dropout, training, rng)
     # "ffn": the position-wise feed-forward network
-    return feed_forward(x, p.ffn_w1, p.ffn_b1, p.ffn_w2, p.ffn_b2, dropout, training, rng)
+    return feed_forward(x, p.ffn, dropout, training, rng)
 
 
 def apply_global_layer(h: Tensor, p: Gst2Params | None, input_dropout: float = 0.0,
@@ -436,7 +454,7 @@ def apply_global_layer(h: Tensor, p: Gst2Params | None, input_dropout: float = 0
     pe = positional_encoding(h.shape[2], h.shape[3])
     x = ad.dropout(ad.add(h, ad.reshape(pe, (1, 1) + pe.shape)), input_dropout, training, rng)
     for site in BLOCKS[p.variant]:
-        norm = p.norms[site]
+        norm = p.norm[site]
         x = ad.layer_norm(ad.add(_sublayer(site, x, p, inner_dropout, training, rng), x),
                           norm.gamma, norm.beta, LN_EPS)
     return x

@@ -70,55 +70,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # -- operator sugar ----------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return scalar_affine(self, 1.0, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return scalar_affine(self, 1.0, -float(other))
-
-    def __rsub__(self, other):
-        return scalar_affine(self, -1.0, float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scalar_affine(self, float(other), 0.0)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scalar_affine(self, -1.0, 0.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self) -> "Tensor":
-        return mean_all(self)
-
-    def abs(self) -> "Tensor":
-        return absolute(self)
-
 
 class Tape:
     """Ordered record of operations: (output, inputs, backward rule)."""
@@ -298,18 +249,6 @@ def tanh(x: Tensor) -> Tensor:
 
     def back(g):
         _accum(x, g * (1.0 - y * y))
-
-    return _record(out, (x,), back)
-
-
-def relu(x: Tensor) -> Tensor:
-    # fmax(x, 0) maps NaN to 0, where np.maximum would keep it. The
-    # subgradient at 0 is 0: the gradient passes where the output is positive.
-    y = np.fmax(x.data, 0.0)
-    out = Tensor(y)
-
-    def back(g):
-        _accum(x, g * (y > 0))
 
     return _record(out, (x,), back)
 

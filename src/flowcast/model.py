@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -153,6 +153,19 @@ class ParameterStore:
             t.data = v.copy()
 
 
+def _named_tensors(prefix: str, value):
+    """(name, tensor) for every Tensor in a parameter dataclass, named by its
+    field path from ``prefix`` (a dict's entries by key), in field order."""
+    if isinstance(value, Tensor):
+        yield prefix, value
+    elif is_dataclass(value):
+        for f in fields(value):
+            yield from _named_tensors(f"{prefix}.{f.name}", getattr(value, f.name))
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _named_tensors(f"{prefix}.{key}", item)
+
+
 class Forecaster:
     """The full prediction model. Construction allocates every parameter from
     the config seed; ``forward`` maps [B, T, N, C] windows to [B, T_out, N]
@@ -164,40 +177,25 @@ class Forecaster:
         self.params = ParameterStore()
         rng = np.random.default_rng(cfg.seed)
 
-        sequence_mode = cfg.graph_mode == "sequence_aware"
         self.bank = graphs.EmbeddingBank.create(
-            cfg.n_nodes, cfg.input_steps, cfg.embed_dim, rng, with_positions=sequence_mode
+            cfg.n_nodes, cfg.input_steps, cfg.embed_dim, rng,
+            with_positions=cfg.graph_mode == "sequence_aware",
         )
-        self.params.add("embed.node", self.bank.node)
-        if sequence_mode:
-            self.params.add("embed.position", self.bank.position)
-            self.params.add("embed.ln_gamma", self.bank.ln_gamma)
-            self.params.add("embed.ln_beta", self.bank.ln_beta)
-
         self.cell = recurrent.GruCellParams.create(
             cfg.input_channels, cfg.hidden_dim, cfg.embed_dim, cfg.cheb_order, rng
         )
-        for gate_name, gate in (("update", self.cell.update), ("reset", self.cell.reset),
-                                ("candidate", self.cell.candidate)):
-            self.params.add(f"gru.{gate_name}.weight_pool", gate.weight_pool)
-            self.params.add(f"gru.{gate_name}.bias_pool", gate.bias_pool)
-
         self.gst2 = None
         if cfg.gst2_variant != "none":
             self.gst2 = att.Gst2Params.create(
                 cfg.gst2_variant, cfg.hidden_dim, cfg.heads, cfg.resolved_ffn_dim(), rng
             )
-            self._register_gst2(self.gst2)
-
-        flat = cfg.input_steps * cfg.hidden_dim
-        w_bound = np.sqrt(1.0 / flat)
-        self.head_w1 = self.params.add(
-            "head.w1", Tensor(rng.uniform(-w_bound, w_bound, (flat, cfg.fc_hidden))))
-        self.head_b1 = self.params.add("head.b1", Tensor(np.zeros(cfg.fc_hidden)))
-        v_bound = np.sqrt(1.0 / cfg.fc_hidden)
-        self.head_w2 = self.params.add(
-            "head.w2", Tensor(rng.uniform(-v_bound, v_bound, (cfg.fc_hidden, cfg.output_steps))))
-        self.head_b2 = self.params.add("head.b2", Tensor(np.zeros(cfg.output_steps)))
+        self.head = att.FfnParams.create(
+            cfg.input_steps * cfg.hidden_dim, cfg.fc_hidden, cfg.output_steps, rng
+        )
+        for prefix, part in (("embed", self.bank), ("gru", self.cell), ("gst2", self.gst2),
+                             ("head", self.head)):
+            for name, tensor in _named_tensors(prefix, part):
+                self.params.add(name, tensor)
 
         # checked in every graph mode, though only static mode reads it
         if adjacency is not None:
@@ -211,23 +209,6 @@ class Forecaster:
             if adjacency is None:
                 raise ConfigError("graph_mode 'static' requires an adjacency matrix")
             self._static_bundle = graphs.build_static_graph(adjacency)
-
-    def _register_gst2(self, p: att.Gst2Params):
-        for att_name, ap in (("temporal", p.temporal), ("spatial", p.spatial), ("fusion", p.fusion)):
-            if ap is None:
-                continue
-            for proj in ("w_q", "w_k", "w_v", "w_o"):
-                self.params.add(f"gst2.{att_name}.{proj}", getattr(ap, proj))
-        if p.concat_proj is not None:
-            self.params.add("gst2.concat_proj", p.concat_proj)
-        if p.ffn_w1 is not None:
-            self.params.add("gst2.ffn.w1", p.ffn_w1)
-            self.params.add("gst2.ffn.b1", p.ffn_b1)
-            self.params.add("gst2.ffn.w2", p.ffn_w2)
-            self.params.add("gst2.ffn.b2", p.ffn_b2)
-        for site, norm in p.norms.items():
-            self.params.add(f"gst2.norm.{site}.gamma", norm.gamma)
-            self.params.add(f"gst2.norm.{site}.beta", norm.beta)
 
     def build_bundle(self) -> graphs.GraphBundle:
         cfg = self.cfg
@@ -256,8 +237,7 @@ class Forecaster:
         )
         b, n = h.shape[0], h.shape[1]
         flat = ad.reshape(h, (b, n, cfg.input_steps * cfg.hidden_dim))
-        hidden = ad.relu(ad.add(ad.matmul(flat, self.head_w1), self.head_b1))
-        out = ad.add(ad.matmul(hidden, self.head_w2), self.head_b2)    # [B, N, T_out]
+        out = att.feed_forward(flat, self.head)    # [B, N, T_out]
         return ad.transpose(out, (0, 2, 1))
 
     def predict(self, x: np.ndarray) -> np.ndarray:

@@ -110,6 +110,17 @@ def sigmoid_op(x: Tensor) -> Tensor:
     return ad._record(Tensor(y), (x,), back)
 
 
+def relu_op(x: Tensor) -> Tensor:
+    """ReLU as one tape op: fmax(x, 0), which maps NaN to 0; the gradient
+    passes where the output is positive, so the subgradient at 0 is 0."""
+    y = np.fmax(x.data, 0.0)
+
+    def back(g):
+        ad._accum(x, g * (y > 0))
+
+    return ad._record(Tensor(y), (x,), back)
+
+
 def conv_composed(x, lap, e, gates):
     """Node-adaptive Chebyshev graph convolution of x [B, N, C_in] on the
     graph lap [N, N] from generic tape ops, one [B, N, C_out] output per

@@ -8,8 +8,8 @@ from flowcast import autodiff as ad
 from flowcast.autodiff import Tensor
 from flowcast.errors import ConfigError
 
-from oracles import (attention_loop, finite_diff_grad, multi_head_loop, softmax_rows,
-                     spatial_attention_loop, stfa_loop)
+from oracles import (attention_loop, finite_diff_grad, multi_head_loop, relu_op,
+                     softmax_rows, spatial_attention_loop, stfa_loop)
 
 
 def make_params(dim, heads, seed=0):
@@ -256,11 +256,11 @@ def test_attention_output_and_grads_have_the_layout_of_q():
 # -- the feed-forward network ---------------------------------------------------------
 
 
-def composed_feed_forward(x, w1, b1, w2, b2, dropout=0.0, training=False, rng=None):
+def composed_feed_forward(x, p, dropout=0.0, training=False, rng=None):
     """The network as the tape ops it replaces."""
-    hidden = ad.relu(ad.add(ad.matmul(x, w1), b1))
+    hidden = relu_op(ad.add(ad.matmul(x, p.w1), p.b1))
     hidden = ad.dropout(hidden, dropout, training, rng)
-    return ad.add(ad.matmul(hidden, w2), b2)
+    return ad.add(ad.matmul(hidden, p.w2), p.b2)
 
 
 def ffn_arrays(seed, dim=4, ffn_dim=6, lead=(2, 3, 5)):
@@ -278,7 +278,7 @@ def test_feed_forward_matches_composed_ops(dropout):
         ad.reset_tape()
         tensors = [Tensor(a, requires_grad=True) for a in arrays]
         draws = np.random.default_rng(22)
-        out = feed(*tensors, dropout, True, draws)
+        out = feed(tensors[0], att.FfnParams(*tensors[1:]), dropout, True, draws)
         entries.append(len(ad.tape().entries))
         ad.backward(ad.reduce_sum(ad.mul(out, Tensor(weight))))
         results.append([out.data] + [t.grad for t in tensors])
@@ -288,14 +288,15 @@ def test_feed_forward_matches_composed_ops(dropout):
         assert fused.shape == composed.shape
         assert np.abs(fused - composed).max() < 1e-12
     assert next_draws[0] == next_draws[1]  # the same mask drawn from the stream
-    undropped = att.feed_forward(*(Tensor(a) for a in arrays))
+    x, *params = (Tensor(a) for a in arrays)
+    undropped = att.feed_forward(x, att.FfnParams(*params))
     assert (np.abs(results[0][0] - undropped.data).max() > 0.1) == (dropout > 0)
 
 
 def test_feed_forward_rejects_dropout_of_one():
     with pytest.raises(ValueError):
-        att.feed_forward(*(Tensor(a) for a in ffn_arrays(37)[:5]), 1.0, True,
-                         np.random.default_rng(0))
+        x, *params = (Tensor(a) for a in ffn_arrays(37)[:5])
+        att.feed_forward(x, att.FfnParams(*params), 1.0, True, np.random.default_rng(0))
 
 
 def test_feed_forward_training_forward_retains_one_hidden_array():
@@ -304,13 +305,13 @@ def test_feed_forward_training_forward_retains_one_hidden_array():
     lead, dim, ffn_dim = (4, 8, 16), 8, 64
     x_arr, w1, b1, w2, b2, _ = ffn_arrays(38, dim, ffn_dim, lead)
     ad.reset_tape()
-    params = [Tensor(a, requires_grad=True) for a in (w1, b1, w2, b2)]
+    params = att.FfnParams(*(Tensor(a, requires_grad=True) for a in (w1, b1, w2, b2)))
     x = Tensor(x_arr, requires_grad=True)
     draws = np.random.default_rng(7)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out = att.feed_forward(x, *params, 0.3, True, draws)
+        out = att.feed_forward(x, params, 0.3, True, draws)
         retained = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
@@ -443,7 +444,7 @@ def test_block_shape_preserved(variant):
 @pytest.mark.parametrize("variant", ALL_BLOCKS)
 def test_block_output_mean_matches_final_norm_beta(variant):
     p = layer_params(variant, dim=4, heads=2, seed=21)
-    beta = p.norms[att.BLOCKS[variant][-1]].beta
+    beta = p.norm[att.BLOCKS[variant][-1]].beta
     beta.data[:] = np.array([0.5, -0.5, 1.0, 0.0])
     x = Tensor(np.random.default_rng(21).standard_normal((2, 3, 5, 4)))
     out = att.apply_global_layer(x, p)
@@ -467,13 +468,13 @@ def test_block_gradients_vs_finite_differences(variant):
         return float((result.data * weight).sum())
 
     if variant == "parallel":
-        checked = [p.temporal.w_q, p.spatial.w_v, p.concat_proj, p.ffn_w1,
-                   p.norms["merge"].gamma]
+        checked = [p.temporal.w_q, p.spatial.w_v, p.concat_proj, p.ffn.w1,
+                   p.norm["merge"].gamma]
     elif variant == "serial":
-        checked = [p.temporal.w_q, p.spatial.w_v, p.ffn_w2, p.norms["spatial"].beta]
+        checked = [p.temporal.w_q, p.spatial.w_v, p.ffn.w2, p.norm["spatial"].beta]
     else:
-        checked = [p.fusion.w_q, p.fusion.w_v, p.spatial.w_o, p.ffn_w1,
-                   p.norms["fusion"].gamma]
+        checked = [p.fusion.w_q, p.fusion.w_v, p.spatial.w_o, p.ffn.w1,
+                   p.norm["fusion"].gamma]
     fd_x = finite_diff_grad(loss_value, x_arr)
     assert (np.abs(x.grad - fd_x) / np.maximum(1.0, np.abs(fd_x))).max() < 1e-4
     for tensor in checked:

@@ -512,6 +512,30 @@ def test_gradcheck_command_passes(tmp_path, capsys, mode):
     assert "max relative error" in out
 
 
+def test_gradcheck_builds_input_with_the_configured_channels(capsys):
+    code = run(["gradcheck", "--seed", "0", "--set", "model.input_channels=2"])
+    assert code == 0
+    assert "max relative error" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-4"])
+def test_gradcheck_tolerance_not_finite_and_positive_exits_one(capsys, tol):
+    code = run(["gradcheck", "--seed", "0", f"--tol={tol}"])
+    assert code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--tol" in captured.err
+
+
+def test_gradcheck_prints_fail_exactly_when_it_exits_one(capsys):
+    # at a tolerance below the finite-difference noise some entries fail
+    code = run(["gradcheck", "--seed", "0", "--tol", "1e-11"])
+    lines = capsys.readouterr().out.splitlines()[:-1]
+    assert code == cli.EXIT_CONFIG
+    assert any(line.startswith("FAIL") for line in lines)
+    assert all(line.startswith(("ok  ", "FAIL  ")) for line in lines)
+
+
 def test_gradcheck_section_seed_exits_one(capsys):
     code = run(["gradcheck", "--seed", "3", "--set", "train.seed=3"])
     assert code == cli.EXIT_CONFIG
