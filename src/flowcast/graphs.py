@@ -1,5 +1,5 @@
 """Graph structure learning and the parts of the node-adaptive Chebyshev
-graph convolution: the Chebyshev terms and the node weights.
+graph convolution: the Chebyshev terms and the parameter pools.
 
 Three ways to obtain the propagation matrices:
 
@@ -18,10 +18,9 @@ T_k(L) x on the signal by the recurrence T_k x = 2 L T_{k-1} x - T_{k-2} x,
 one L-product per term, as ChebNet does, and cheb_recurrence_adjoint is its
 backward. They work on arrays in the layout [N, K+1, C, B], node-major and
 batch-last, and their only callers are the GRU's gate and candidate ops in
-:mod:`recurrent`, which hold the graph convolution. The node weights
-(SGCNParams.node_weights) are one GEMM of the node features with the
-flattened pool; given the z and r pools concatenated along their output
-channels, one product builds both gates' weights.
+:mod:`recurrent`, which hold the graph convolution and build the node
+weights from the pools of SGCNParams inside each op and again in its
+backward, so no node weights are kept from forward to backward.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ class GraphBundle:
     and ``node_features`` the per-step embedding E[t] [T, N, d_e]. Static
     and adaptive mode have the one graph every step shares: ``laplacians``
     is [N, N] and ``node_features`` None. The Chebyshev order is not part of
-    the bundle; the GRU's convolution reads it from the node weights.
+    the bundle; the GRU's convolution reads it from the weight pool.
     """
 
     laplacians: Tensor
@@ -195,7 +194,8 @@ def build_static_graph(adjacency: np.ndarray) -> GraphBundle:
 class SGCNParams:
     """Node-adaptive convolution parameter pools, ``weight_pool`` [d_e, K+1,
     C_in, C_out] and ``bias_pool`` [d_e, C_out]. Nodes with similar
-    embeddings get similar weights and bias (see node_weights)."""
+    embeddings e get similar weights e @ weight_pool and bias e @ bias_pool
+    (built inside recurrent._conv)."""
 
     weight_pool: Tensor
     bias_pool: Tensor
@@ -209,12 +209,3 @@ class SGCNParams:
                    requires_grad=True)
         b = Tensor(rng.uniform(-b_bound, b_bound, (embed_dim, c_out)), requires_grad=True)
         return SGCNParams(w, b)
-
-    def node_weights(self, e: Tensor) -> tuple[Tensor, Tensor]:
-        """Per-node weights [N, (K+1) C_in, C_out] and bias [N, C_out] from
-        node features e [N, d_e]: e @ weight_pool as one [N, d_e] x
-        [d_e, (K+1) C_in C_out] GEMM, its rows per node ordered (k, i), and
-        e @ bias_pool."""
-        d, _, _, c_out = self.weight_pool.shape
-        theta = ad.matmul(e, ad.reshape(self.weight_pool, (d, -1)))
-        return ad.reshape(theta, (e.shape[0], -1, c_out)), ad.matmul(e, self.bias_pool)

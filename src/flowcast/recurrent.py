@@ -1,7 +1,7 @@
 """Recurrent encoder: a GRU whose gates are graph convolutions.
 
 Each gate applies a node-adaptive Chebyshev graph convolution (_conv: the
-terms of graphs.cheb_recurrence mixed by the node weights of
+terms of graphs.cheb_recurrence mixed by node weights from the pools of
 graphs.SGCNParams) to the concatenation of the step input and the previous
 hidden state, so spatial mixing happens inside every recurrent update:
 
@@ -23,8 +23,10 @@ blend ops both read z from the gate output, so the gradients of z and r
 meet there. The state is carried node-major and batch-last, [N, d_h, B]:
 that is the layout of the Chebyshev terms [N, K+1, C, B], so z and r are row
 blocks of the gate output and no step copies between [B, N] and [N, B]. The
-z and r pools are concatenated once per forward (GruCellParams.gate_params),
-so one node-weight product serves both gates.
+z and r pools are concatenated once per forward (GruCellParams.gate_params).
+The gate and candidate ops take the step's node features, not node weights:
+each builds its weights as a temporary and rebuilds them in backward, so the
+tape keeps no step's weights, and every graph mode runs one path.
 """
 
 from __future__ import annotations
@@ -63,35 +65,43 @@ class GruCellParams:
         return zr, self.candidate
 
 
-def _conv(x_t: Tensor, y: np.ndarray, lap: Tensor, theta: Tensor, bias: Tensor):
+def _conv(x_t: Tensor, y: np.ndarray, lap: Tensor, e: Tensor, params: SGCNParams):
     """Chebyshev graph convolution of the concatenation [x_t, y] of x_t
     [N, C, B] and y [N, d_h, B] on the graph lap [N, N]: the terms [N, K+1,
-    C + d_h, B] (cheb_recurrence), then one per-node product with theta
-    [N, (K+1)(C + d_h), C_out] and the bias [N, C_out].
+    C + d_h, B] (cheb_recurrence), then one per-node product with the node
+    weights theta = e @ weight_pool [N, (K+1)(C + d_h), C_out] (rows ordered
+    (k, i)) and the bias e @ bias_pool [N, C_out], for node features e
+    [N, d_e]. theta is one GEMM, a temporary that backward rebuilds.
 
     Returns the [N, C_out, B] output and its backward. Given the output's
     gradient and whether y needs one, the backward accumulates the gradients
-    of x_t, lap, theta and bias and returns y's gradient (None when nothing
-    upstream of the terms needs one)."""
+    of x_t, lap, e and both pools and returns y's gradient (None when
+    nothing upstream of the terms needs one)."""
     n, c, b = x_t.shape
-    c_in = c + y.shape[1]
-    k1 = theta.shape[1] // c_in
+    d, k1, c_in, c_out = params.weight_pool.shape
+    pool = params.weight_pool.data.reshape(d, -1)
     terms = np.empty((n, k1, c_in, b))
     terms[:, 0, :c] = x_t.data
     terms[:, 0, c:] = y
     flat = terms.reshape(n, k1, c_in * b)            # views of terms
     rows = terms.reshape(n, k1 * c_in, b)
     lap2 = cheb_recurrence(lap.data, flat)
-    out = np.matmul(theta.data.transpose(0, 2, 1), rows)
-    out += bias.data[:, :, None]
+    out = np.empty((n, c_out, b))    # before theta, so freeing theta leaves no heap hole
+    theta = (e.data @ pool).reshape(n, k1 * c_in, c_out)
+    np.matmul(theta.transpose(0, 2, 1), rows, out=out)
+    out += (e.data @ params.bias_pool.data)[:, :, None]
 
     def back(g, need_y):
-        ad._accum(bias, g.sum(axis=2))
-        ad._accum(theta, np.matmul(rows, g.transpose(0, 2, 1)))
+        g_bias = g.sum(axis=2)
+        g_theta = np.matmul(rows, g.transpose(0, 2, 1)).reshape(n, -1)
+        ad._accum(params.bias_pool, e.data.T @ g_bias)
+        ad._accum(params.weight_pool, (e.data.T @ g_theta).reshape(params.weight_pool.shape))
+        ad._accum(e, g_theta @ pool.T + g_bias @ params.bias_pool.data.T)
         need_signal = need_y or x_t.requires_grad
         if not (need_signal or lap.requires_grad):
             return None
-        g_terms = np.matmul(theta.data, g).reshape(flat.shape)
+        theta = np.matmul(e.data, pool, out=g_theta)  # rebuilt in g_theta's spent buffer
+        g_terms = np.matmul(theta.reshape(n, -1, c_out), g).reshape(flat.shape)
         g_in = cheb_recurrence_adjoint(lap, lap2, flat, g_terms, need_signal)
         if g_in is None:
             return None
@@ -102,11 +112,11 @@ def _conv(x_t: Tensor, y: np.ndarray, lap: Tensor, theta: Tensor, bias: Tensor):
     return out, back
 
 
-def gate_op(x_t: Tensor, h: Tensor, lap: Tensor, theta: Tensor, bias: Tensor) -> Tensor:
+def gate_op(x_t: Tensor, h: Tensor, lap: Tensor, e: Tensor, params: SGCNParams) -> Tensor:
     """sigmoid(conv([x_t, h])) for x_t [N, C, B] and h [N, d_h, B] (see
-    _conv): one [N, C_out, B] tape entry. With the pools of
+    _conv): one [N, C_out, B] tape entry. With the z and r pools of
     GruCellParams.gate_params, C_out = 2 d_h: z, then r."""
-    s, conv_back = _conv(x_t, h.data, lap, theta, bias)
+    s, conv_back = _conv(x_t, h.data, lap, e, params)
     s *= 0.5
     np.tanh(s, out=s)
     s *= 0.5
@@ -117,17 +127,17 @@ def gate_op(x_t: Tensor, h: Tensor, lap: Tensor, theta: Tensor, bias: Tensor) ->
         g *= 1.0 - s
         ad._accum(h, conv_back(g, h.requires_grad))
 
-    return ad._record(Tensor(s), (x_t, h, lap, theta, bias), back)
+    return ad._record(Tensor(s), (x_t, h, lap, e, params.weight_pool, params.bias_pool), back)
 
 
-def candidate_op(x_t: Tensor, h: Tensor, gates: Tensor, lap: Tensor, theta: Tensor,
-                 bias: Tensor) -> Tensor:
+def candidate_op(x_t: Tensor, h: Tensor, gates: Tensor, lap: Tensor, e: Tensor,
+                 params: SGCNParams) -> Tensor:
     """conv([x_t, r * h]) (see _conv), before its tanh, with r the last d_h
     channels of the gate_op output gates [N, 2 d_h, B]: one [N, d_h, B]
     tape entry."""
     d_h = h.shape[1]
     r = gates.data[:, d_h:]
-    out, conv_back = _conv(x_t, r * h.data, lap, theta, bias)
+    out, conv_back = _conv(x_t, r * h.data, lap, e, params)
 
     def back(g):
         g_rh = conv_back(g, h.requires_grad or gates.requires_grad)
@@ -139,7 +149,8 @@ def candidate_op(x_t: Tensor, h: Tensor, gates: Tensor, lap: Tensor, theta: Tens
             np.multiply(g_rh, h.data, out=g_gates[:, d_h:])
             ad._accum(gates, g_gates)
 
-    return ad._record(Tensor(out), (x_t, h, gates, lap, theta, bias), back)
+    return ad._record(Tensor(out), (x_t, h, gates, lap, e, params.weight_pool,
+                                    params.bias_pool), back)
 
 
 def blend_op(gates: Tensor, h: Tensor, c: Tensor) -> Tensor:
@@ -165,12 +176,12 @@ def blend_op(gates: Tensor, h: Tensor, c: Tensor) -> Tensor:
     return ad._record(Tensor(out), (gates, h, c), back)
 
 
-def _step(x_t: Tensor, h: Tensor, lap_t: Tensor, weights: tuple) -> Tensor:
+def _step(x_t: Tensor, h: Tensor, lap_t: Tensor, e_t: Tensor, pools: tuple) -> Tensor:
     """The four tape entries of one update on batch-last x_t [N, C, B] and h
-    [N, d_h, B]; weights holds the (theta, bias) of gate_op and candidate_op."""
-    (theta_zr, bias_zr), (theta_c, bias_c) = weights
-    gates = gate_op(x_t, h, lap_t, theta_zr, bias_zr)
-    c = ad.tanh(candidate_op(x_t, h, gates, lap_t, theta_c, bias_c))
+    [N, d_h, B] on the step's lap_t and e_t; pools from gate_params."""
+    zr, cand = pools
+    gates = gate_op(x_t, h, lap_t, e_t, zr)
+    c = ad.tanh(candidate_op(x_t, h, gates, lap_t, e_t, cand))
     return blend_op(gates, h, c)
 
 
@@ -192,21 +203,17 @@ def _stack_states(states: list[Tensor]) -> Tensor:
 def encode_sequence(x: Tensor, cell: GruCellParams, bundle: GraphBundle,
                     bank: EmbeddingBank) -> Tensor:
     """Run the cell over x [B, T, N, C] from a zero initial state and stack
-    the hidden states into one contiguous [B, N, T, d_h] array. Outside
-    sequence-aware mode every step reads the same node features, so the node
-    weights are built once."""
+    the hidden states into one contiguous [B, N, T, d_h] array. Every graph
+    mode runs the same path: step t reads its graph and node features from
+    bundle.at(t, bank), and its ops build their node weights from those
+    features (outside sequence-aware mode, bank.node at every step)."""
     b, steps, n, _ = x.shape
     xs = ad.transpose(x, (1, 2, 3, 0))                 # [T, N, C, B], a view
     h = Tensor(np.zeros((n, cell.hidden_dim, b)))
     pools = cell.gate_params()
-    shared = None
-    if bundle.node_features is None:
-        shared = tuple(p.node_weights(bank.node) for p in pools)
     states = []
     for t in range(steps):
         lap_t, e_t = bundle.at(t, bank)
-        # the weights are a temporary, so one step's are alive at a time
-        h = _step(ad.select(xs, t, axis=0), h, lap_t,
-                  shared or tuple(p.node_weights(e_t) for p in pools))
+        h = _step(ad.select(xs, t, axis=0), h, lap_t, e_t, pools)
         states.append(h)
     return _stack_states(states)

@@ -518,6 +518,13 @@ def test_gradcheck_builds_input_with_the_configured_channels(capsys):
     assert "max relative error" in capsys.readouterr().out
 
 
+def test_gradcheck_checks_the_configured_chebyshev_order(capsys):
+    # the update pool is [d_e=2, K+1, C_in=5, d_h=4]: 160 entries at K=3
+    code = run(["gradcheck", "--seed", "1", "--set", "model.cheb_order=3"])
+    assert code == 0
+    assert "gru.update.weight_pool: checked 160," in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-4"])
 def test_gradcheck_tolerance_not_finite_and_positive_exits_one(capsys, tol):
     code = run(["gradcheck", "--seed", "0", f"--tol={tol}"])

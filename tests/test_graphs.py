@@ -295,8 +295,7 @@ def conv(x, lap_t, e_t, params):
     an empty state (d_h = 0), so that its input [x_t, r h] is x_t."""
     b, n, _ = x.shape
     empty = Tensor(np.zeros((n, 0, b)))
-    theta, bias = params.node_weights(e_t)
-    out = recurrent.candidate_op(ad.transpose(x, (1, 2, 0)), empty, empty, lap_t, theta, bias)
+    out = recurrent.candidate_op(ad.transpose(x, (1, 2, 0)), empty, empty, lap_t, e_t, params)
     return ad.transpose(out, (2, 0, 1))
 
 
@@ -363,11 +362,12 @@ def test_sgcn_matches_loop_oracle_at_higher_order(mode, order):
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_node_weights_and_convolve_match_einsum_references(order):
-    # The model's two contractions, e @ weight_pool and the per-node mix of
-    # the Chebyshev terms, with two gates' pools concatenated along their
-    # outputs as gate_op's z and r are. Forward and the gradients of x, L,
-    # both pools and e against np.einsum and the adjoints of the matrix
-    # recurrence; x is a non-contiguous view.
+    # The op's two contractions, e @ weight_pool (built inside the op and
+    # rebuilt in its backward) and the per-node mix of the Chebyshev terms,
+    # with two gates' pools concatenated along their outputs as gate_op's z
+    # and r are. Forward and the gradients of x, L, both pools and e against
+    # np.einsum and the adjoints of the matrix recurrence; x is a
+    # non-contiguous view.
     rng = np.random.default_rng(90 + order)
     b, n, c_in, c_out, d = 3, 5, 2, 4, 3
     x_data = rng.standard_normal((c_in, n, b)).T                   # [B, N, C_in], a view

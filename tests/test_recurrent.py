@@ -29,9 +29,8 @@ def cell_step(x_t, h_prev, cell, bundle, bank, t):
     batch-first x_t [B, N, C] and h_prev [B, N, d_h]; all three gates read
     the step-t graph."""
     lap_t, e_t = bundle.at(t, bank)
-    weights = tuple(p.node_weights(e_t) for p in cell.gate_params())
     h = recurrent._step(ad.transpose(x_t, (1, 2, 0)), ad.transpose(h_prev, (1, 2, 0)), lap_t,
-                        weights)
+                        e_t, cell.gate_params())
     return ad.transpose(h, (2, 0, 1))
 
 
@@ -183,8 +182,8 @@ def cell_pools(cell):
 @pytest.mark.parametrize("mode", ["static", "adaptive", "sequence_aware"])
 @pytest.mark.parametrize("order", [2, 3])
 def test_encoder_and_cell_step_match_loop_oracle_at_higher_order(mode, order):
-    # B=3, N=5, 3 input channels, d_h=4, T=3. Outside sequence-aware mode the
-    # encoder builds the node weights once for all steps.
+    # B=3, N=5, 3 input channels, d_h=4, T=3. Outside sequence-aware mode
+    # every step rebuilds the shared node weights from the node embedding.
     rng = np.random.default_rng(70 + order)
     bank = graphs.EmbeddingBank.create(5, 3, 2, rng, with_positions=mode == "sequence_aware")
     cell = recurrent.GruCellParams.create(3, 4, 2, order, rng)
@@ -208,9 +207,9 @@ def test_encoder_and_cell_step_match_loop_oracle_at_higher_order(mode, order):
 
 
 def test_bptt_gradients_vs_finite_differences_adaptive_order_two():
-    # The node weights are built once for all steps and z/r share one
-    # propagation: the embedding and every gate pool must still receive the
-    # gradient of every step.
+    # Every step rebuilds the shared node weights from the one embedding and
+    # z/r share one propagation: the embedding and every gate pool must
+    # receive the gradient of every step.
     rng = np.random.default_rng(80)
     bank = graphs.EmbeddingBank.create(3, 3, 2, rng, with_positions=False)
     cell = recurrent.GruCellParams.create(1, 2, 2, 2, rng)
@@ -243,6 +242,9 @@ def test_bptt_gradients_vs_finite_differences_adaptive_order_two():
 
 
 def build_bundle(mode, bank):
+    if mode == "static":
+        ring = np.roll(np.eye(bank.node.shape[0]), 1, axis=1)
+        return graphs.build_static_graph(ring + ring.T)
     if mode == "adaptive":
         return graphs.build_adaptive_graph(bank.node)
     return graphs.build_sequence_graphs(bank)
@@ -270,31 +272,38 @@ def assert_grads_match_finite_differences(run, leaves):
 
 
 @pytest.mark.parametrize("op", ["gate", "candidate"])
-@pytest.mark.parametrize("mode", ["adaptive", "sequence_aware"])
-@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("mode", ["static", "adaptive", "sequence_aware"])
+@pytest.mark.parametrize("order", [1, 2, 3])
 def test_conv_ops_match_finite_differences(op, mode, order):
-    # Every input: x_t, h, the gate output (candidate), the per-node weights
-    # and bias, and the embeddings the step-1 graph is built from.
+    # Every input: x_t, h, the gate output (candidate), the pools the op
+    # builds its node weights from (the gate op's z|r pools are a concat of
+    # the update and reset pools, as GruCellParams.gate_params makes them),
+    # and the embeddings the step-1 graph and node features e_t come from.
+    # In static mode e_t is the node embedding itself.
     rng = np.random.default_rng(90 + order)
     n, c, d_h, b = 4, 2, 3, 2
     bank = graphs.EmbeddingBank.create(n, 3, 2, rng, with_positions=mode == "sequence_aware")
+    cell = recurrent.GruCellParams.create(c, d_h, 2, order, rng)
     leaf = lambda *shape: Tensor(rng.standard_normal(shape), requires_grad=True)
-    c_out = 2 * d_h if op == "gate" else d_h
-    leaves = {"x_t": leaf(n, c, b), "h": leaf(n, d_h, b),
-              "theta": leaf(n, (order + 1) * (c + d_h), c_out), "bias": leaf(n, c_out),
-              "embed.node": bank.node}
+    leaves = {"x_t": leaf(n, c, b), "h": leaf(n, d_h, b), "embed.node": bank.node}
+    gates = (("update", cell.update), ("reset", cell.reset)) if op == "gate" else (
+        ("candidate", cell.candidate),)
+    for name, gate in gates:
+        leaves[name + ".weight_pool"] = gate.weight_pool
+        leaves[name + ".bias_pool"] = gate.bias_pool
     if mode == "sequence_aware":
-        leaves["embed.position"] = bank.position
+        leaves.update({"embed.position": bank.position, "embed.ln_gamma": bank.ln_gamma,
+                       "embed.ln_beta": bank.ln_beta})
     if op == "candidate":
         leaves["gates"] = Tensor(rng.uniform(0.05, 0.95, (n, 2 * d_h, b)), requires_grad=True)
 
     def run():
-        lap, _ = build_bundle(mode, bank).at(1, bank)
+        lap, e_t = build_bundle(mode, bank).at(1, bank)
+        zr, cand = cell.gate_params()
         if op == "gate":
-            return recurrent.gate_op(leaves["x_t"], leaves["h"], lap, leaves["theta"],
-                                     leaves["bias"])
-        return recurrent.candidate_op(leaves["x_t"], leaves["h"], leaves["gates"], lap,
-                                      leaves["theta"], leaves["bias"])
+            return recurrent.gate_op(leaves["x_t"], leaves["h"], lap, e_t, zr)
+        return recurrent.candidate_op(leaves["x_t"], leaves["h"], leaves["gates"], lap, e_t,
+                                      cand)
 
     assert_grads_match_finite_differences(run, leaves)
 
@@ -308,12 +317,13 @@ def test_blend_op_matches_finite_differences():
 
 
 def test_gate_sigmoid_saturates_without_overflow():
+    # with e = I and zero weight pools the gate inputs are the bias pool rows
     n, d_h, b = 2, 1, 3
-    theta = Tensor(np.zeros((n, 2 * (1 + d_h), 2 * d_h)))
-    bias = Tensor(np.array([[800.0, -800.0], [0.0, -30.0]]))
+    params = graphs.SGCNParams(Tensor(np.zeros((n, 2, 1 + d_h, 2 * d_h))),
+                               Tensor(np.array([[800.0, -800.0], [0.0, -30.0]])))
     with np.errstate(over="raise", invalid="raise"):
         s = recurrent.gate_op(Tensor(np.zeros((n, 1, b))), Tensor(np.zeros((n, d_h, b))),
-                              Tensor(np.eye(n)), theta, bias).data
+                              Tensor(np.eye(n)), Tensor(np.eye(n)), params).data
     assert np.array_equal(s[0, 0], [1.0] * b) and np.array_equal(s[0, 1], [0.0] * b)
     assert np.array_equal(s[1, 0], [0.5] * b)
     assert np.abs(s[1, 1] - 1.0 / (1.0 + np.exp(30.0))).max() < 1e-15
@@ -329,13 +339,7 @@ def encoder_case(mode, order, seed):
     if mode == "sequence_aware":
         leaves += [bank.position, bank.ln_gamma, bank.ln_beta]
 
-    def bundle():
-        if mode == "static":
-            ring = np.roll(np.eye(5), 1, axis=1)
-            return graphs.build_static_graph(ring + ring.T)
-        return build_bundle(mode, bank)
-
-    return x, cell, bank, bundle, leaves
+    return x, cell, bank, lambda: build_bundle(mode, bank), leaves
 
 
 def values_and_grads(encode, x, cell, bank, bundle, leaves):
@@ -376,9 +380,28 @@ def tape_entries_of_forward(steps):
 
 def test_static_forward_records_four_tape_entries_per_step():
     # gate op, candidate op, tanh and blend op per step; the rest is the pool
-    # concatenation, the node weights, the stacked states and the head
+    # concatenation, the step selects, the stacked states and the head
     assert tape_entries_of_forward(12) - tape_entries_of_forward(6) == 4 * 6
     assert tape_entries_of_forward(12) <= 4 * 12 + 20
+
+
+def test_training_tape_holds_no_node_weights():
+    # The gate and candidate ops build each step's node weights [N, (K+1)
+    # (C + d_h), C_out] as a temporary and rebuild them in backward, so after
+    # a sequence-aware training forward and the loss no tape entry's output
+    # or input has their shape.
+    cfg = md.ModelConfig(n_nodes=5, input_steps=4, output_steps=3, embed_dim=3, hidden_dim=4,
+                         cheb_order=2, heads=2, graph_mode="sequence_aware", ffn_dim=8,
+                         fc_hidden=8, dropout_input=0.0, dropout_inner=0.0)
+    model = md.Forecaster(cfg)
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((2, 4, 5, 1)), rng.standard_normal((2, 3, 5))
+    md.l1_loss(model.forward(Tensor(x), training=True), Tensor(y))
+    entries = ad.tape().entries
+    shapes = {t.shape for out, inputs, _ in entries for t in (out, *inputs)}
+    ad.reset_tape()
+    weights = {(5, 3 * (1 + 4), c_out) for c_out in (4, 8)}
+    assert len(entries) > 4 * 4 and not shapes & weights
 
 
 def test_wrong_tanh_backward_moves_encoder_gradients():

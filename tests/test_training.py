@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from flowcast import autodiff as ad
+from flowcast import cli
 from flowcast import data as dp
 from flowcast import model as md
 from flowcast import training as tr
@@ -251,3 +253,43 @@ def test_grad_check_reports_every_parameter():
     model = md.Forecaster(cfg)
     assert [e.name for e in report.entries] == model.params.names()
     assert all(e.checked >= 1 for e in report.entries)
+
+
+def break_analytic_gradient(monkeypatch, name, value):
+    """Make grad_check's analytic gradient of the parameter ``name`` read
+    ``value`` everywhere: its model's backward runs, then overwrites it."""
+    models = []
+
+    class Spy(md.Forecaster):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            models.append(self)
+
+    backward = ad.backward
+
+    def broken_backward(loss):
+        backward(loss)
+        models[-1].params[name].grad[...] = value
+
+    monkeypatch.setattr(tr, "Forecaster", Spy)
+    monkeypatch.setattr(ad, "backward", broken_backward)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_grad_check_fails_a_non_finite_analytic_gradient(monkeypatch, value):
+    break_analytic_gradient(monkeypatch, "head.b2", value)
+    cfg = tiny_config(graph_mode="adaptive", gst2_variant="none")
+    rng = np.random.default_rng(4)
+    report = tr.grad_check(cfg, rng.standard_normal((2, 6, 4, 1)),
+                           rng.standard_normal((2, 3, 4)), samples_per_tensor=5)
+    assert not report.passed and report.failures == ["head.b2"]
+    assert not report.max_rel_err < 1e-4          # criterion 1's test
+
+
+def test_gradcheck_command_exits_one_on_a_nan_analytic_gradient(monkeypatch, capsys):
+    break_analytic_gradient(monkeypatch, "head.b2", np.nan)
+    code = cli.main(["gradcheck", "--seed", "0"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG
+    assert captured.err.count("\n") == 1 and "head.b2" in captured.err
+    assert "FAIL  head.b2" in captured.out
