@@ -391,9 +391,12 @@ def feed_forward(x: Tensor, p: FfnParams, dropout: float = 0.0, training: bool =
     on it in place, and the dropout scale goes into a scaled copy of w2. The
     ReLU is ``np.fmax(h, 0)``, which maps NaN to 0. Backward keeps x and that
     activation and no mask, since ReLU and dropout pass a gradient exactly
-    where the activation is positive (so the subgradient at 0 is 0). It
-    skips the products for the gradients of x, w1 and w2 when that input
-    needs none; bias gradients are products with a ones vector."""
+    where the activation is positive (so the subgradient at 0 is 0), and
+    writes the hidden gradient into the activation's buffer, which nothing
+    reads after it; the only [rows, d_hidden] array it allocates is that
+    boolean mask. It skips the products for the gradients of x, w1 and w2
+    when that input needs none; bias gradients are products with a ones
+    vector."""
     if not 0.0 <= dropout < 1.0:
         raise ValueError(f"dropout: p must be in [0, 1), got {dropout}")
     w1, b1, w2, b2 = p.w1, p.b1, p.w2, p.b2
@@ -416,8 +419,9 @@ def feed_forward(x: Tensor, p: FfnParams, dropout: float = 0.0, training: bool =
             w2_grad = np.matmul(hidden.T, g_rows)
             w2_grad *= scale
             ad._accum(w2, w2_grad)
-        g_hidden = np.matmul(g_rows, (w2.data * scale).T)
-        g_hidden *= hidden > 0.0
+        mask = hidden > 0.0
+        g_hidden = np.matmul(g_rows, (w2.data * scale).T, out=hidden)
+        g_hidden *= mask
         ad._accum(b1, np.matmul(ones, g_hidden))
         if w1.requires_grad:
             ad._accum(w1, np.matmul(rows.T, g_hidden))

@@ -4,6 +4,7 @@ checkpoint format (JSON manifest + raw float64 blob)."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -21,7 +22,7 @@ from .errors import ConfigError, ParseError, ShapeError
 GRAPH_MODES = ("static", "adaptive", "sequence_aware")
 GST2_VARIANTS = ("none",) + tuple(att.BLOCKS)
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2     # 2 records the blob's byte length and sha256; 1 loads too
 
 
 @dataclass
@@ -258,8 +259,9 @@ def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
 
 def save_checkpoint(manifest_path: str, blob_path: str, config_echo: dict,
                     store: ParameterStore):
-    """Write a JSON manifest ({name, shape, offset} per parameter plus the
-    config echo) and a blob of little-endian float64 values in manifest order."""
+    """Write a JSON manifest ({name, shape, offset} per parameter, the config
+    echo, and the blob's byte length and sha256) and a blob of little-endian
+    float64 values in manifest order."""
     entries = []
     chunks = []
     offset = 0
@@ -268,13 +270,16 @@ def save_checkpoint(manifest_path: str, blob_path: str, config_echo: dict,
         entries.append({"name": name, "shape": list(t.shape), "offset": offset})
         chunks.append(raw)
         offset += len(raw)
+    blob = b"".join(chunks)
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": config_echo,
         "blob": os.path.basename(blob_path),
+        "blob_bytes": len(blob),
+        "blob_sha256": hashlib.sha256(blob).hexdigest(),
         "parameters": entries,
     }
-    write_atomic(blob_path, b"".join(chunks))
+    write_atomic(blob_path, blob)
     write_atomic(manifest_path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
@@ -289,8 +294,11 @@ def load_checkpoint(manifest_path: str) -> tuple[dict, dict[str, np.ndarray]]:
     malformed parameter entry (name, a shape that is a list of non-negative
     ints, a non-negative int offset), or does not tile the blob: each
     parameter must start where the previous one ends, the first at 0, and
-    the last must end at the blob's end. Names the blob and the parameter
-    when a stored value is NaN or infinite."""
+    the last must end at the blob's end. A version 2 manifest also records
+    the blob's byte length and sha256 (``blob_bytes``, ``blob_sha256``):
+    both must match before any parameter is read, or the ParseError names
+    the blob. Version 1 manifests, which have neither, still load. Names the
+    blob and the parameter when a stored value is NaN or infinite."""
     try:
         with open(manifest_path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
@@ -301,10 +309,13 @@ def load_checkpoint(manifest_path: str) -> tuple[dict, dict[str, np.ndarray]]:
         raise ParseError(f"{manifest_path}: invalid JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise ParseError(f"{manifest_path}: manifest must be a JSON object")
-    if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ParseError(f"{manifest_path}: unsupported checkpoint format: "
-                         f"{manifest.get('format_version')}")
-    missing = [key for key in ("blob", "config", "parameters") if key not in manifest]
+    version = manifest.get("format_version")
+    if not _is_int(version) or version not in (1, CHECKPOINT_FORMAT_VERSION):
+        raise ParseError(f"{manifest_path}: unsupported checkpoint format: {version}")
+    required = ["blob", "config", "parameters"]
+    if version > 1:
+        required += ["blob_bytes", "blob_sha256"]
+    missing = [key for key in required if key not in manifest]
     if missing:
         raise ParseError(f"{manifest_path}: manifest is missing {', '.join(missing)}")
     blob_name, config, entries = manifest["blob"], manifest["config"], manifest["parameters"]
@@ -325,6 +336,13 @@ def load_checkpoint(manifest_path: str) -> tuple[dict, dict[str, np.ndarray]]:
             blob = f.read()
     except OSError as exc:
         raise ParseError(f"{blob_path}: cannot read checkpoint blob: {exc.strerror}") from None
+    if version > 1:
+        if len(blob) != manifest["blob_bytes"]:
+            raise ParseError(f"{blob_path}: blob holds {len(blob)} bytes, but {manifest_path} "
+                             f"records {manifest['blob_bytes']!r}")
+        if hashlib.sha256(blob).hexdigest() != manifest["blob_sha256"]:
+            raise ParseError(f"{blob_path}: blob's sha256 does not match the one {manifest_path} "
+                             "records; the file is corrupt")
     values = {}
     end = 0
     for entry in entries:

@@ -26,7 +26,12 @@ blocks of the gate output and no step copies between [B, N] and [N, B]. The
 z and r pools are concatenated once per forward (GruCellParams.gate_params).
 The gate and candidate ops take the step's node features, not node weights:
 each builds its weights as a temporary and rebuilds them in backward, so the
-tape keeps no step's weights, and every graph mode runs one path.
+tape keeps no step's weights, and every graph mode runs one path. Likewise
+they keep no Chebyshev terms: encode_sequence allocates one terms buffer per
+call, every op writes its terms into it, and each backward refills term 0
+from the op's inputs and reruns the recurrence there (the candidate's r * h
+is rebuilt from the gate output and h). That costs K [N, N] GEMMs per op in
+backward and saves (K+1)(C + d_h) N B floats per op on the tape.
 """
 
 from __future__ import annotations
@@ -65,13 +70,21 @@ class GruCellParams:
         return zr, self.candidate
 
 
-def _conv(x_t: Tensor, y: np.ndarray, lap: Tensor, e: Tensor, params: SGCNParams):
+def _conv(x_t: Tensor, h: Tensor, r: np.ndarray | None, lap: Tensor, e: Tensor,
+          params: SGCNParams, terms: np.ndarray):
     """Chebyshev graph convolution of the concatenation [x_t, y] of x_t
-    [N, C, B] and y [N, d_h, B] on the graph lap [N, N]: the terms [N, K+1,
-    C + d_h, B] (cheb_recurrence), then one per-node product with the node
-    weights theta = e @ weight_pool [N, (K+1)(C + d_h), C_out] (rows ordered
-    (k, i)) and the bias e @ bias_pool [N, C_out], for node features e
-    [N, d_e]. theta is one GEMM, a temporary that backward rebuilds.
+    [N, C, B] and y [N, d_h, B] on the graph lap [N, N], with y = h, or
+    r * h when r is given: the terms [N, K+1, C + d_h, B] (cheb_recurrence),
+    then one per-node product with the node weights theta = e @ weight_pool
+    [N, (K+1)(C + d_h), C_out] (rows ordered (k, i)) and the bias
+    e @ bias_pool [N, C_out], for node features e [N, d_e]. theta is one
+    GEMM, a temporary that backward rebuilds.
+
+    The terms are written into ``terms``, a buffer of that shape which the
+    ops of a whole encoder pass share. The backward keeps none of them: it
+    refills term 0 from x_t and y and reruns the recurrence into the buffer
+    before it reads them (gradient checkpointing, Chen et al., arXiv
+    1604.06174), so the tape holds no step's terms, y or 2L.
 
     Returns the [N, C_out, B] output and its backward. Given the output's
     gradient and whether y needs one, the backward accumulates the gradients
@@ -80,18 +93,25 @@ def _conv(x_t: Tensor, y: np.ndarray, lap: Tensor, e: Tensor, params: SGCNParams
     n, c, b = x_t.shape
     d, k1, c_in, c_out = params.weight_pool.shape
     pool = params.weight_pool.data.reshape(d, -1)
-    terms = np.empty((n, k1, c_in, b))
-    terms[:, 0, :c] = x_t.data
-    terms[:, 0, c:] = y
     flat = terms.reshape(n, k1, c_in * b)            # views of terms
     rows = terms.reshape(n, k1 * c_in, b)
-    lap2 = cheb_recurrence(lap.data, flat)
+
+    def fill():
+        terms[:, 0, :c] = x_t.data
+        if r is None:
+            terms[:, 0, c:] = h.data
+        else:
+            np.multiply(r, h.data, out=terms[:, 0, c:])
+        return cheb_recurrence(lap.data, flat)
+
+    fill()
     out = np.empty((n, c_out, b))    # before theta, so freeing theta leaves no heap hole
     theta = (e.data @ pool).reshape(n, k1 * c_in, c_out)
     np.matmul(theta.transpose(0, 2, 1), rows, out=out)
     out += (e.data @ params.bias_pool.data)[:, :, None]
 
     def back(g, need_y):
+        lap2 = fill()
         g_bias = g.sum(axis=2)
         g_theta = np.matmul(rows, g.transpose(0, 2, 1)).reshape(n, -1)
         ad._accum(params.bias_pool, e.data.T @ g_bias)
@@ -112,11 +132,13 @@ def _conv(x_t: Tensor, y: np.ndarray, lap: Tensor, e: Tensor, params: SGCNParams
     return out, back
 
 
-def gate_op(x_t: Tensor, h: Tensor, lap: Tensor, e: Tensor, params: SGCNParams) -> Tensor:
+def gate_op(x_t: Tensor, h: Tensor, lap: Tensor, e: Tensor, params: SGCNParams,
+            terms: np.ndarray) -> Tensor:
     """sigmoid(conv([x_t, h])) for x_t [N, C, B] and h [N, d_h, B] (see
-    _conv): one [N, C_out, B] tape entry. With the z and r pools of
+    _conv, which writes the Chebyshev terms into ``terms``): one
+    [N, C_out, B] tape entry. With the z and r pools of
     GruCellParams.gate_params, C_out = 2 d_h: z, then r."""
-    s, conv_back = _conv(x_t, h.data, lap, e, params)
+    s, conv_back = _conv(x_t, h, None, lap, e, params, terms)
     s *= 0.5
     np.tanh(s, out=s)
     s *= 0.5
@@ -131,13 +153,14 @@ def gate_op(x_t: Tensor, h: Tensor, lap: Tensor, e: Tensor, params: SGCNParams) 
 
 
 def candidate_op(x_t: Tensor, h: Tensor, gates: Tensor, lap: Tensor, e: Tensor,
-                 params: SGCNParams) -> Tensor:
-    """conv([x_t, r * h]) (see _conv), before its tanh, with r the last d_h
-    channels of the gate_op output gates [N, 2 d_h, B]: one [N, d_h, B]
-    tape entry."""
+                 params: SGCNParams, terms: np.ndarray) -> Tensor:
+    """conv([x_t, r * h]) (see _conv, which writes the Chebyshev terms into
+    ``terms``), before its tanh, with r the last d_h channels of the gate_op
+    output gates [N, 2 d_h, B]: one [N, d_h, B] tape entry. r * h is
+    written into term 0 and rebuilt there in backward, not kept."""
     d_h = h.shape[1]
     r = gates.data[:, d_h:]
-    out, conv_back = _conv(x_t, r * h.data, lap, e, params)
+    out, conv_back = _conv(x_t, h, r, lap, e, params, terms)
 
     def back(g):
         g_rh = conv_back(g, h.requires_grad or gates.requires_grad)
@@ -176,12 +199,14 @@ def blend_op(gates: Tensor, h: Tensor, c: Tensor) -> Tensor:
     return ad._record(Tensor(out), (gates, h, c), back)
 
 
-def _step(x_t: Tensor, h: Tensor, lap_t: Tensor, e_t: Tensor, pools: tuple) -> Tensor:
+def _step(x_t: Tensor, h: Tensor, lap_t: Tensor, e_t: Tensor, pools: tuple,
+          terms: np.ndarray) -> Tensor:
     """The four tape entries of one update on batch-last x_t [N, C, B] and h
-    [N, d_h, B] on the step's lap_t and e_t; pools from gate_params."""
+    [N, d_h, B] on the step's lap_t and e_t; pools from gate_params, and
+    terms the [N, K+1, C + d_h, B] Chebyshev buffer both conv ops write."""
     zr, cand = pools
-    gates = gate_op(x_t, h, lap_t, e_t, zr)
-    c = ad.tanh(candidate_op(x_t, h, gates, lap_t, e_t, cand))
+    gates = gate_op(x_t, h, lap_t, e_t, zr, terms)
+    c = ad.tanh(candidate_op(x_t, h, gates, lap_t, e_t, cand, terms))
     return blend_op(gates, h, c)
 
 
@@ -206,14 +231,22 @@ def encode_sequence(x: Tensor, cell: GruCellParams, bundle: GraphBundle,
     the hidden states into one contiguous [B, N, T, d_h] array. Every graph
     mode runs the same path: step t reads its graph and node features from
     bundle.at(t, bank), and its ops build their node weights from those
-    features (outside sequence-aware mode, bank.node at every step)."""
+    features (outside sequence-aware mode, bank.node at every step).
+
+    One [N, K+1, C + d_h, B] Chebyshev terms buffer serves every gate and
+    candidate op of the call, in forward and in backward, where each op
+    rebuilds its terms in it. So the tape keeps, per step, the ops' inputs
+    (x_t, h, the gate output, the graph and node features) and outputs, but
+    no terms and no node weights."""
     b, steps, n, _ = x.shape
     xs = ad.transpose(x, (1, 2, 3, 0))                 # [T, N, C, B], a view
     h = Tensor(np.zeros((n, cell.hidden_dim, b)))
     pools = cell.gate_params()
+    _, k1, c_in, _ = cell.candidate.weight_pool.shape
+    terms = np.empty((n, k1, c_in, b))
     states = []
     for t in range(steps):
         lap_t, e_t = bundle.at(t, bank)
-        h = _step(ad.select(xs, t, axis=0), h, lap_t, e_t, pools)
+        h = _step(ad.select(xs, t, axis=0), h, lap_t, e_t, pools, terms)
         states.append(h)
     return _stack_states(states)

@@ -320,6 +320,32 @@ def test_feed_forward_training_forward_retains_one_hidden_array():
     assert retained - out.data.nbytes <= hidden_bytes + 4096, (retained, hidden_bytes)
 
 
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_feed_forward_backward_writes_the_hidden_gradient_in_place(dropout):
+    # backward writes the hidden gradient into the spent activation's buffer:
+    # with d_hidden much wider than d_in and d_out, its new arrays (the
+    # boolean ReLU mask, the weight and input gradients) stay below one
+    # [rows, d_hidden] float array
+    lead, dim, ffn_dim = (8, 16, 8), 4, 256
+    x_arr, w1, b1, w2, b2, g = ffn_arrays(39, dim, ffn_dim, lead)
+    ad.reset_tape()
+    params = att.FfnParams(*(Tensor(a, requires_grad=True) for a in (w1, b1, w2, b2)))
+    x = Tensor(x_arr, requires_grad=True)
+    att.feed_forward(x, params, dropout, True, np.random.default_rng(8))
+    (_, _, back), = ad.tape().entries
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        back(g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    ad.reset_tape()
+    hidden_bytes = 8 * int(np.prod(lead)) * ffn_dim
+    assert peak < hidden_bytes, (peak, hidden_bytes)
+    assert x.grad is not None and params.w1.grad is not None
+
+
 # -- multi-head temporal / spatial --------------------------------------------------
 
 

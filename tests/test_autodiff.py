@@ -453,11 +453,3 @@ def test_backward_peak_memory_below_tape_plus_all_grads():
     assert retained > 0.9 * all_grads  # one array per op
     assert peak < retained + all_grads / 2, (peak, retained, all_grads)
     assert x.grad is not None
-
-
-def test_detach_copies_the_value():
-    t = Tensor(np.arange(4.0), requires_grad=True)
-    d = t.detach()
-    assert not d.requires_grad
-    assert not np.shares_memory(d.data, t.data)
-    assert np.array_equal(d.data, t.data)

@@ -361,6 +361,14 @@ def _truncate_blob(manifest, blob):
         f.truncate(os.path.getsize(blob) - 8)
 
 
+def _flip_first_blob_byte(manifest, blob):
+    # the lowest byte of the first value: a finite value that tiles as before
+    with open(blob, "r+b") as f:
+        first = f.read(1)[0]
+        f.seek(0)
+        f.write(bytes([first ^ 1]))
+
+
 def _append_to_blob(manifest, blob):
     with open(blob, "ab") as f:
         f.write(bytes(24))
@@ -390,6 +398,9 @@ def _directory_in_place_of(which):
 @pytest.mark.parametrize("corrupt,named_file", [
     pytest.param(_truncate_blob, "checkpoint.bin", id="truncated_blob"),
     pytest.param(_append_to_blob, "checkpoint.bin", id="bytes_after_last_parameter"),
+    pytest.param(_flip_first_blob_byte, "checkpoint.bin", id="flipped_byte"),
+    pytest.param(_edit_manifest(lambda d: d.pop("blob_sha256")), "checkpoint.json",
+                 id="missing_blob_sha256"),
     pytest.param(_edit_manifest(lambda d: d["parameters"][1].update(offset=0)),
                  "checkpoint.bin", id="offset_reused"),
     pytest.param(_write_manifest('{"format_version": 1,'), "checkpoint.json", id="invalid_json"),
@@ -434,16 +445,18 @@ def test_eval_bad_checkpoint_exits_two(trained_run, tmp_path, capsys, corrupt, n
 
 
 def test_eval_non_finite_checkpoint_value_exits_two(trained_run, tmp_path, capsys):
-    # a well-formed checkpoint holding one NaN: the ReLUs would map it to
+    # a well-formed checkpoint holding one NaN, written by save_checkpoint so
+    # that the blob matches its recorded digest: the ReLUs would map it to
     # finite forecasts, so only the load can catch it
     run_dir = str(tmp_path / "run")
     shutil.copytree(trained_run, run_dir)
     manifest = os.path.join(run_dir, "checkpoint.json")
-    entry = next(p for p in json.loads(open(manifest).read())["parameters"]
-                 if p["name"] == "embed.node")
-    with open(os.path.join(run_dir, "checkpoint.bin"), "r+b") as f:
-        f.seek(entry["offset"] + 8)
-        f.write(np.array([np.nan], dtype="<f8").tobytes())
+    config, values = cli.md.load_checkpoint(manifest)
+    model = cli.md.Forecaster(cli.md.config_from_dict(config["model"]))
+    model.params.load_values(values)
+    model.params["embed.node"].data.flat[1] = np.nan
+    cli.md.save_checkpoint(manifest, os.path.join(run_dir, "checkpoint.bin"), config,
+                           model.params)
     capsys.readouterr()
     code = run(["eval", "--checkpoint", manifest, "--out", str(tmp_path / "eval")])
     assert code == cli.EXIT_DATA

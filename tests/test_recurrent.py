@@ -24,13 +24,20 @@ def cheb_terms(lap, order):
     return np.stack([cheb_polynomial(lap, k) for k in range(order + 1)])
 
 
+def terms_buffer(params, n, b):
+    """An [N, K+1, C_in, B] Chebyshev terms buffer for the conv ops of params."""
+    _, k1, c_in, _ = params.weight_pool.shape
+    return np.empty((n, k1, c_in, b))
+
+
 def cell_step(x_t, h_prev, cell, bundle, bank, t):
     """One update of encode_sequence (recurrent._step) at step t on
     batch-first x_t [B, N, C] and h_prev [B, N, d_h]; all three gates read
     the step-t graph."""
     lap_t, e_t = bundle.at(t, bank)
+    b, n, _ = x_t.shape
     h = recurrent._step(ad.transpose(x_t, (1, 2, 0)), ad.transpose(h_prev, (1, 2, 0)), lap_t,
-                        e_t, cell.gate_params())
+                        e_t, cell.gate_params(), terms_buffer(cell.candidate, n, b))
     return ad.transpose(h, (2, 0, 1))
 
 
@@ -300,10 +307,11 @@ def test_conv_ops_match_finite_differences(op, mode, order):
     def run():
         lap, e_t = build_bundle(mode, bank).at(1, bank)
         zr, cand = cell.gate_params()
+        terms = terms_buffer(cand, n, b)
         if op == "gate":
-            return recurrent.gate_op(leaves["x_t"], leaves["h"], lap, e_t, zr)
+            return recurrent.gate_op(leaves["x_t"], leaves["h"], lap, e_t, zr, terms)
         return recurrent.candidate_op(leaves["x_t"], leaves["h"], leaves["gates"], lap, e_t,
-                                      cand)
+                                      cand, terms)
 
     assert_grads_match_finite_differences(run, leaves)
 
@@ -323,7 +331,8 @@ def test_gate_sigmoid_saturates_without_overflow():
                                Tensor(np.array([[800.0, -800.0], [0.0, -30.0]])))
     with np.errstate(over="raise", invalid="raise"):
         s = recurrent.gate_op(Tensor(np.zeros((n, 1, b))), Tensor(np.zeros((n, d_h, b))),
-                              Tensor(np.eye(n)), Tensor(np.eye(n)), params).data
+                              Tensor(np.eye(n)), Tensor(np.eye(n)), params,
+                              terms_buffer(params, n, b)).data
     assert np.array_equal(s[0, 0], [1.0] * b) and np.array_equal(s[0, 1], [0.0] * b)
     assert np.array_equal(s[1, 0], [0.5] * b)
     assert np.abs(s[1, 1] - 1.0 / (1.0 + np.exp(30.0))).max() < 1e-15
@@ -342,13 +351,45 @@ def encoder_case(mode, order, seed):
     return x, cell, bank, lambda: build_bundle(mode, bank), leaves
 
 
-def values_and_grads(encode, x, cell, bank, bundle, leaves):
+def values_and_grads(encode, x, cell, bank, bundle, leaves, before_backward=lambda: None):
     for p in leaves:
         p.zero_grad()
     out = encode(x, cell, bundle(), bank)
     weight = np.random.default_rng(7).standard_normal(out.shape)
-    ad.backward(weighted_sum(out, weight))
+    loss = weighted_sum(out, weight)
+    before_backward()
+    ad.backward(loss)
     return [out.data] + [p.grad for p in leaves]
+
+
+def closure_arrays(fn, seen=None):
+    """The arrays the closure of fn holds, directly or through the closures
+    of the functions it holds."""
+    seen = set() if seen is None else seen
+    if id(fn) in seen:
+        return []
+    seen.add(id(fn))
+    found = []
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif callable(value) and hasattr(value, "__closure__"):
+            found += closure_arrays(value, seen)
+    return found
+
+
+def tape_terms_buffers(entries, shape):
+    """The distinct base arrays of the given shape that the backward rules of
+    the tape entries hold: the Chebyshev terms buffers of the conv ops."""
+    bases = {}
+    for _, _, back in entries:
+        for a in closure_arrays(back):
+            while a.base is not None:
+                a = a.base
+            if a.shape == shape:
+                bases[id(a)] = a
+    return list(bases.values())
 
 
 @pytest.mark.parametrize("mode", ["static", "adaptive", "sequence_aware"])
@@ -363,6 +404,30 @@ def test_encoder_matches_composed_oracle_in_values_and_gradients(mode, order):
     for got, want in zip(fused, composed):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("mode", ["static", "adaptive", "sequence_aware"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_backward_rebuilds_the_terms_it_reads(mode, order):
+    # The conv ops share one terms buffer and keep none of their terms, so
+    # each backward must refill it: with the buffer all NaN between the loss
+    # and backward, every gradient is still bit-identical.
+    case = encoder_case(mode, order, 120 + order)
+    exact = values_and_grads(recurrent.encode_sequence, *case)
+    x, cell = case[0], case[1]
+    b, _, n, c = x.shape
+    shape = (n, order + 1, c + cell.hidden_dim, b)
+    found = []
+
+    def poison():
+        found.extend(tape_terms_buffers(ad.tape().entries, shape))
+        for buf in found:
+            buf.fill(np.nan)
+
+    poisoned = values_and_grads(recurrent.encode_sequence, *case, before_backward=poison)
+    assert found
+    for got, want in zip(poisoned, exact):
+        assert np.array_equal(got, want)
 
 
 def tape_entries_of_forward(steps):
@@ -385,11 +450,9 @@ def test_static_forward_records_four_tape_entries_per_step():
     assert tape_entries_of_forward(12) <= 4 * 12 + 20
 
 
-def test_training_tape_holds_no_node_weights():
-    # The gate and candidate ops build each step's node weights [N, (K+1)
-    # (C + d_h), C_out] as a temporary and rebuild them in backward, so after
-    # a sequence-aware training forward and the loss no tape entry's output
-    # or input has their shape.
+def sequence_training_tape():
+    """The tape entries of a sequence-aware training forward and the loss
+    (N = 5, T = 4, C = 1, d_h = 4, K = 2, B = 2)."""
     cfg = md.ModelConfig(n_nodes=5, input_steps=4, output_steps=3, embed_dim=3, hidden_dim=4,
                          cheb_order=2, heads=2, graph_mode="sequence_aware", ffn_dim=8,
                          fc_hidden=8, dropout_input=0.0, dropout_inner=0.0)
@@ -398,10 +461,26 @@ def test_training_tape_holds_no_node_weights():
     x, y = rng.standard_normal((2, 4, 5, 1)), rng.standard_normal((2, 3, 5))
     md.l1_loss(model.forward(Tensor(x), training=True), Tensor(y))
     entries = ad.tape().entries
-    shapes = {t.shape for out, inputs, _ in entries for t in (out, *inputs)}
     ad.reset_tape()
+    return entries
+
+
+def test_training_tape_holds_no_node_weights():
+    # The gate and candidate ops build each step's node weights [N, (K+1)
+    # (C + d_h), C_out] as a temporary and rebuild them in backward, so after
+    # a sequence-aware training forward and the loss no tape entry's output
+    # or input has their shape.
+    entries = sequence_training_tape()
+    shapes = {t.shape for out, inputs, _ in entries for t in (out, *inputs)}
     weights = {(5, 3 * (1 + 4), c_out) for c_out in (4, 8)}
     assert len(entries) > 4 * 4 and not shapes & weights
+
+
+def test_training_tape_holds_one_terms_buffer():
+    # The gate and candidate ops of all T steps write their Chebyshev terms
+    # [N, K+1, C + d_h, B] into one buffer and rebuild them in backward, so
+    # the tape's backward rules hold one such buffer, not one per op (2 T).
+    assert len(tape_terms_buffers(sequence_training_tape(), (5, 3, 1 + 4, 2))) == 1
 
 
 def test_wrong_tanh_backward_moves_encoder_gradients():
