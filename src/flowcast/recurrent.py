@@ -70,6 +70,13 @@ class GruCellParams:
         return zr, self.candidate
 
 
+def terms_buffer(params: SGCNParams, n: int, b: int) -> np.ndarray:
+    """An uninitialised [N, K+1, C_in, B] Chebyshev terms buffer for the conv
+    ops of params on n nodes and batch b: the ``terms`` argument of _conv."""
+    _, k1, c_in, _ = params.weight_pool.shape
+    return np.empty((n, k1, c_in, b))
+
+
 def _conv(x_t: Tensor, h: Tensor, r: np.ndarray | None, lap: Tensor, e: Tensor,
           params: SGCNParams, terms: np.ndarray):
     """Chebyshev graph convolution of the concatenation [x_t, y] of x_t
@@ -242,8 +249,7 @@ def encode_sequence(x: Tensor, cell: GruCellParams, bundle: GraphBundle,
     xs = ad.transpose(x, (1, 2, 3, 0))                 # [T, N, C, B], a view
     h = Tensor(np.zeros((n, cell.hidden_dim, b)))
     pools = cell.gate_params()
-    _, k1, c_in, _ = cell.candidate.weight_pool.shape
-    terms = np.empty((n, k1, c_in, b))
+    terms = terms_buffer(cell.candidate, n, b)
     states = []
     for t in range(steps):
         lap_t, e_t = bundle.at(t, bank)

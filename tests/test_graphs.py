@@ -295,9 +295,8 @@ def conv(x, lap_t, e_t, params):
     an empty state (d_h = 0), so that its input [x_t, r h] is x_t."""
     b, n, _ = x.shape
     empty = Tensor(np.zeros((n, 0, b)))
-    _, k1, c_in, _ = params.weight_pool.shape
     out = recurrent.candidate_op(ad.transpose(x, (1, 2, 0)), empty, empty, lap_t, e_t, params,
-                                 np.empty((n, k1, c_in, b)))
+                                 recurrent.terms_buffer(params, n, b))
     return ad.transpose(out, (2, 0, 1))
 
 

@@ -24,12 +24,6 @@ def cheb_terms(lap, order):
     return np.stack([cheb_polynomial(lap, k) for k in range(order + 1)])
 
 
-def terms_buffer(params, n, b):
-    """An [N, K+1, C_in, B] Chebyshev terms buffer for the conv ops of params."""
-    _, k1, c_in, _ = params.weight_pool.shape
-    return np.empty((n, k1, c_in, b))
-
-
 def cell_step(x_t, h_prev, cell, bundle, bank, t):
     """One update of encode_sequence (recurrent._step) at step t on
     batch-first x_t [B, N, C] and h_prev [B, N, d_h]; all three gates read
@@ -37,7 +31,7 @@ def cell_step(x_t, h_prev, cell, bundle, bank, t):
     lap_t, e_t = bundle.at(t, bank)
     b, n, _ = x_t.shape
     h = recurrent._step(ad.transpose(x_t, (1, 2, 0)), ad.transpose(h_prev, (1, 2, 0)), lap_t,
-                        e_t, cell.gate_params(), terms_buffer(cell.candidate, n, b))
+                        e_t, cell.gate_params(), recurrent.terms_buffer(cell.candidate, n, b))
     return ad.transpose(h, (2, 0, 1))
 
 
@@ -307,7 +301,7 @@ def test_conv_ops_match_finite_differences(op, mode, order):
     def run():
         lap, e_t = build_bundle(mode, bank).at(1, bank)
         zr, cand = cell.gate_params()
-        terms = terms_buffer(cand, n, b)
+        terms = recurrent.terms_buffer(cand, n, b)
         if op == "gate":
             return recurrent.gate_op(leaves["x_t"], leaves["h"], lap, e_t, zr, terms)
         return recurrent.candidate_op(leaves["x_t"], leaves["h"], leaves["gates"], lap, e_t,
@@ -332,7 +326,7 @@ def test_gate_sigmoid_saturates_without_overflow():
     with np.errstate(over="raise", invalid="raise"):
         s = recurrent.gate_op(Tensor(np.zeros((n, 1, b))), Tensor(np.zeros((n, d_h, b))),
                               Tensor(np.eye(n)), Tensor(np.eye(n)), params,
-                              terms_buffer(params, n, b)).data
+                              recurrent.terms_buffer(params, n, b)).data
     assert np.array_equal(s[0, 0], [1.0] * b) and np.array_equal(s[0, 1], [0.0] * b)
     assert np.array_equal(s[1, 0], [0.5] * b)
     assert np.abs(s[1, 1] - 1.0 / (1.0 + np.exp(30.0))).max() < 1e-15
