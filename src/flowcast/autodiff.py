@@ -151,54 +151,17 @@ def backward(loss: Tensor):
 # -- arithmetic -------------------------------------------------------------
 
 
-def _check_broadcast(a: Tensor, b: Tensor, op: str) -> tuple:
-    try:
-        return np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "add")
-    out = Tensor(a.data + b.data)
+    try:
+        out = Tensor(a.data + b.data)
+    except ValueError:
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
 
     def back(g):
         _accum(a, _unbroadcast(g, a.shape))
         _accum(b, _unbroadcast(g, b.shape))
 
     return _record(out, (a, b), back)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "sub")
-    out = Tensor(a.data - b.data)
-
-    def back(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
-
-    return _record(out, (a, b), back)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "mul")
-    out = Tensor(a.data * b.data)
-
-    def back(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
-
-    return _record(out, (a, b), back)
-
-
-def scalar_affine(x: Tensor, scale: float, shift: float) -> Tensor:
-    """Elementwise scale * x + shift with python-scalar coefficients."""
-    out = Tensor(x.data * scale + shift)
-
-    def back(g):
-        _accum(x, g * scale)
-
-    return _record(out, (x,), back)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -245,43 +208,6 @@ def tanh(x: Tensor) -> Tensor:
 
     def back(g):
         _accum(x, g * (1.0 - y * y))
-
-    return _record(out, (x,), back)
-
-
-def absolute(x: Tensor) -> Tensor:
-    out = Tensor(np.abs(x.data))
-
-    def back(g):
-        _accum(x, g * np.sign(x.data))
-
-    return _record(out, (x,), back)
-
-
-# -- reductions ---------------------------------------------------------------
-
-
-def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
-
-    def back(g):
-        if axis is None:
-            _accum(x, np.broadcast_to(g, x.shape).copy() if keepdims else np.full(x.shape, g))
-            return
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        if not keepdims:
-            for ax in sorted(a % x.ndim for a in axes):
-                g = np.expand_dims(g, ax)
-        _accum(x, np.broadcast_to(g, x.shape))
-
-    return _record(out, (x,), back)
-
-
-def mean_all(x: Tensor) -> Tensor:
-    out = Tensor(x.data.mean())
-
-    def back(g):
-        _accum(x, np.full(x.shape, g / x.size))
 
     return _record(out, (x,), back)
 

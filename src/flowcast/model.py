@@ -130,13 +130,6 @@ class ParameterStore:
     def __iter__(self):
         return iter(self._params.items())
 
-    def __len__(self) -> int:
-        return len(self._params)
-
-    @property
-    def element_count(self) -> int:
-        return sum(t.size for _, t in self)
-
     def zero_grads(self):
         for _, t in self:
             t.zero_grad()
@@ -248,10 +241,20 @@ class Forecaster:
 
 
 def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean absolute error over every element; the gradient at ties is 0."""
+    """Mean absolute error over every element, as one tape op. ``target`` is
+    data: only ``pred`` gets a gradient, sign(pred - target) / n, which is 0
+    at ties."""
     if pred.shape != target.shape:
         raise ShapeError(f"l1_loss: shapes {pred.shape} and {target.shape} differ")
-    return ad.mean_all(ad.absolute(ad.sub(pred, target)))
+    diff = pred.data - target.data
+    out = Tensor(np.abs(diff).mean())
+
+    def back(g):
+        grad = np.sign(diff)
+        grad *= g / diff.size
+        ad._accum(pred, grad)
+
+    return ad._record(out, (pred,), back)
 
 
 # -- checkpoint format --------------------------------------------------------

@@ -31,6 +31,10 @@ class TrainConfig:
         check_field_types(self)
         if not 0 < self.lr < math.inf:
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError(f"beta1 and beta2 must be in [0, 1), got {self.beta1} and {self.beta2}")
+        if not 0 < self.eps < math.inf:
+            raise ConfigError(f"eps must be positive and finite, got {self.eps}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.max_epochs < 1 or self.batch_size < 1:

@@ -1,10 +1,15 @@
 """Independent reference implementations used to check the library.
 
 Everything here is written as plain scalar/nested loops over numpy arrays,
-deliberately avoiding the code paths under test, except the composed
-encoder (encode_composed), which builds the recurrent update from generic
-tape ops (matmul, concat, transpose, ...) and none of the encoder's own
-Chebyshev or GRU code.
+deliberately avoiding the code paths under test, except:
+
+- the tape ops the model does not run, each recorded with the library's
+  ``_record``/``_accum``: ``mul``, ``scalar_affine`` and ``sub`` for the
+  composed references, ``sigmoid_op`` and ``relu_op``, and ``weighted_sum``,
+  the scalar loss the gradient tests backpropagate from;
+- the composed convolution and encoder (conv_composed, encode_composed),
+  which build the recurrent update from generic tape ops (matmul, concat,
+  transpose, ...) and none of the encoder's own Chebyshev or GRU code.
 """
 
 import numpy as np
@@ -98,6 +103,49 @@ def gru_step_loop(x_t, h_prev, cheb_t, e_t, cell_pools):
     return z * h_prev + (1.0 - z) * c
 
 
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise a * b of two same-shape tensors as one tape op."""
+    assert a.shape == b.shape, (a.shape, b.shape)
+
+    def back(g):
+        ad._accum(a, g * b.data)
+        ad._accum(b, g * a.data)
+
+    return ad._record(Tensor(a.data * b.data), (a, b), back)
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise a - b of two same-shape tensors as one tape op."""
+    assert a.shape == b.shape, (a.shape, b.shape)
+
+    def back(g):
+        ad._accum(a, g)
+        ad._accum(b, -g)
+
+    return ad._record(Tensor(a.data - b.data), (a, b), back)
+
+
+def scalar_affine(x: Tensor, scale: float, shift: float) -> Tensor:
+    """Elementwise scale * x + shift with python-scalar coefficients."""
+
+    def back(g):
+        ad._accum(x, g * scale)
+
+    return ad._record(Tensor(x.data * scale + shift), (x,), back)
+
+
+def weighted_sum(x: Tensor, w=1.0) -> Tensor:
+    """The scalar (x * w).sum() as one tape op, for a constant array w that
+    broadcasts to x's shape (1.0, the default, gives the plain sum); x's
+    gradient is g * w."""
+    w = np.broadcast_to(w, x.shape)
+
+    def back(g):
+        ad._accum(x, g * w)
+
+    return ad._record(Tensor((x.data * w).sum()), (x,), back)
+
+
 def sigmoid_op(x: Tensor) -> Tensor:
     """The logistic function as one tape op: 1 / (1 + e^-x) for x >= 0 and
     e^x / (1 + e^x) below, so no exp overflows."""
@@ -132,7 +180,7 @@ def conv_composed(x, lap, e, gates):
     k1 = gates[0].weight_pool.shape[1]
     terms = [x, ad.matmul(lap, x)][:k1]
     while len(terms) < k1:
-        terms.append(ad.sub(ad.scalar_affine(ad.matmul(lap, terms[-1]), 2.0, 0.0), terms[-2]))
+        terms.append(sub(scalar_affine(ad.matmul(lap, terms[-1]), 2.0, 0.0), terms[-2]))
     rows = ad.transpose(ad.concat(terms, axis=-1), (1, 0, 2))
     outs = []
     for gate in gates:
@@ -158,8 +206,8 @@ def encode_composed(x, cell, bundle, bank):
         x_t = ad.select(x, t, axis=1)
         z, r = (sigmoid_op(g) for g in
                 conv_composed(ad.concat([x_t, h], axis=-1), lap, e, (cell.update, cell.reset)))
-        (cand,) = conv_composed(ad.concat([x_t, ad.mul(r, h)], axis=-1), lap, e, (cell.candidate,))
-        h = ad.add(ad.mul(z, h), ad.mul(ad.scalar_affine(z, -1.0, 1.0), ad.tanh(cand)))
+        (cand,) = conv_composed(ad.concat([x_t, mul(r, h)], axis=-1), lap, e, (cell.candidate,))
+        h = ad.add(mul(z, h), mul(scalar_affine(z, -1.0, 1.0), ad.tanh(cand)))
         states.append(ad.reshape(h, (b, n, 1, cell.hidden_dim)))
     return ad.concat(states, axis=2)
 

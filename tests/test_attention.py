@@ -9,7 +9,8 @@ from flowcast.autodiff import Tensor
 from flowcast.errors import ConfigError
 
 from oracles import (attention_loop, finite_diff_grad, multi_head_loop, relu_op,
-                     softmax_rows, spatial_attention_loop, stfa_loop)
+                     scalar_affine, softmax_rows, spatial_attention_loop, stfa_loop,
+                     weighted_sum)
 
 
 def make_params(dim, heads, seed=0):
@@ -93,7 +94,7 @@ def composed_attention(q, k, v, weight_dropout, training, rng):
     """Scaled-dot attention built from single tape ops, each keeping its own
     output: the reference the one-entry op must agree with."""
     scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))
-    weights = ad.softmax(ad.scalar_affine(scores, 1.0 / np.sqrt(q.shape[-1]), 0.0), axis=-1)
+    weights = ad.softmax(scalar_affine(scores, 1.0 / np.sqrt(q.shape[-1]), 0.0), axis=-1)
     return ad.matmul(ad.dropout(weights, weight_dropout, training, rng), v)
 
 
@@ -108,7 +109,7 @@ def test_fused_attention_with_dropout_matches_composed_ops():
         draws = np.random.default_rng(21)
         out = attend(q, k, v, 0.3, True, draws)
         entries.append(len(ad.tape().entries))
-        ad.backward(ad.reduce_sum(ad.mul(out, Tensor(weight))))
+        ad.backward(weighted_sum(out, weight))
         assert len(ad.tape().entries) == 0
         values.append((out.data, q.grad, k.grad, v.grad))
         next_draws.append(draws.random())
@@ -146,7 +147,7 @@ def attend_and_backward(attend, arrays, weight_dropout, seed=21):
     q, k, v = (Tensor(a, requires_grad=True) for a in (q_arr, k_arr, v_arr))
     draws = np.random.default_rng(seed)
     out = attend(q, k, v, weight_dropout, weight_dropout > 0, draws)
-    ad.backward(ad.reduce_sum(ad.mul(out, Tensor(weight))))
+    ad.backward(weighted_sum(out, weight))
     return (out.data, q.grad, k.grad, v.grad), draws
 
 
@@ -248,7 +249,7 @@ def test_attention_output_and_grads_have_the_layout_of_q():
     merged = ad.reshape(heads, (b, n, t, h * d_k))
     assert out.data.strides == q.data.strides
     assert np.shares_memory(merged.data, out.data)
-    ad.backward(ad.reduce_sum(ad.mul(merged, Tensor(rng.standard_normal(merged.shape)))))
+    ad.backward(weighted_sum(merged, rng.standard_normal(merged.shape)))
     for leaf in (q, k, v):
         assert leaf.grad.strides == leaf.data.strides
 
@@ -280,7 +281,7 @@ def test_feed_forward_matches_composed_ops(dropout):
         draws = np.random.default_rng(22)
         out = feed(tensors[0], att.FfnParams(*tensors[1:]), dropout, True, draws)
         entries.append(len(ad.tape().entries))
-        ad.backward(ad.reduce_sum(ad.mul(out, Tensor(weight))))
+        ad.backward(weighted_sum(out, weight))
         results.append([out.data] + [t.grad for t in tensors])
         next_draws.append(draws.random())
     assert entries[0] == 1  # one tape entry for the whole network
@@ -486,7 +487,7 @@ def test_block_gradients_vs_finite_differences(variant):
 
     x = Tensor(x_arr, requires_grad=True)
     out = att.apply_global_layer(x, p)
-    ad.backward(ad.reduce_sum(ad.mul(out, Tensor(weight))))
+    ad.backward(weighted_sum(out, weight))
 
     def loss_value():
         with ad.no_grad():

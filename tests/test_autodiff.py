@@ -1,3 +1,6 @@
+import ast
+import inspect
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -8,7 +11,7 @@ from flowcast import autodiff as ad
 from flowcast.autodiff import Tensor
 from flowcast.errors import ShapeError
 
-from oracles import finite_diff_grad
+from oracles import finite_diff_grad, mul, scalar_affine, weighted_sum
 
 
 def grads_of(build_loss, *arrays):
@@ -44,7 +47,7 @@ def test_matmul_grad_of_sum_is_ones_times_bt():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((3, 4))
     b = rng.standard_normal((4, 5))
-    ga, gb = grads_of(lambda x, y: ad.reduce_sum(ad.matmul(x, y)), a, b)
+    ga, gb = grads_of(lambda x, y: weighted_sum(ad.matmul(x, y)), a, b)
     assert np.allclose(ga, np.ones((3, 5)) @ b.T, atol=1e-12)
     assert np.allclose(gb, a.T @ np.ones((3, 5)), atol=1e-12)
 
@@ -54,7 +57,7 @@ def test_matmul_grad_vs_finite_differences():
     a = rng.standard_normal((3, 4))
     b = rng.standard_normal((4, 2))
 
-    ga, gb = grads_of(lambda x, y: ad.reduce_sum(ad.matmul(x, y)), a, b)
+    ga, gb = grads_of(lambda x, y: weighted_sum(ad.matmul(x, y)), a, b)
 
     def loss():
         return float(np.sum(a @ b))
@@ -72,7 +75,7 @@ def test_matmul_broadcast_batches():
     out = ad.matmul(Tensor(a), Tensor(b))
     assert out.shape == (2, 3, 4, 6)
     assert np.allclose(out.data, a @ b)
-    ga, gb = grads_of(lambda x, y: ad.reduce_sum(ad.matmul(x, y)), a, b)
+    ga, gb = grads_of(lambda x, y: weighted_sum(ad.matmul(x, y)), a, b)
     assert ga.shape == a.shape and gb.shape == b.shape
 
 
@@ -88,7 +91,7 @@ def test_matmul_weight_gradient_matches_einsum(a_grad, b_grad, contiguous):
     b_arr = rng.standard_normal((6, 7))
     weight = rng.standard_normal((3, 5, 4, 7))
     a, b = Tensor(a_arr, requires_grad=a_grad), Tensor(b_arr, requires_grad=b_grad)
-    ad.backward(ad.reduce_sum(ad.mul(ad.matmul(a, b), Tensor(weight))))
+    ad.backward(weighted_sum(ad.matmul(a, b), weight))
     if a_grad:
         assert np.abs(a.grad - np.einsum("bntf,df->bntd", weight, b_arr)).max() < 1e-12
     else:
@@ -107,7 +110,7 @@ def test_matmul_gradient_of_a_transposed_view_keeps_its_layout():
     b_arr = rng.standard_normal((5, 6, 3))
     weight = rng.standard_normal((5, 4, 3))
     out = ad.matmul(ad.transpose(base, (0, 2, 1)), Tensor(b_arr))
-    ad.backward(ad.reduce_sum(ad.mul(out, Tensor(weight))))
+    ad.backward(weighted_sum(out, weight))
     assert np.abs(base.grad - np.einsum("nbo,nko->nkb", weight, b_arr)).max() < 1e-12
     assert base.grad.flags.c_contiguous
 
@@ -120,7 +123,7 @@ def test_matmul_weight_gradient_needs_no_per_row_products():
     ad.reset_tape()
     a = Tensor(rng.standard_normal(shape))
     b = Tensor(rng.standard_normal((shape[-1], f)), requires_grad=True)
-    loss = ad.reduce_sum(ad.matmul(a, b))
+    loss = weighted_sum(ad.matmul(a, b))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -161,7 +164,7 @@ def test_softmax_grad_vs_finite_differences():
     x = rng.standard_normal((3, 4))
     w = rng.standard_normal((3, 4))  # fixed weighting to make a scalar loss
 
-    (gx,) = grads_of(lambda t: ad.reduce_sum(ad.mul(ad.softmax(t, axis=-1), Tensor(w))), x)
+    (gx,) = grads_of(lambda t: weighted_sum(ad.softmax(t, axis=-1), w), x)
 
     def loss():
         e = np.exp(x - x.max(axis=-1, keepdims=True))
@@ -211,7 +214,7 @@ def test_layer_norm_grad_vs_finite_differences():
     weight = rng.standard_normal((2, 5))
 
     gx, gg, gb = grads_of(
-        lambda a, g, b: ad.reduce_sum(ad.mul(ad.layer_norm(a, g, b), Tensor(weight))),
+        lambda a, g, b: weighted_sum(ad.layer_norm(a, g, b), weight),
         x, gamma, beta,
     )
 
@@ -233,7 +236,7 @@ def test_layer_norm_matches_composed_formula():
     weight = rng.standard_normal(x.shape)
     tensors = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
     out = ad.layer_norm(*tensors)
-    ad.backward(ad.reduce_sum(ad.mul(out, Tensor(weight))))
+    ad.backward(weighted_sum(out, weight))
 
     # the textbook forward and backward, one numpy expression each
     mu = x.mean(axis=-1, keepdims=True)
@@ -267,7 +270,7 @@ def relu_by_feed_forward(x: Tensor) -> Tensor:
 
 
 def test_relu_subgradient_zero_at_zero():
-    (g,) = grads_of(lambda x: ad.reduce_sum(relu_by_feed_forward(x)),
+    (g,) = grads_of(lambda x: weighted_sum(relu_by_feed_forward(x)),
                     np.array([[-1.0], [0.0], [2.0]]))
     assert np.array_equal(g, [[0.0], [0.0], [1.0]])
 
@@ -277,7 +280,7 @@ def test_relu_values_match_where_on_special_values():
     expected = np.where(x > 0, x, 0.0)
     out = relu_by_feed_forward(Tensor(x, requires_grad=True))
     assert np.array_equal(out.data, expected)  # NaN -> 0, so no NaN is compared
-    (g,) = grads_of(lambda t: ad.reduce_sum(relu_by_feed_forward(t)), x)
+    (g,) = grads_of(lambda t: weighted_sum(relu_by_feed_forward(t)), x)
     assert np.array_equal(g, (x > 0).astype(float))
 
 
@@ -295,13 +298,9 @@ def test_concat_shape_mismatch():
 def test_elementwise_grads_vs_finite_differences():
     rng = np.random.default_rng(23)
     x = rng.standard_normal((3, 3))
-    for op, ref in (
-        (ad.tanh, np.tanh),
-        (ad.absolute, np.abs),
-    ):
-        (g,) = grads_of(lambda t: ad.reduce_sum(op(t)), x)
-        fd = finite_diff_grad(lambda: float(np.sum(ref(x))), x)
-        assert (np.abs(g - fd) / np.maximum(1.0, np.abs(fd))).max() < 1e-6
+    (g,) = grads_of(lambda t: weighted_sum(ad.tanh(t)), x)
+    fd = finite_diff_grad(lambda: float(np.sum(np.tanh(x))), x)
+    assert (np.abs(g - fd) / np.maximum(1.0, np.abs(fd))).max() < 1e-6
 
 
 def test_reshape_transpose_preserve_values():
@@ -343,7 +342,7 @@ def test_dropout_grad_masks_match_forward():
     x = np.ones((50, 50))
     t = Tensor(x, requires_grad=True)
     out = ad.dropout(t, 0.3, True, rng)
-    ad.backward(ad.reduce_sum(out))
+    ad.backward(weighted_sum(out))
     assert np.array_equal(t.grad != 0.0, out.data != 0.0)
 
 
@@ -351,18 +350,18 @@ def test_dropout_grad_masks_match_forward():
 
 
 def test_backward_sum_gives_ones():
-    (g,) = grads_of(lambda x: ad.reduce_sum(x), np.array([1.0, 2.0, 3.0]))
+    (g,) = grads_of(weighted_sum, np.array([1.0, 2.0, 3.0]))
     assert np.array_equal(g, [1.0, 1.0, 1.0])
 
 
 def test_backward_sum_of_squares():
-    (g,) = grads_of(lambda x: ad.reduce_sum(ad.mul(x, x)), np.array([1.0, 2.0]))
+    (g,) = grads_of(lambda x: weighted_sum(mul(x, x)), np.array([1.0, 2.0]))
     assert np.array_equal(g, [2.0, 4.0])
 
 
 def test_backward_rejects_non_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
-    y = ad.mul(x, x)
+    y = mul(x, x)
     with pytest.raises(ValueError):
         ad.backward(y)
 
@@ -370,13 +369,13 @@ def test_backward_rejects_non_scalar():
 def test_backward_accumulates_over_shared_use():
     x = Tensor(np.array([3.0]), requires_grad=True)
     y = ad.add(x, x)  # dy/dx = 2
-    ad.backward(ad.reduce_sum(y))
+    ad.backward(weighted_sum(y))
     assert x.grad[0] == 2.0
 
 
 def test_tape_consumed_by_backward():
     x = Tensor(np.ones(2), requires_grad=True)
-    loss = ad.reduce_sum(ad.mul(x, x))
+    loss = weighted_sum(mul(x, x))
     ad.backward(loss)
     assert len(ad.tape().entries) == 0
 
@@ -384,7 +383,7 @@ def test_tape_consumed_by_backward():
 def test_no_grad_suppresses_recording():
     x = Tensor(np.ones(2), requires_grad=True)
     with ad.no_grad():
-        y = ad.mul(x, x)
+        y = mul(x, x)
     assert not y.requires_grad
     assert len(ad.tape().entries) == 0
 
@@ -392,7 +391,7 @@ def test_no_grad_suppresses_recording():
 def test_broadcast_add_grad_shapes():
     a = np.random.default_rng(0).standard_normal((2, 3, 4))
     b = np.random.default_rng(1).standard_normal((4,))
-    ga, gb = grads_of(lambda x, y: ad.reduce_sum(ad.add(x, y)), a, b)
+    ga, gb = grads_of(lambda x, y: weighted_sum(ad.add(x, y)), a, b)
     assert ga.shape == a.shape
     assert gb.shape == b.shape
     assert np.array_equal(gb, np.full(4, 6.0))
@@ -405,7 +404,7 @@ def test_select_roundtrip_grads():
 
     def build(t):
         s = ad.select(t, 1, axis=0)
-        return ad.reduce_sum(ad.mul(s, Tensor(w)))
+        return weighted_sum(s, w)
 
     (g,) = grads_of(build, x)
     expected = np.zeros_like(x)
@@ -416,8 +415,8 @@ def test_select_roundtrip_grads():
 def test_backward_releases_op_grads_and_keeps_leaf_grads():
     x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
     w = Tensor(np.array([0.5, 0.25, 2.0]), requires_grad=True)
-    hidden = ad.tanh(ad.mul(x, w))
-    loss = ad.reduce_sum(ad.scalar_affine(hidden, 2.0, 1.0))
+    hidden = ad.tanh(mul(x, w))
+    loss = weighted_sum(scalar_affine(hidden, 2.0, 1.0))
     ad.backward(loss)
     assert len(ad.tape().entries) == 0
     for out in (hidden, loss):
@@ -440,8 +439,8 @@ def test_backward_peak_memory_below_tape_plus_all_grads():
         base = tracemalloc.get_traced_memory()[0]
         h = x
         for i in range(ops):
-            h = ad.tanh(h) if i % 2 else ad.scalar_affine(h, 0.5, 0.1)
-        loss = ad.reduce_sum(h)
+            h = ad.tanh(h) if i % 2 else scalar_affine(h, 0.5, 0.1)
+        loss = weighted_sum(h)
         retained = tracemalloc.get_traced_memory()[0] - base
         del h
         tracemalloc.reset_peak()
@@ -453,3 +452,31 @@ def test_backward_peak_memory_below_tape_plus_all_grads():
     assert retained > 0.9 * all_grads  # one array per op
     assert peak < retained + all_grads / 2, (peak, retained, all_grads)
     assert x.grad is not None
+
+
+# -- the module's surface --------------------------------------------------------------
+
+
+def test_every_public_op_is_run_by_the_library():
+    # the ops are the public functions defined in autodiff, except the tape
+    # controls; each one must be reached as `<alias of autodiff>.<op>` or
+    # imported by name in another module of the package
+    controls = {"tape", "reset_tape", "no_grad", "backward"}
+    ops = {name for name, fn in vars(ad).items()
+           if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+           and not name.startswith("_") and name not in controls}
+    used = set()
+    for path in pathlib.Path(ad.__file__).parent.glob("*.py"):
+        if path.name == "autodiff.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "autodiff":
+                used.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module is None:
+                aliases.update(a.asname or a.name for a in node.names if a.name == "autodiff")
+        used.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases)
+    assert ops and not ops - used, sorted(ops - used)

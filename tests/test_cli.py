@@ -107,6 +107,12 @@ SEED_NAMED = "seed cannot be set; the top-level 'seed' (or --seed)"
                  id="more_channels_than_the_data"),
     pytest.param(["--set", "train.lr=NaN"], "lr", id="lr_nan"),
     pytest.param(["--set", "train.lr=Infinity"], "lr", id="lr_infinite"),
+    pytest.param(["--set", "train.beta1=1.0"], "beta1", id="beta1_one"),
+    pytest.param(["--set", "train.beta1=NaN"], "beta1", id="beta1_nan"),
+    pytest.param(["--set", "train.beta2=1.5"], "beta2", id="beta2_above_one"),
+    pytest.param(["--set", "train.eps=-1"], "eps", id="eps_negative"),
+    pytest.param(["--set", "train.eps=0"], "eps", id="eps_zero"),
+    pytest.param(["--set", "train.eps=Infinity"], "eps", id="eps_infinite"),
     pytest.param(["--set", "data.synth.noise_level=-1"], "data.synth: noise level",
                  id="synth_noise_negative"),
     pytest.param(["--set", "data.synth.noise_level=NaN"], "data.synth: noise level",

@@ -6,7 +6,8 @@ from flowcast import graphs, recurrent
 from flowcast.autodiff import Tensor
 from flowcast.errors import InvalidGraphError
 
-from oracles import cheb_polynomial, finite_diff_grad, sgcn_loop, softmax_rows
+from oracles import (cheb_polynomial, finite_diff_grad, scalar_affine, sgcn_loop,
+                     softmax_rows, sub, weighted_sum)
 
 
 def make_bank(n=3, steps=4, d=2, seed=0):
@@ -62,7 +63,7 @@ def test_sequence_graphs_differentiable_wrt_bank():
     weight = np.random.default_rng(0).standard_normal((2, 3, 3))
 
     bundle = graphs.build_sequence_graphs(bank)
-    loss = ad.reduce_sum(ad.mul(bundle.laplacians, Tensor(weight)))
+    loss = weighted_sum(bundle.laplacians, weight)
     ad.backward(loss)
 
     def loss_value():
@@ -205,7 +206,7 @@ def _propagate_by_matrices(lap, x, order):
     by concat."""
     mats = [Tensor(np.eye(lap.shape[0])), lap]
     for _ in range(2, order + 1):
-        mats.append(ad.sub(ad.scalar_affine(ad.matmul(lap, mats[-1]), 2.0, 0.0), mats[-2]))
+        mats.append(sub(scalar_affine(ad.matmul(lap, mats[-1]), 2.0, 0.0), mats[-2]))
     n, m = x.shape
     return ad.concat([ad.reshape(ad.matmul(t, x), (n, 1, m)) for t in mats[: order + 1]], axis=1)
 
@@ -242,7 +243,7 @@ def test_propagate_gradients_match_matrix_stack_and_finite_differences(order, gr
     def grads_of(propagate):
         lap = Tensor(lap_data.copy(), requires_grad=grads[0])
         x = Tensor(x_data.copy(), requires_grad=grads[1])
-        ad.backward(ad.reduce_sum(ad.mul(propagate(lap, x), Tensor(weight))))
+        ad.backward(weighted_sum(propagate(lap, x), weight))
         return lap.grad, x.grad
 
     got = grads_of(lambda lap, x: _propagate(lap, x, order))
@@ -382,7 +383,7 @@ def test_node_weights_and_convolve_match_einsum_references(order):
     both = graphs.SGCNParams(ad.concat([gate.weight_pool for gate in gates], axis=-1),
                              ad.concat([gate.bias_pool for gate in gates], axis=-1))
     out = conv(x, lap, e, both)
-    ad.backward(ad.reduce_sum(ad.mul(out, Tensor(np.concatenate(upstream, axis=-1)))))
+    ad.backward(weighted_sum(out, np.concatenate(upstream, axis=-1)))
     outs = (out.data[..., :c_out], out.data[..., c_out:])
 
     cheb = np.stack([cheb_polynomial(lap_data, k) for k in range(order + 1)])

@@ -87,7 +87,7 @@ def test_forward_shape_grid(graph_mode, variant):
 def test_variant_none_has_fewer_parameters():
     full = md.Forecaster(tiny_config(gst2_variant="parallel"))
     bare = md.Forecaster(tiny_config(gst2_variant="none"))
-    assert bare.params.element_count < full.params.element_count
+    assert sum(t.size for _, t in bare.params) < sum(t.size for _, t in full.params)
     assert not any(name.startswith("gst2.") for name in bare.params.names())
 
 
@@ -209,9 +209,14 @@ def test_l1_loss_gradient_is_scaled_sign():
     rng = np.random.default_rng(6)
     pred_arr = rng.standard_normal((2, 3))
     target = rng.standard_normal((2, 3))
+    target[1, 2] = pred_arr[1, 2]      # a tie
     pred = Tensor(pred_arr, requires_grad=True)
-    ad.backward(md.l1_loss(pred, Tensor(target)))
+    ad.reset_tape()
+    loss = md.l1_loss(pred, Tensor(target))
+    assert len(ad.tape().entries) == 1
+    ad.backward(loss)
     assert np.array_equal(pred.grad, np.sign(pred_arr - target) / pred_arr.size)
+    assert pred.grad[1, 2] == 0.0
 
     fd = finite_diff_grad(lambda: float(np.abs(pred_arr - target).mean()), pred_arr)
     rel = np.abs(pred.grad - fd) / np.maximum(1.0, np.abs(fd))
@@ -270,7 +275,7 @@ def test_checkpoint_blob_is_little_endian_float64(tmp_path):
     blob = str(tmp_path / "c.bin")
     md.save_checkpoint(manifest, blob, {}, model.params)
     size = os.path.getsize(blob)
-    assert size == 8 * model.params.element_count
+    assert size == 8 * sum(t.size for _, t in model.params)
     first = model.params[model.params.names()[0]]
     raw = np.fromfile(blob, dtype="<f8", count=first.size)
     assert np.array_equal(raw.reshape(first.shape), first.data)

@@ -9,7 +9,7 @@ from flowcast import model as md
 from flowcast.autodiff import Tensor
 
 from oracles import (cheb_polynomial, encode_composed, finite_diff_grad, gru_step_loop,
-                     sgcn_loop, softmax_rows)
+                     sgcn_loop, softmax_rows, weighted_sum)
 
 
 def setup_cell(n=2, steps=3, d=2, d_h=2, c=1, seed=0):
@@ -144,7 +144,7 @@ def test_bptt_gradients_vs_finite_differences():
 
     bundle = graphs.build_sequence_graphs(bank)
     h = recurrent.encode_sequence(Tensor(x), cell, bundle, bank)
-    ad.backward(ad.reduce_sum(ad.mul(h, Tensor(weight))))
+    ad.backward(weighted_sum(h, weight))
 
     pools = {
         "update": (cell.update.weight_pool.data, cell.update.bias_pool.data),
@@ -219,7 +219,7 @@ def test_bptt_gradients_vs_finite_differences_adaptive_order_two():
 
     bundle = graphs.build_adaptive_graph(bank.node)
     h = recurrent.encode_sequence(Tensor(x), cell, bundle, bank)
-    ad.backward(ad.reduce_sum(ad.mul(h, Tensor(weight))))
+    ad.backward(weighted_sum(h, weight))
     pools = cell_pools(cell)
 
     def loss_value():
@@ -249,10 +249,6 @@ def build_bundle(mode, bank):
     if mode == "adaptive":
         return graphs.build_adaptive_graph(bank.node)
     return graphs.build_sequence_graphs(bank)
-
-
-def weighted_sum(out, weight):
-    return ad.reduce_sum(ad.mul(out, Tensor(weight)))
 
 
 def assert_grads_match_finite_differences(run, leaves):
