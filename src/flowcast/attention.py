@@ -11,7 +11,11 @@ matrix; the [B, N, T, h, d_k] product is viewed, not copied, as the
 [B, G, h, L, d_k] groups of the attention ([B, N, h, T, d_k] over time,
 [B, T, h, N, d_k] over nodes). The scaled-dot core of every attention is a
 single tape entry that works through its attention groups in blocks sized to
-``BLOCK_BYTES``. For backward it keeps q, k, v, the output, the row
+``BLOCK_BYTES``. Its forward bounds every score once per call by
+Cauchy-Schwarz, max_i |q_i| max_j |k_j| / sqrt(d_k); when that bound is at
+most ``EXP_SAFE`` it exponentiates the scores with no row-max pass (one
+pass fewer over the scores; Milakov and Gimelshein, arXiv 1805.02867),
+otherwise it shifts each row by its max. For backward it keeps q, k, v, the output, the row
 logsumexp [.., L, 1] and, when weight dropout runs, a boolean mask; each
 block's softmax weights are recomputed from them, so no float [.., L, L]
 array outlives one block. Its output and gradients have the memory layout of
@@ -39,9 +43,13 @@ from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 
 LN_EPS = 1e-5
-# byte budget of the [L, L] float scores of one block of attention groups:
-# a block's scores, exp'd and multiplied in place, stay in a core's L2 cache
+# byte budget of the [L, L] float scores of one block of attention groups,
+# and of the node weights of one chunk of nodes in recurrent._conv: a block's
+# scores, exp'd and multiplied in place, stay in a core's L2 cache
 BLOCK_BYTES = 1 << 20
+# scores bounded by this in magnitude are exponentiated unshifted: exp(+-300)
+# is about 1e+-130, so no row sum overflows and no row underflows to 0
+EXP_SAFE = 300.0
 
 # test instrumentation: callables receiving every softmaxed attention matrix
 _WEIGHT_OBSERVERS: list = []
@@ -114,8 +122,13 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
     One tape entry with a hand-written backward. Both passes walk the
     leading groups in blocks of consecutive groups whose [L, L] scores fit
     ``BLOCK_BYTES`` (at least one group per block; see ``_blocks``). The
-    forward scores q pre-scaled by 1/sqrt(d_k) against k, exponentiates the
-    max-shifted scores in place and writes out = (e v) / rowsum(e). Backward
+    forward scores q pre-scaled by 1/sqrt(d_k) against k and exponentiates
+    them in place. Each score is at most max_i |q_i| max_j |k_j| / sqrt(d_k)
+    in magnitude (Cauchy-Schwarz), a bound taken once per call: when it is
+    at most ``EXP_SAFE`` the raw scores are exponentiated, with no row max,
+    and lse = log(rowsum(e)); otherwise, a NaN or infinite bound included,
+    each row is shifted by its max first. Row sums are one product with a
+    ones vector. It writes out = (e v) / rowsum(e). Backward
     keeps q, k, v, the output, the row logsumexp [..., L, 1] and the boolean
     dropout mask; it recomputes each block's weights as
     exp(q k^T / sqrt(d_k) - lse) and takes the softmax row term from
@@ -152,15 +165,20 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
     if weight_dropout > 0.0 and training:
         keep = np.empty(lead + (l_q, l_k), dtype=bool)
     observed = np.empty(lead + (l_q, l_k)) if _WEIGHT_OBSERVERS else None
+    # |score| <= the bound (Cauchy-Schwarz); a NaN bound fails the test too
+    shift = not _row_norm_max(qs) * _row_norm_max(k.data) <= EXP_SAFE
+    ones = np.ones((l_k, 1))
     scratch = np.empty(block_scores)
     for blk in blocks:
         e = _scores(qs[blk], kf[blk], scratch)
-        row_max = e.max(axis=-1, keepdims=True)
-        e -= row_max
+        if shift:
+            row_max = e.max(axis=-1, keepdims=True)
+            e -= row_max
         np.exp(e, out=e)
-        row_sum = e.sum(axis=-1, keepdims=True)
+        row_sum = np.matmul(e.reshape(-1, l_k), ones).reshape(e.shape[:-1] + (1,))
         np.log(row_sum, out=lse[blk])
-        lse[blk] += row_max
+        if shift:
+            lse[blk] += row_max
         if observed is not None:
             np.divide(e, row_sum, out=observed[blk])
         if keep is not None:
@@ -228,6 +246,11 @@ def _blocks(lead: tuple, group_bytes: int) -> tuple:
               for prefix in np.ndindex(*lead[:axis - 1])
               for start in range(0, lead[axis - 1], step)]
     return blocks, inner * step
+
+
+def _row_norm_max(a: np.ndarray) -> float:
+    """The largest Euclidean norm of a row (last axis) of a; NaN if a holds one."""
+    return float(np.sqrt(np.einsum("...d,...d->...", a, a).max(initial=0.0)))
 
 
 def _scores(a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> np.ndarray:

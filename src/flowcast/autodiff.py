@@ -216,19 +216,26 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:
-    """Softmax along ``axis``, stabilized by max subtraction."""
+    """Softmax along ``axis``, stabilized by max subtraction.
+
+    One buffer: the forward writes x - max once and runs the exp and the
+    normalization in place, with row sums as products with a ones vector;
+    the backward allocates one array, the input gradient."""
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"softmax: axis {axis} invalid for shape {x.shape}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    ex = np.exp(shifted)
-    y = ex / ex.sum(axis=axis, keepdims=True)
-    out = Tensor(y)
+    y = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    rows = np.moveaxis(y, axis, -1)                  # views of y
+    rows /= np.matmul(rows, np.ones((x.shape[axis], 1)))
 
     def back(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        _accum(x, y * (g - dot))
+        # y * (g - rowdot(g, y))
+        g_rows = np.moveaxis(g, axis, -1)
+        gx = g_rows - np.einsum("...d,...d->...", g_rows, rows)[..., None]
+        gx *= rows
+        _accum(x, np.moveaxis(gx, -1, axis))
 
-    return _record(out, (x,), back)
+    return _record(Tensor(y), (x,), back)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

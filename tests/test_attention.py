@@ -220,6 +220,35 @@ def test_blocked_attention_stable_at_large_logits(three_blocks):
         assert np.abs(got - expected).max() < 1e-9 * max(1.0, np.abs(expected).max())
 
 
+@pytest.mark.parametrize("weight_dropout", [0.0, 0.3])
+def test_unshifted_and_shifted_softmax_agree(three_blocks, monkeypatch, weight_dropout):
+    # The default inputs' scores are bounded well below EXP_SAFE, so they are
+    # exponentiated with no row max; EXP_SAFE = 0 forces the max shift.
+    arrays = blocked_arrays(35)
+    norm = lambda a: np.sqrt((a * a).sum(axis=-1)).max()
+    assert norm(arrays[0]) * norm(arrays[1]) / np.sqrt(BLOCKED_D_K) <= att.EXP_SAFE
+    unshifted, draws = attend_and_backward(att.scaled_dot_attention, arrays, weight_dropout)
+    after_unshifted = draws.random()
+    monkeypatch.setattr(att, "EXP_SAFE", 0.0)
+    shifted, draws = attend_and_backward(att.scaled_dot_attention, arrays, weight_dropout)
+    for got, expected in zip(unshifted, shifted):
+        assert np.abs(got - expected).max() < 1e-12
+    assert draws.random() == after_unshifted
+
+
+@pytest.mark.parametrize("exp_safe", [None, 0.0])
+def test_nan_query_gives_nan_rows(three_blocks, monkeypatch, exp_safe):
+    if exp_safe is not None:
+        monkeypatch.setattr(att, "EXP_SAFE", exp_safe)
+    q_arr, k_arr, v_arr, _ = blocked_arrays(36)
+    q_arr[1, 2, 5, 0] = np.nan
+    out = att.scaled_dot_attention(Tensor(q_arr), Tensor(k_arr), Tensor(v_arr)).data
+    nan_rows = np.zeros(out.shape[:-1], dtype=bool)
+    nan_rows[1, 2, 5] = True
+    assert np.array_equal(np.isnan(out).any(axis=-1), nan_rows)
+    assert np.isnan(out[1, 2, 5]).all()
+
+
 def test_blocked_training_forward_retains_no_scores_buffer(three_blocks):
     q_arr, k_arr, v_arr, _ = blocked_arrays(34)
     ad.reset_tape()

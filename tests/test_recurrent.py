@@ -1,8 +1,10 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from flowcast import attention
 from flowcast import autodiff as ad
 from flowcast import graphs, recurrent
 from flowcast import model as md
@@ -326,6 +328,49 @@ def test_gate_sigmoid_saturates_without_overflow():
     assert np.array_equal(s[0, 0], [1.0] * b) and np.array_equal(s[0, 1], [0.0] * b)
     assert np.array_equal(s[1, 0], [0.5] * b)
     assert np.abs(s[1, 1] - 1.0 / (1.0 + np.exp(30.0))).max() < 1e-15
+
+
+@pytest.mark.parametrize("mode", ["static", "adaptive", "sequence_aware"])
+def test_node_chunks_leave_the_forward_bit_identical(monkeypatch, mode):
+    # With the byte budget at three nodes' z|r weights, the gate op builds
+    # them for the 8 nodes in chunks of 3, 3 and 2 (the candidate in 6 and 2).
+    rng = np.random.default_rng(130)
+    bank = graphs.EmbeddingBank.create(8, 3, 2, rng, with_positions=mode == "sequence_aware")
+    cell = recurrent.GruCellParams.create(2, 4, 2, 2, rng)
+    x = Tensor(rng.standard_normal((3, 3, 8, 2)))
+    _, k1, c_in, c_out = cell.gate_params()[0].weight_pool.shape
+    node_bytes = 8 * k1 * c_in * c_out
+    assert 8 * node_bytes <= attention.BLOCK_BYTES  # one chunk by default
+    with ad.no_grad():
+        one_chunk = recurrent.encode_sequence(x, cell, build_bundle(mode, bank), bank).data
+        monkeypatch.setattr(attention, "BLOCK_BYTES", 3 * node_bytes)
+        chunked = recurrent.encode_sequence(x, cell, build_bundle(mode, bank), bank).data
+    assert np.array_equal(chunked, one_chunk)
+
+
+def test_gate_op_forward_never_holds_all_node_weights(monkeypatch):
+    # The node weights of 8 nodes span 4 chunks of the byte budget; the
+    # forward builds them chunk by chunk in one buffer, so its peak allocation
+    # stays below the bytes of all 8 nodes' weights.
+    rng = np.random.default_rng(131)
+    n, c, d_h, d_e, b = 8, 1, 16, 2, 2
+    zr, _ = recurrent.GruCellParams.create(c, d_h, d_e, 2, rng).gate_params()
+    _, k1, c_in, c_out = zr.weight_pool.shape
+    theta_bytes = 8 * n * k1 * c_in * c_out
+    monkeypatch.setattr(attention, "BLOCK_BYTES", theta_bytes // 3)
+    x_t, h = Tensor(rng.standard_normal((n, c, b))), Tensor(rng.standard_normal((n, d_h, b)))
+    lap = Tensor(softmax_rows(rng.standard_normal((n, n))))
+    e = Tensor(rng.standard_normal((n, d_e)))
+    terms = recurrent.terms_buffer(zr, n, b)
+    with ad.no_grad():
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            recurrent.gate_op(x_t, h, lap, e, zr, terms)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert peak < theta_bytes, (peak, theta_bytes)
 
 
 def encoder_case(mode, order, seed):
