@@ -20,7 +20,12 @@ logsumexp [.., L, 1] and, when weight dropout runs, a boolean mask; each
 block's softmax weights are recomputed from them, so no float [.., L, L]
 array outlives one block. Its output and gradients have the memory layout of
 q, so the heads merge back to [B, N, T, h*d_k] as a view and the
-projections' backward reads their gradients as [rows, h*d_k] views.
+projections' backward reads their gradients as [rows, h*d_k] views. The op
+returns no weights: run with v = I, an identity [L, L] value per group, its
+output is the weights themselves, bit for bit.
+
+Dropout is given to every function here as rates, which the model sets to 0
+outside training; a rate of 0 draws nothing from the stream.
 
 Every block variant is a row of the ``BLOCKS`` site table: after positional
 encoding, each site applies its sublayer (an attention, the parallel merge of
@@ -33,7 +38,6 @@ fused; ``ta_only`` and ``sa_only`` keep one attention for ablation.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +46,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 
-LN_EPS = 1e-5
 # byte budget of the [L, L] float scores of one block of attention groups,
 # and of the node weights of one chunk of nodes in recurrent._conv: a block's
 # scores, exp'd and multiplied in place, stay in a core's L2 cache
@@ -50,21 +53,6 @@ BLOCK_BYTES = 1 << 20
 # scores bounded by this in magnitude are exponentiated unshifted: exp(+-300)
 # is about 1e+-130, so no row sum overflows and no row underflows to 0
 EXP_SAFE = 300.0
-
-# test instrumentation: callables receiving every softmaxed attention matrix
-_WEIGHT_OBSERVERS: list = []
-
-
-@contextmanager
-def capture_attention_weights():
-    """Collect the row-stochastic attention weight arrays computed inside the
-    block, for inspection in tests."""
-    captured: list[np.ndarray] = []
-    _WEIGHT_OBSERVERS.append(captured.append)
-    try:
-        yield captured
-    finally:
-        _WEIGHT_OBSERVERS.remove(captured.append)
 
 
 def positional_encoding(steps: int, dim: int) -> Tensor:
@@ -106,18 +94,17 @@ class AttentionParams:
         )
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
-                         weight_dropout: float = 0.0, training: bool = False,
+def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, weight_dropout: float = 0.0,
                          rng: np.random.Generator | None = None) -> Tensor:
     """softmax(q k^T / sqrt(d_k)) v over the second-to-last axis.
 
-    q, k are [..., L, d_k] and v is [..., L, d_v]; the leading axes
-    broadcast. The weight rows are row-stochastic and the output lies in the
-    convex hull of the v rows. With ``training`` and ``weight_dropout`` > 0
-    the weights go through inverted dropout before the product with v, with
-    the same mask ``autodiff.dropout`` would draw for the full [..., L, L]
-    weights: it is drawn block by block in C order, which takes the same
-    values from the stream.
+    q, k are [..., L, d_k] and v is [..., L, d_v], with the same leading
+    axes. The weight rows are row-stochastic and the output lies in the
+    convex hull of the v rows. With ``weight_dropout`` > 0 the weights go
+    through inverted dropout before the product with v, with the same mask
+    ``autodiff.dropout`` would draw for the full [..., L, L] weights: it is
+    drawn block by block in C order, which takes the same values from the
+    stream.
 
     One tape entry with a hand-written backward. Both passes walk the
     leading groups in blocks of consecutive groups whose [L, L] scores fit
@@ -132,14 +119,12 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
     keeps q, k, v, the output, the row logsumexp [..., L, 1] and the boolean
     dropout mask; it recomputes each block's weights as
     exp(q k^T / sqrt(d_k) - lse) and takes the softmax row term from
-    rowsum(dO * O). No float [..., L, L] array exists in either pass, except
-    the full weights built for ``capture_attention_weights`` while an
-    observer is registered.
+    rowsum(dO * O). No float [..., L, L] array exists in either pass.
 
-    The output is allocated in the memory layout of q (broadcast to the
-    leading axes), and the q, k and v gradients each in the layout of their
-    input, so a caller that views a [.., L, h, d_k] array as [.., h, L, d_k]
-    gets views back, and no transposing copy, in both passes.
+    The output is allocated in the memory layout of q, and the q, k and v
+    gradients each in the layout of their input, so a caller that views a
+    [.., L, h, d_k] array as [.., h, L, d_k] gets views back, and no
+    transposing copy, in both passes.
     """
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"attention: q/k depth mismatch {q.shape} vs {k.shape}")
@@ -147,30 +132,26 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
         raise ShapeError(f"attention: k/v length mismatch {k.shape} vs {v.shape}")
     if not 0.0 <= weight_dropout < 1.0:
         raise ValueError(f"attention: weight dropout must be in [0, 1), got {weight_dropout}")
-    try:
-        lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
-    except ValueError:
+    lead = q.shape[:-2]
+    if k.shape[:-2] != lead or v.shape[:-2] != lead:
         raise ShapeError(f"attention: leading axes of {q.shape}, {k.shape} and {v.shape} "
-                         "do not broadcast") from None
+                         "differ")
     l_q, l_k = q.shape[-2], k.shape[-2]
     inv_sqrt_dk = 1.0 / np.sqrt(q.shape[-1])
     blocks, block_groups = _blocks(lead, 8 * l_q * l_k)
     block_scores = block_groups * l_q * l_k
-    full = lambda a: np.broadcast_to(a, lead + a.shape[-2:])
-    # q pre-scaled by 1/sqrt(d_k); k and v as views with the leading axes
-    qs, kf, vf = full(q.data) * inv_sqrt_dk, full(k.data), full(v.data)
+    qs = q.data * inv_sqrt_dk
     out = np.empty_like(qs, shape=lead + (l_q, v.shape[-1]))
     lse = np.empty(lead + (l_q, 1))
     keep = drop_scale = None
-    if weight_dropout > 0.0 and training:
+    if weight_dropout > 0.0:
         keep = np.empty(lead + (l_q, l_k), dtype=bool)
-    observed = np.empty(lead + (l_q, l_k)) if _WEIGHT_OBSERVERS else None
     # |score| <= the bound (Cauchy-Schwarz); a NaN bound fails the test too
     shift = not _row_norm_max(qs) * _row_norm_max(k.data) <= EXP_SAFE
     ones = np.ones((l_k, 1))
     scratch = np.empty(block_scores)
     for blk in blocks:
-        e = _scores(qs[blk], kf[blk], scratch)
+        e = _scores(qs[blk], k.data[blk], scratch)
         if shift:
             row_max = e.max(axis=-1, keepdims=True)
             e -= row_max
@@ -179,31 +160,26 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
         np.log(row_sum, out=lse[blk])
         if shift:
             lse[blk] += row_max
-        if observed is not None:
-            np.divide(e, row_sum, out=observed[blk])
         if keep is not None:
             keep[blk], drop_scale = ad._dropout_mask(e.shape, weight_dropout, rng)
             e *= keep[blk]
             e *= drop_scale
-        np.matmul(e, vf[blk], out=out[blk])
+        np.matmul(e, v.data[blk], out=out[blk])
         out[blk] /= row_sum
-    if observed is not None:
-        for observe in _WEIGHT_OBSERVERS:
-            observe(observed)
 
     def back(g):
         # the softmax row term sum_j W_ij dW_ij, as rowsum(dO * O)
         row_dot = np.einsum("...d,...d->...", g, out)[..., None]
-        qs, kf, vf = full(q.data) * inv_sqrt_dk, full(k.data), full(v.data)
+        qs = q.data * inv_sqrt_dk
         g_q = np.empty_like(qs) if q.requires_grad else None
-        g_k = np.empty_like(kf) if k.requires_grad else None
-        g_v = np.empty_like(vf) if v.requires_grad else None
+        g_k = np.empty_like(k.data) if k.requires_grad else None
+        g_v = np.empty_like(v.data) if v.requires_grad else None
         w_scratch, g_w_scratch = np.empty(block_scores), np.empty(block_scores)
         for blk in blocks:
-            w = _scores(qs[blk], kf[blk], w_scratch)
+            w = _scores(qs[blk], k.data[blk], w_scratch)
             w -= lse[blk]
             np.exp(w, out=w)
-            g_w = _scores(g[blk], vf[blk], g_w_scratch)
+            g_w = _scores(g[blk], v.data[blk], g_w_scratch)
             if keep is not None:
                 g_w *= keep[blk]
                 g_w *= drop_scale
@@ -214,14 +190,14 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
             g_w -= row_dot[blk]
             g_w *= w
             if g_q is not None:
-                np.matmul(g_w, kf[blk], out=g_q[blk])
+                np.matmul(g_w, k.data[blk], out=g_q[blk])
             if g_k is not None:
                 np.matmul(np.swapaxes(g_w, -1, -2), qs[blk], out=g_k[blk])
         if g_q is not None:
             g_q *= inv_sqrt_dk
         for t, grad in ((q, g_q), (k, g_k), (v, g_v)):
             if grad is not None:
-                ad._accum(t, ad._unbroadcast(grad, t.shape))
+                ad._accum(t, grad)
 
     return ad._record(Tensor(out), (q, k, v), back)
 
@@ -281,7 +257,7 @@ def _merge_heads(heads: Tensor, w_o: Tensor, order: tuple) -> Tensor:
 
 
 def _multi_head(x: Tensor, p: AttentionParams, over_nodes: bool, weight_dropout: float,
-                training: bool, rng, values: Tensor | None = None) -> Tensor:
+                rng, values: Tensor | None = None) -> Tensor:
     """Multi-head attention over x [B, N, T, d]: over time per (batch, node),
     or with ``over_nodes`` over nodes per (batch, step); each group attends
     independently over its positions. The value stream is projected from
@@ -291,31 +267,31 @@ def _multi_head(x: Tensor, p: AttentionParams, over_nodes: bool, weight_dropout:
     q = _project(x, p.w_q, order)
     k = _project(x, p.w_k, order)
     v = _project(x if values is None else values, p.w_v, order)
-    heads = scaled_dot_attention(q, k, v, weight_dropout, training, rng)
+    heads = scaled_dot_attention(q, k, v, weight_dropout, rng)
     return _merge_heads(heads, p.w_o, order)
 
 
 def temporal_attention(x: Tensor, p: AttentionParams, weight_dropout: float = 0.0,
-                       training: bool = False, rng=None) -> Tensor:
+                       rng=None) -> Tensor:
     """Attend over time steps independently per (batch, node). [B,N,T,d] in
     and out."""
-    return _multi_head(x, p, False, weight_dropout, training, rng)
+    return _multi_head(x, p, False, weight_dropout, rng)
 
 
 def spatial_attention(x: Tensor, p: AttentionParams, weight_dropout: float = 0.0,
-                      training: bool = False, rng=None) -> Tensor:
+                      rng=None) -> Tensor:
     """Attend over nodes independently per (batch, step). [B,N,T,d] in and
     out; the projections run on x as it is and only their views put the
     nodes on the attended axis."""
-    return _multi_head(x, p, True, weight_dropout, training, rng)
+    return _multi_head(x, p, True, weight_dropout, rng)
 
 
 def stfa(x: Tensor, fusion: AttentionParams, spatial: AttentionParams,
-         weight_dropout: float = 0.0, training: bool = False, rng=None) -> Tensor:
+         weight_dropout: float = 0.0, rng=None) -> Tensor:
     """Fusion attention: temporal attention whose value stream is the output
     of a spatial attention over the same input."""
-    s = spatial_attention(x, spatial, weight_dropout, training, rng)
-    return _multi_head(x, fusion, False, weight_dropout, training, rng, values=s)
+    s = spatial_attention(x, spatial, weight_dropout, rng)
+    return _multi_head(x, fusion, False, weight_dropout, rng, values=s)
 
 
 @dataclass
@@ -402,11 +378,11 @@ class Gst2Params:
         return p
 
 
-def feed_forward(x: Tensor, p: FfnParams, dropout: float = 0.0, training: bool = False,
+def feed_forward(x: Tensor, p: FfnParams, dropout: float = 0.0,
                  rng: np.random.Generator | None = None) -> Tensor:
     """The feed-forward network relu(x w1 + b1) w2 + b2 over the last axis
-    of x, with inverted dropout on the hidden activation when ``training``
-    and ``dropout`` > 0, as one tape entry. It is the position-wise FFN site
+    of x, with inverted dropout on the hidden activation when ``dropout`` > 0,
+    as one tape entry. It is the position-wise FFN site
     of the global block and, with dropout 0, the model's output head.
 
     The hidden activation is one [rows, d_hidden] array: the bias, the ReLU
@@ -428,7 +404,7 @@ def feed_forward(x: Tensor, p: FfnParams, dropout: float = 0.0, training: bool =
     hidden += b1.data
     np.fmax(hidden, 0.0, out=hidden)
     scale = 1.0
-    if training and dropout > 0.0:
+    if dropout > 0.0:
         keep, scale = ad._dropout_mask(hidden.shape, dropout, rng)
         hidden *= keep
     out = np.matmul(hidden, w2.data * scale)
@@ -455,33 +431,32 @@ def feed_forward(x: Tensor, p: FfnParams, dropout: float = 0.0, training: bool =
                       (x, w1, b1, w2, b2), back)
 
 
-def _sublayer(site: str, x: Tensor, p: Gst2Params, dropout: float, training: bool,
-              rng) -> Tensor:
+def _sublayer(site: str, x: Tensor, p: Gst2Params, dropout: float, rng) -> Tensor:
     if site == "temporal":
-        return temporal_attention(x, p.temporal, dropout, training, rng)
+        return temporal_attention(x, p.temporal, dropout, rng)
     if site == "spatial":
-        return spatial_attention(x, p.spatial, dropout, training, rng)
+        return spatial_attention(x, p.spatial, dropout, rng)
     if site == "merge":  # temporal and spatial attention side by side, projected to d
-        ta = temporal_attention(x, p.temporal, dropout, training, rng)
-        sa = spatial_attention(x, p.spatial, dropout, training, rng)
+        ta = temporal_attention(x, p.temporal, dropout, rng)
+        sa = spatial_attention(x, p.spatial, dropout, rng)
         return ad.matmul(ad.concat([ta, sa], axis=-1), p.concat_proj)
     if site == "fusion":
-        return stfa(x, p.fusion, p.spatial, dropout, training, rng)
+        return stfa(x, p.fusion, p.spatial, dropout, rng)
     # "ffn": the position-wise feed-forward network
-    return feed_forward(x, p.ffn, dropout, training, rng)
+    return feed_forward(x, p.ffn, dropout, rng)
 
 
 def apply_global_layer(h: Tensor, p: Gst2Params | None, input_dropout: float = 0.0,
-                       inner_dropout: float = 0.0, training: bool = False, rng=None) -> Tensor:
+                       inner_dropout: float = 0.0, rng=None) -> Tensor:
     """Global awareness block over h [B, N, T, d]: add positional encoding and
     input dropout, then run the sites of ``BLOCKS[p.variant]`` in order.
     ``p is None`` (variant 'none') passes h through unchanged."""
     if p is None:
         return h
     pe = positional_encoding(h.shape[2], h.shape[3])
-    x = ad.dropout(ad.add(h, ad.reshape(pe, (1, 1) + pe.shape)), input_dropout, training, rng)
+    x = ad.dropout(ad.add(h, ad.reshape(pe, (1, 1) + pe.shape)), input_dropout, rng)
     for site in BLOCKS[p.variant]:
         norm = p.norm[site]
-        x = ad.layer_norm(ad.add(_sublayer(site, x, p, inner_dropout, training, rng), x),
-                          norm.gamma, norm.beta, LN_EPS)
+        x = ad.layer_norm(ad.add(_sublayer(site, x, p, inner_dropout, rng), x),
+                          norm.gamma, norm.beta)
     return x

@@ -12,9 +12,10 @@ training step owns it at a time.
 brought to it with ``reshape``/``transpose`` views of its operands.
 
 An op output wraps the array the op produced without copying it, so it may be
-a view of an input (reshape, transpose) or the input itself (dropout when not
-training). Never write into the ``data`` of an op output; only leaves (see
-``Tensor``) are updated in place, by optimizers between steps.
+a view of an input (reshape, transpose) or the input itself (dropout at rate
+0, which is how inference runs it). Never write into the ``data`` of an op
+output; only leaves (see ``Tensor``) are updated in place, by optimizers
+between steps.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import ShapeError
+
+# the variance floor of every layer_norm
+LN_EPS = 1e-5
 
 
 class Tensor:
@@ -215,40 +219,35 @@ def tanh(x: Tensor) -> Tensor:
 # -- normalization -------------------------------------------------------------
 
 
-def softmax(x: Tensor, axis: int) -> Tensor:
-    """Softmax along ``axis``, stabilized by max subtraction.
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis, stabilized by max subtraction.
 
     One buffer: the forward writes x - max once and runs the exp and the
     normalization in place, with row sums as products with a ones vector;
     the backward allocates one array, the input gradient."""
-    if not -x.ndim <= axis < x.ndim:
-        raise ShapeError(f"softmax: axis {axis} invalid for shape {x.shape}")
-    y = x.data - x.data.max(axis=axis, keepdims=True)
+    y = x.data - x.data.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
-    rows = np.moveaxis(y, axis, -1)                  # views of y
-    rows /= np.matmul(rows, np.ones((x.shape[axis], 1)))
+    y /= np.matmul(y, np.ones((x.shape[-1], 1)))
 
     def back(g):
         # y * (g - rowdot(g, y))
-        g_rows = np.moveaxis(g, axis, -1)
-        gx = g_rows - np.einsum("...d,...d->...", g_rows, rows)[..., None]
-        gx *= rows
-        _accum(x, np.moveaxis(gx, -1, axis))
+        gx = g - np.einsum("...d,...d->...", g, y)[..., None]
+        gx *= y
+        _accum(x, gx)
 
     return _record(Tensor(y), (x,), back)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last dimension to mean 0 / population variance 1, then
-    apply the affine gamma * xhat + beta.
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize the last dimension to mean 0 / population variance 1 (with
+    ``LN_EPS`` added to the variance), then apply the affine
+    gamma * xhat + beta.
 
     The arithmetic runs in place. Row sums are products with a ones vector
     and row dots are einsums, so the forward allocates only xhat (kept for
     backward) and the output as [.., d] arrays. Backward allocates one [.., d]
     array, the input gradient, and reuses the buffer of xhat, which nothing
     reads after it."""
-    if eps <= 0:
-        raise ValueError(f"layer_norm: eps must be positive, got {eps}")
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(
@@ -258,7 +257,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     xhat = x.data - np.matmul(x.data, ones) / d
     inv = np.einsum("...d,...d->...", xhat, xhat)[..., None]   # [.., 1]
     inv /= d
-    inv += eps
+    inv += LN_EPS
     np.sqrt(inv, out=inv)
     np.reciprocal(inv, out=inv)
     xhat *= inv
@@ -284,14 +283,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _record(Tensor(out), (x, gamma, beta), back)
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
+def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
 
-    Identity when not training or p == 0; inference needs no rescaling.
+    At p == 0 it returns x and draws nothing from ``rng``, which may then be
+    None; that is how inference runs it, since inference needs no rescaling.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout: p must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if p == 0.0:
         return x
     keep, scale = _dropout_mask(x.shape, p, rng)
     out = Tensor(np.where(keep, x.data * scale, 0.0))

@@ -149,7 +149,9 @@ def resolve_run_config(args) -> dict:
 def load_dataset(cfg: dict) -> tuple[dp.TrafficSeries, np.ndarray | None]:
     """Produce (series, adjacency) from the data section: CSV paths or the
     synthetic generator spec, which makes its own adjacency (so
-    data.adjacency_csv beside it is a ConfigError, not silently unread)."""
+    data.adjacency_csv beside it is a ConfigError, not silently unread). An
+    adjacency CSV sized for another node count than the series is a
+    ParseError naming it."""
     section = cfg["data"]
     for key in ("series_csv", "adjacency_csv"):
         if section[key] is not None:
@@ -159,6 +161,9 @@ def load_dataset(cfg: dict) -> tuple[dp.TrafficSeries, np.ndarray | None]:
         adjacency = None
         if section["adjacency_csv"] is not None:
             adjacency = dp.load_adjacency(section["adjacency_csv"])
+            if len(adjacency) != series.node_count:
+                raise ParseError(f"{section['adjacency_csv']}: adjacency has {len(adjacency)} "
+                                 f"nodes, but the series has {series.node_count}")
         return series, adjacency
     if section["synth"] is not None:
         if section["adjacency_csv"] is not None:

@@ -25,7 +25,6 @@ class TrafficSeries:
     step s, in vehicles per 5 minutes."""
 
     values: np.ndarray
-    interval_minutes: int = 5
 
     @property
     def steps(self) -> int:
@@ -113,9 +112,9 @@ def chronological_split(series: TrafficSeries, min_segment: int | None = None
                 raise InsufficientDataError(
                     f"{name} segment has {length} steps; need at least {min_segment}"
                 )
-    train = TrafficSeries(series.values[:n_train], series.interval_minutes)
-    val = TrafficSeries(series.values[n_train:n_train + n_val], series.interval_minutes)
-    test = TrafficSeries(series.values[n_train + n_val:], series.interval_minutes)
+    train = TrafficSeries(series.values[:n_train])
+    val = TrafficSeries(series.values[n_train:n_train + n_val])
+    test = TrafficSeries(series.values[n_train + n_val:])
     return train, val, test
 
 

@@ -33,8 +33,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import InvalidGraphError, ShapeError
 
-LN_EPS = 1e-5
-
 # Power iteration for the spectral bound. Tolerance is far below the 1e-6
 # contract so permuting node order perturbs lambda_max by ~1e-12 at most.
 _POWER_TOL = 1e-12
@@ -130,16 +128,16 @@ def build_sequence_graphs(bank: EmbeddingBank) -> GraphBundle:
     E[t] E[t]^T. Differentiable in the bank."""
     if bank.position is None:
         raise ShapeError("sequence-aware graphs need position embeddings in the bank")
-    e = ad.layer_norm(ad.add(bank.node, bank.position), bank.ln_gamma, bank.ln_beta, LN_EPS)
+    e = ad.layer_norm(ad.add(bank.node, bank.position), bank.ln_gamma, bank.ln_beta)
     scores = ad.matmul(e, ad.transpose(e, (0, 2, 1)))       # [T, N, N]
-    laplacians = ad.softmax(scores, axis=-1)
+    laplacians = ad.softmax(scores)
     return GraphBundle(laplacians, node_features=e)
 
 
 def build_adaptive_graph(node_embedding: Tensor) -> GraphBundle:
     """Single learned graph softmax(En En^T), shared by every step."""
     scores = ad.matmul(node_embedding, ad.transpose(node_embedding, (1, 0)))
-    lap = ad.softmax(scores, axis=-1)                        # [N, N]
+    lap = ad.softmax(scores)  # [N, N]
     return GraphBundle(lap)
 
 

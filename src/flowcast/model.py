@@ -220,15 +220,13 @@ class Forecaster:
                 f"input shape {x.shape} does not match (B, {cfg.input_steps}, "
                 f"{cfg.n_nodes}, {cfg.input_channels})"
             )
-        needs_rng = training and (cfg.dropout_input > 0 or cfg.dropout_inner > 0)
-        if needs_rng and rng is None:
+        # the only train-or-infer decision; below it, inference is dropout at rate 0
+        input_rate, inner_rate = (cfg.dropout_input, cfg.dropout_inner) if training else (0.0, 0.0)
+        if (input_rate > 0 or inner_rate > 0) and rng is None:
             raise ValueError("training forward with dropout requires a seeded rng")
         bundle = self.build_bundle()
         h = recurrent.encode_sequence(x, self.cell, bundle, self.bank)  # [B, N, T, d_h]
-        h = att.apply_global_layer(
-            h, self.gst2, input_dropout=cfg.dropout_input, inner_dropout=cfg.dropout_inner,
-            training=training, rng=rng,
-        )
+        h = att.apply_global_layer(h, self.gst2, input_rate, inner_rate, rng)
         b, n = h.shape[0], h.shape[1]
         flat = ad.reshape(h, (b, n, cfg.input_steps * cfg.hidden_dim))
         out = att.feed_forward(flat, self.head)    # [B, N, T_out]

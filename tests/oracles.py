@@ -9,11 +9,16 @@ deliberately avoiding the code paths under test, except:
   the scalar loss the gradient tests backpropagate from;
 - the composed convolution and encoder (conv_composed, encode_composed),
   which build the recurrent update from generic tape ops (matmul, concat,
-  transpose, ...) and none of the encoder's own Chebyshev or GRU code.
+  transpose, ...) and none of the encoder's own Chebyshev or GRU code;
+- ``attention_weights``, which reads the library's own attention weights
+  by running its scaled-dot op with identity values.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 
+from flowcast import attention as att
 from flowcast import autodiff as ad
 from flowcast.autodiff import Tensor
 
@@ -210,6 +215,29 @@ def encode_composed(x, cell, bundle, bank):
         h = ad.add(mul(z, h), mul(scalar_affine(z, -1.0, 1.0), ad.tanh(cand)))
         states.append(ad.reshape(h, (b, n, 1, cell.hidden_dim)))
     return ad.concat(states, axis=2)
+
+
+@contextmanager
+def attention_weights():
+    """Collect the softmax weights of every scaled-dot attention the library
+    runs inside the block, one [.., L, L] array per call. Each call is run a
+    second time, untaped and undropped, with v = I (an identity [L, L] per
+    group), whose output is exactly the weights of the real call."""
+    attend = att.scaled_dot_attention
+    captured = []
+
+    def recording(q, k, v, *args):
+        l_k = k.shape[-2]
+        identity = np.broadcast_to(np.eye(l_k), k.shape[:-2] + (l_k, l_k))
+        with ad.no_grad():
+            captured.append(attend(q, k, Tensor(identity)).data)
+        return attend(q, k, v, *args)
+
+    att.scaled_dot_attention = recording
+    try:
+        yield captured
+    finally:
+        att.scaled_dot_attention = attend
 
 
 def attention_loop(q, k, v):

@@ -17,7 +17,7 @@ from flowcast import model as md
 from flowcast import training as tr
 from flowcast.autodiff import Tensor
 
-from oracles import (cheb_polynomial, metrics_loop, multi_head_loop,
+from oracles import (attention_weights, cheb_polynomial, metrics_loop, multi_head_loop,
                      softmax_rows, spatial_attention_loop, stfa_loop)
 
 
@@ -135,7 +135,7 @@ def test_criterion_4_stochasticity_structure():
         x = rng.standard_normal((2, 6, 4, 1))
         for variant in ("ta_only", "sa_only", "parallel", "serial", "fused"):
             model = md.Forecaster(tiny_model_config(variant, seed=7))
-            with att.capture_attention_weights() as captured:
+            with attention_weights() as captured:
                 model.predict(x)
             assert captured, variant
             for weights in captured:

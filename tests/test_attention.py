@@ -6,10 +6,10 @@ import pytest
 from flowcast import attention as att
 from flowcast import autodiff as ad
 from flowcast.autodiff import Tensor
-from flowcast.errors import ConfigError
+from flowcast.errors import ConfigError, ShapeError
 
-from oracles import (attention_loop, finite_diff_grad, multi_head_loop, relu_op,
-                     scalar_affine, softmax_rows, spatial_attention_loop, stfa_loop,
+from oracles import (attention_loop, attention_weights, finite_diff_grad, multi_head_loop,
+                     relu_op, scalar_affine, softmax_rows, spatial_attention_loop, stfa_loop,
                      weighted_sum)
 
 
@@ -79,23 +79,31 @@ def test_scaled_dot_matches_loop_oracle():
     assert np.abs(out.data - attention_loop(q, k, v)).max() < 1e-12
 
 
+def test_unequal_leading_axes_rejected():
+    rng = np.random.default_rng(5)
+    q, k = rng.standard_normal((2, 4, 3)), rng.standard_normal((1, 4, 3))
+    v = rng.standard_normal((2, 4, 2))
+    with pytest.raises(ShapeError):
+        att.scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v))
+
+
 def test_attention_weight_rows_sum_to_one():
     rng = np.random.default_rng(4)
     x = Tensor(rng.standard_normal((2, 3, 4, 8)))
     p = make_params(8, 2, seed=4)
-    with att.capture_attention_weights() as captured:
+    with attention_weights() as captured:
         att.temporal_attention(x, p)
     assert len(captured) == 1
     sums = captured[0].sum(axis=-1)
     assert np.abs(sums - 1.0).max() < 1e-12
 
 
-def composed_attention(q, k, v, weight_dropout, training, rng):
+def composed_attention(q, k, v, weight_dropout, rng):
     """Scaled-dot attention built from single tape ops, each keeping its own
     output: the reference the one-entry op must agree with."""
     scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))
-    weights = ad.softmax(scalar_affine(scores, 1.0 / np.sqrt(q.shape[-1]), 0.0), axis=-1)
-    return ad.matmul(ad.dropout(weights, weight_dropout, training, rng), v)
+    weights = ad.softmax(scalar_affine(scores, 1.0 / np.sqrt(q.shape[-1]), 0.0))
+    return ad.matmul(ad.dropout(weights, weight_dropout, rng), v)
 
 
 def test_fused_attention_with_dropout_matches_composed_ops():
@@ -107,7 +115,7 @@ def test_fused_attention_with_dropout_matches_composed_ops():
         ad.reset_tape()
         q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
         draws = np.random.default_rng(21)
-        out = attend(q, k, v, 0.3, True, draws)
+        out = attend(q, k, v, 0.3, draws)
         entries.append(len(ad.tape().entries))
         ad.backward(weighted_sum(out, weight))
         assert len(ad.tape().entries) == 0
@@ -146,7 +154,7 @@ def attend_and_backward(attend, arrays, weight_dropout, seed=21):
     ad.reset_tape()
     q, k, v = (Tensor(a, requires_grad=True) for a in (q_arr, k_arr, v_arr))
     draws = np.random.default_rng(seed)
-    out = attend(q, k, v, weight_dropout, weight_dropout > 0, draws)
+    out = attend(q, k, v, weight_dropout, draws)
     ad.backward(weighted_sum(out, weight))
     return (out.data, q.grad, k.grad, v.grad), draws
 
@@ -188,15 +196,16 @@ def test_blocked_dropout_mask_is_one_full_draw(three_blocks):
     q_arr, k_arr, _, _ = blocked_arrays(31)
     v = np.broadcast_to(np.eye(BLOCKED_L), BLOCKED_LEAD + (BLOCKED_L, BLOCKED_L))
     draws = np.random.default_rng(5)
-    out = att.scaled_dot_attention(Tensor(q_arr), Tensor(k_arr), Tensor(v), 0.4, True, draws)
+    out = att.scaled_dot_attention(Tensor(q_arr), Tensor(k_arr), Tensor(v), 0.4, draws)
     reference = np.random.default_rng(5)
     assert np.array_equal(out.data != 0.0, reference.random(out.shape) >= 0.4)
     assert draws.random() == reference.random()
 
 
 def test_blocked_observers_see_one_full_array_per_call(three_blocks):
+    # the weights, read with identity values, are whole across the blocks
     q_arr, k_arr, v_arr, _ = blocked_arrays(32)
-    with att.capture_attention_weights() as captured:
+    with attention_weights() as captured:
         for _ in range(2):
             att.scaled_dot_attention(Tensor(q_arr), Tensor(k_arr), Tensor(v_arr))
     assert len(captured) == 2
@@ -257,7 +266,7 @@ def test_blocked_training_forward_retains_no_scores_buffer(three_blocks):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out = att.scaled_dot_attention(q, k, v, 0.3, True, draws)
+        out = att.scaled_dot_attention(q, k, v, 0.3, draws)
         retained = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
@@ -286,10 +295,10 @@ def test_attention_output_and_grads_have_the_layout_of_q():
 # -- the feed-forward network ---------------------------------------------------------
 
 
-def composed_feed_forward(x, p, dropout=0.0, training=False, rng=None):
+def composed_feed_forward(x, p, dropout=0.0, rng=None):
     """The network as the tape ops it replaces."""
     hidden = relu_op(ad.add(ad.matmul(x, p.w1), p.b1))
-    hidden = ad.dropout(hidden, dropout, training, rng)
+    hidden = ad.dropout(hidden, dropout, rng)
     return ad.add(ad.matmul(hidden, p.w2), p.b2)
 
 
@@ -308,7 +317,7 @@ def test_feed_forward_matches_composed_ops(dropout):
         ad.reset_tape()
         tensors = [Tensor(a, requires_grad=True) for a in arrays]
         draws = np.random.default_rng(22)
-        out = feed(tensors[0], att.FfnParams(*tensors[1:]), dropout, True, draws)
+        out = feed(tensors[0], att.FfnParams(*tensors[1:]), dropout, draws)
         entries.append(len(ad.tape().entries))
         ad.backward(weighted_sum(out, weight))
         results.append([out.data] + [t.grad for t in tensors])
@@ -326,7 +335,7 @@ def test_feed_forward_matches_composed_ops(dropout):
 def test_feed_forward_rejects_dropout_of_one():
     with pytest.raises(ValueError):
         x, *params = (Tensor(a) for a in ffn_arrays(37)[:5])
-        att.feed_forward(x, att.FfnParams(*params), 1.0, True, np.random.default_rng(0))
+        att.feed_forward(x, att.FfnParams(*params), 1.0, np.random.default_rng(0))
 
 
 def test_feed_forward_training_forward_retains_one_hidden_array():
@@ -341,7 +350,7 @@ def test_feed_forward_training_forward_retains_one_hidden_array():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out = att.feed_forward(x, params, 0.3, True, draws)
+        out = att.feed_forward(x, params, 0.3, draws)
         retained = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
@@ -361,7 +370,7 @@ def test_feed_forward_backward_writes_the_hidden_gradient_in_place(dropout):
     ad.reset_tape()
     params = att.FfnParams(*(Tensor(a, requires_grad=True) for a in (w1, b1, w2, b2)))
     x = Tensor(x_arr, requires_grad=True)
-    att.feed_forward(x, params, dropout, True, np.random.default_rng(8))
+    att.feed_forward(x, params, dropout, np.random.default_rng(8))
     (_, _, back), = ad.tape().entries
     tracemalloc.start()
     try:
@@ -562,12 +571,3 @@ def test_spatial_time_permutation_equivariance():
     base = att.spatial_attention(Tensor(x), p).data
     permuted = att.spatial_attention(Tensor(x[:, :, perm]), p).data
     assert np.abs(permuted - base[:, :, perm]).max() < 1e-12
-
-
-def test_block_dropout_needs_training_flag():
-    # inference is bit-stable regardless of the configured rates
-    x = Tensor(np.random.default_rng(27).standard_normal((1, 2, 3, 4)))
-    p = layer_params("parallel", dim=4, heads=2, seed=27)
-    a = att.apply_global_layer(x, p, input_dropout=0.5, inner_dropout=0.5, training=False)
-    b = att.apply_global_layer(x, p, input_dropout=0.5, inner_dropout=0.5, training=False)
-    assert np.array_equal(a.data, b.data)

@@ -140,20 +140,20 @@ def test_matmul_weight_gradient_needs_no_per_row_products():
 
 
 def test_softmax_symmetry():
-    out = ad.softmax(Tensor([0.0, 0.0]), axis=-1)
+    out = ad.softmax(Tensor([0.0, 0.0]))
     assert np.allclose(out.data, [0.5, 0.5], atol=1e-15)
 
 
 def test_softmax_direct_evaluation():
     # exp([1,2,3]) / sum(exp([1,2,3]))
-    out = ad.softmax(Tensor([1.0, 2.0, 3.0]), axis=-1)
+    out = ad.softmax(Tensor([1.0, 2.0, 3.0]))
     assert np.allclose(out.data, [0.09003, 0.24473, 0.66524], atol=1e-5)
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((4, 5, 6)) * 10
-    out = ad.softmax(Tensor(x), axis=-1)
+    out = ad.softmax(Tensor(x))
     sums = out.data.sum(axis=-1)
     assert np.abs(sums - 1.0).max() < 1e-12
     assert out.data.min() >= 0.0 and out.data.max() <= 1.0
@@ -164,7 +164,7 @@ def test_softmax_grad_vs_finite_differences():
     x = rng.standard_normal((3, 4))
     w = rng.standard_normal((3, 4))  # fixed weighting to make a scalar loss
 
-    (gx,) = grads_of(lambda t: weighted_sum(ad.softmax(t, axis=-1), w), x)
+    (gx,) = grads_of(lambda t: weighted_sum(ad.softmax(t), w), x)
 
     def loss():
         e = np.exp(x - x.max(axis=-1, keepdims=True))
@@ -174,22 +174,17 @@ def test_softmax_grad_vs_finite_differences():
     assert (np.abs(gx - fd) / np.maximum(1.0, np.abs(fd))).max() < 1e-6
 
 
-def test_softmax_axis_validation():
-    with pytest.raises(ShapeError):
-        ad.softmax(Tensor(np.ones((2, 2))), axis=5)
-
-
 # -- layer norm ---------------------------------------------------------------
 
 
 def test_layer_norm_hand_case():
-    out = ad.layer_norm(Tensor([1.0, -1.0]), Tensor([1.0, 1.0]), Tensor([0.0, 0.0]), eps=1e-5)
+    out = ad.layer_norm(Tensor([1.0, -1.0]), Tensor([1.0, 1.0]), Tensor([0.0, 0.0]))
     assert np.allclose(out.data, [0.999995, -0.999995], atol=1e-5)
 
 
 def test_layer_norm_constant_slice_gives_beta():
     beta = np.array([3.0, -1.0, 0.5])
-    out = ad.layer_norm(Tensor([5.0, 5.0, 5.0]), Tensor(np.ones(3)), Tensor(beta), eps=1e-5)
+    out = ad.layer_norm(Tensor([5.0, 5.0, 5.0]), Tensor(np.ones(3)), Tensor(beta))
     assert np.array_equal(out.data, beta)
 
 
@@ -316,21 +311,20 @@ def test_reshape_transpose_preserve_values():
 
 
 def test_dropout_identity_cases():
+    # rate 0 returns x and needs no stream to draw from
     x = Tensor(np.arange(6.0))
-    rng = np.random.default_rng(0)
-    assert ad.dropout(x, 0.0, True, rng) is x
-    assert ad.dropout(x, 0.1, False, rng) is x
+    assert ad.dropout(x, 0.0, None) is x
 
 
 def test_dropout_rejects_p_of_one():
     with pytest.raises(ValueError):
-        ad.dropout(Tensor([1.0]), 1.0, True, np.random.default_rng(0))
+        ad.dropout(Tensor([1.0]), 1.0, np.random.default_rng(0))
 
 
 def test_dropout_empirical_rate():
     rng = np.random.default_rng(42)
     x = Tensor(np.ones(100_000))
-    out = ad.dropout(x, 0.1, True, rng)
+    out = ad.dropout(x, 0.1, rng)
     drop_rate = float((out.data == 0.0).mean())
     assert abs(drop_rate - 0.1) < 0.01
     survivors = out.data[out.data != 0.0]
@@ -341,7 +335,7 @@ def test_dropout_grad_masks_match_forward():
     rng = np.random.default_rng(7)
     x = np.ones((50, 50))
     t = Tensor(x, requires_grad=True)
-    out = ad.dropout(t, 0.3, True, rng)
+    out = ad.dropout(t, 0.3, rng)
     ad.backward(weighted_sum(out))
     assert np.array_equal(t.grad != 0.0, out.data != 0.0)
 

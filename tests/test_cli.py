@@ -330,7 +330,8 @@ def test_bad_series_path_exits_two(tmp_path, capsys, key, make_path, named):
 
 
 @pytest.mark.parametrize("mode", ["static", "adaptive", "sequence_aware"])
-def test_adjacency_shape_mismatch_exits_one_in_every_graph_mode(tmp_path, capsys, mode):
+def test_adjacency_shape_mismatch_exits_two_in_every_graph_mode(tmp_path, capsys, mode):
+    # an adjacency CSV sized for other nodes than the series is bad data
     synth_dir = str(tmp_path / "synth")
     run(["synth", "--nodes", "4", "--steps", "300", "--seed", "8", "--out", synth_dir])
     adjacency = tmp_path / "adjacency3.csv"
@@ -340,9 +341,28 @@ def test_adjacency_shape_mismatch_exits_one_in_every_graph_mode(tmp_path, capsys
                     f"data.series_csv={os.path.join(synth_dir, 'series.csv')}",
                     f"data.adjacency_csv={adjacency}", "data.synth=null",
                     f"model.graph_mode={mode}"])], [])])
-    assert code == cli.EXIT_CONFIG
+    assert code == cli.EXIT_DATA
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "adjacency shape (3, 3) does not match n_nodes 4" in err
+    assert err.count("\n") == 1 and str(adjacency) in err and "3 nodes" in err
+
+
+def test_eval_adjacency_shape_mismatch_exits_two(tmp_path, capsys):
+    synth_dir = str(tmp_path / "synth")
+    run(["synth", "--nodes", "4", "--steps", "300", "--seed", "9", "--out", synth_dir])
+    out = str(tmp_path / "run")
+    series = os.path.join(synth_dir, "series.csv")
+    assert run(["train", "--out", out, "--seed", "9",
+                *sum([["--set", s] for s in tiny_overrides([
+                    f"data.series_csv={series}", "data.synth=null",
+                    "model.graph_mode=adaptive"])], [])]) == 0
+    adjacency = tmp_path / "adjacency3.csv"
+    adjacency.write_text("0,1,1\n1,0,1\n1,1,0\n")
+    capsys.readouterr()
+    code = run(["eval", "--checkpoint", os.path.join(out, "checkpoint.json"),
+                "--adjacency", str(adjacency), "--out", str(tmp_path / "eval")])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(adjacency) in err and "config echo" not in err
 
 
 @pytest.fixture(scope="module")

@@ -70,7 +70,7 @@ def test_sequence_graphs_differentiable_wrt_bank():
         e_all = bank.node.data + bank.position.data
         mu = e_all.mean(axis=-1, keepdims=True)
         var = ((e_all - mu) ** 2).mean(axis=-1, keepdims=True)
-        xhat = (e_all - mu) / np.sqrt(var + graphs.LN_EPS)
+        xhat = (e_all - mu) / np.sqrt(var + ad.LN_EPS)
         e = bank.ln_gamma.data * xhat + bank.ln_beta.data
         total = 0.0
         for t in range(2):

@@ -132,9 +132,18 @@ def test_registry_deterministic_across_constructions():
 
 
 def test_forward_deterministic_at_inference():
-    model = md.Forecaster(tiny_config(dropout_input=0.1, dropout_inner=0.1))
+    # inference ignores the configured rates: predict at rates 0.5 is
+    # bit-identical to predict of the same-seed model at rates 0
+    model = md.Forecaster(tiny_config(dropout_input=0.5, dropout_inner=0.5))
+    undropped = md.Forecaster(tiny_config())
     x = np.random.default_rng(2).standard_normal((2, 6, 4, 1))
     assert np.array_equal(model.predict(x), model.predict(x))
+    assert np.array_equal(model.predict(x), undropped.predict(x))
+    # and a training forward at rates 0 draws nothing from its stream
+    draws = np.random.default_rng(3)
+    undropped.forward(Tensor(x), training=True, rng=draws)
+    ad.reset_tape()
+    assert draws.random() == np.random.default_rng(3).random()
 
 
 def test_forward_rejects_wrong_shape():

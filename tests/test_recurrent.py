@@ -158,7 +158,7 @@ def test_bptt_gradients_vs_finite_differences():
         e_all = bank.node.data + bank.position.data
         mu = e_all.mean(axis=-1, keepdims=True)
         var = ((e_all - mu) ** 2).mean(axis=-1, keepdims=True)
-        e = bank.ln_gamma.data * ((e_all - mu) / np.sqrt(var + graphs.LN_EPS)) + bank.ln_beta.data
+        e = bank.ln_gamma.data * ((e_all - mu) / np.sqrt(var + ad.LN_EPS)) + bank.ln_beta.data
         h_prev = np.zeros((1, 2, 2))
         total = 0.0
         for t in range(3):
