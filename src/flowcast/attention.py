@@ -5,24 +5,34 @@ the full hidden-state sequence at once.
 All attention operates on [B, N, T, d] hidden sequences. Temporal attention
 attends over the T axis per node; spatial attention attends over nodes per
 step; fusion attention is temporal attention whose value stream is the output
-of an inner spatial attention. Each of q, k and v is one matmul of the
-[B, N, T, d] input with the heads' [h, d, d_k] weights as a [d, h*d_k]
-matrix; the [B, N, T, h, d_k] product is viewed, not copied, as the
-[B, G, h, L, d_k] groups of the attention ([B, N, h, T, d_k] over time,
-[B, T, h, N, d_k] over nodes). The scaled-dot core of every attention is a
-single tape entry that works through its attention groups in blocks sized to
-``BLOCK_BYTES``. Its forward bounds every score once per call by
-Cauchy-Schwarz, max_i |q_i| max_j |k_j| / sqrt(d_k); when that bound is at
-most ``EXP_SAFE`` it exponentiates the scores with no row-max pass (one
-pass fewer over the scores; Milakov and Gimelshein, arXiv 1805.02867),
-otherwise it shifts each row by its max. For backward it keeps q, k, v, the output, the row
-logsumexp [.., L, 1] and, when weight dropout runs, a boolean mask; each
-block's softmax weights are recomputed from them, so no float [.., L, L]
-array outlives one block. Its output and gradients have the memory layout of
-q, so the heads merge back to [B, N, T, h*d_k] as a view and the
-projections' backward reads their gradients as [rows, h*d_k] views. The op
-returns no weights: run with v = I, an identity [L, L] value per group, its
-output is the weights themselves, bit for bit.
+of an inner spatial attention. Each of them is one tape entry,
+``multi_head_attention``: one matmul call of the [B, N, T, d] input with
+w_q, w_k and w_v as a [3, d, h d_k] stack writes q, k and v into one
+[3, B, N, T, h d_k] buffer (two calls when fusion attention brings its value
+stream), and each is viewed, not copied, as the [B, G, h, L, d_k] groups of
+the attention ([B, N, h, T, d_k] over time, [B, T, h, N, d_k] over nodes);
+the scaled-dot core runs on those views, its output is the [B, N, T, h d_k]
+heads as a view, and one matmul with w_o merges them. Backward keeps only the
+input, the heads, the row logsumexp and, when weight dropout runs, a boolean
+mask: it recomputes q, k and v with the same call, writes their gradients
+over them in that buffer, and sums the input's three gradient products in
+place into one array (FlashAttention's recompute, Dao et al., arXiv
+2205.14135, carried out to the projections). q, k and v lie in separate
+thirds of the buffer rather than side by side in [rows, 3 h d_k] rows, which
+would allow one GEMM for the input's gradient: the core's strided reads of
+those rows made a temporal plus spatial pair about 5% slower (N=100, B=32).
+
+The core (``_attend``, ``_attend_back``, and the tape op
+``scaled_dot_attention`` over them) works through its attention groups in
+blocks sized to ``BLOCK_BYTES``. Its forward bounds every score once per
+call by Cauchy-Schwarz, max_i |q_i| max_j |k_j| / sqrt(d_k); when that bound
+is at most ``EXP_SAFE`` it exponentiates the scores with no row-max pass
+(one pass fewer over the scores; Milakov and Gimelshein, arXiv 1805.02867),
+otherwise it shifts each row by its max. Its backward recomputes each
+block's softmax weights from the row logsumexp, so no float [.., L, L] array
+outlives one block. Its output has the memory layout of q. It returns no
+weights: run with v = I, an identity [L, L] value per group, its output is
+the weights themselves, bit for bit.
 
 Dropout is given to every function here as rates, which the model sets to 0
 outside training; a rate of 0 draws nothing from the stream.
@@ -96,62 +106,61 @@ class AttentionParams:
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, weight_dropout: float = 0.0,
                          rng: np.random.Generator | None = None) -> Tensor:
-    """softmax(q k^T / sqrt(d_k)) v over the second-to-last axis.
+    """softmax(q k^T / sqrt(d_k)) v over the second-to-last axis, as one tape
+    entry over the core ``_attend`` / ``_attend_back``. q, k are [..., L, d_k]
+    and v is [..., L, d_v], with the same leading axes. With
+    ``weight_dropout`` > 0 the weights go through inverted dropout before the
+    product with v. The output has the memory layout of q and each gradient
+    that of its input."""
+    inv_sqrt_dk = 1.0 / np.sqrt(q.shape[-1])
+    out, lse, keep = _attend(q.data * inv_sqrt_dk, k.data, v.data, weight_dropout, rng)
 
-    q, k are [..., L, d_k] and v is [..., L, d_v], with the same leading
-    axes. The weight rows are row-stochastic and the output lies in the
-    convex hull of the v rows. With ``weight_dropout`` > 0 the weights go
-    through inverted dropout before the product with v, with the same mask
-    ``autodiff.dropout`` would draw for the full [..., L, L] weights: it is
-    drawn block by block in C order, which takes the same values from the
-    stream.
+    def back(g):
+        qs = q.data * inv_sqrt_dk
+        grads = [qs if q.requires_grad else None] + \
+            [np.empty_like(t.data) if t.requires_grad else None for t in (k, v)]
+        _attend_back(g, qs, k.data, v.data, out, lse, keep, weight_dropout, *grads)
+        for t, grad in zip((q, k, v), grads):
+            if grad is not None:
+                ad._accum(t, grad)
 
-    One tape entry with a hand-written backward. Both passes walk the
-    leading groups in blocks of consecutive groups whose [L, L] scores fit
-    ``BLOCK_BYTES`` (at least one group per block; see ``_blocks``). The
-    forward scores q pre-scaled by 1/sqrt(d_k) against k and exponentiates
-    them in place. Each score is at most max_i |q_i| max_j |k_j| / sqrt(d_k)
-    in magnitude (Cauchy-Schwarz), a bound taken once per call: when it is
-    at most ``EXP_SAFE`` the raw scores are exponentiated, with no row max,
-    and lse = log(rowsum(e)); otherwise, a NaN or infinite bound included,
-    each row is shifted by its max first. Row sums are one product with a
-    ones vector. It writes out = (e v) / rowsum(e). Backward
-    keeps q, k, v, the output, the row logsumexp [..., L, 1] and the boolean
-    dropout mask; it recomputes each block's weights as
-    exp(q k^T / sqrt(d_k) - lse) and takes the softmax row term from
-    rowsum(dO * O). No float [..., L, L] array exists in either pass.
+    return ad._record(Tensor(out), (q, k, v), back)
 
-    The output is allocated in the memory layout of q, and the q, k and v
-    gradients each in the layout of their input, so a caller that views a
-    [.., L, h, d_k] array as [.., h, L, d_k] gets views back, and no
-    transposing copy, in both passes.
-    """
-    if q.shape[-1] != k.shape[-1]:
-        raise ShapeError(f"attention: q/k depth mismatch {q.shape} vs {k.shape}")
+
+def _attend(qs: np.ndarray, k: np.ndarray, v: np.ndarray, weight_dropout: float,
+            rng: np.random.Generator | None) -> tuple:
+    """The forward of the scaled-dot core on arrays: softmax(qs k^T) v, for
+    queries qs already scaled by 1/sqrt(d_k). Returns the output (in the
+    memory layout of qs), the row logsumexp [..., L, 1] and the boolean
+    dropout mask (None at rate 0).
+
+    Each block of groups (see ``_blocks``) has its scores exponentiated in
+    place in one reused buffer: unshifted when the Cauchy-Schwarz bound
+    max_i |qs_i| max_j |k_j| is at most ``EXP_SAFE``, else (a NaN bound
+    included) shifted by the row max. The dropout mask is drawn block by
+    block in C order, which takes the same values from the stream as
+    ``autodiff.dropout``'s draw of the full [..., L, L] mask."""
+    if qs.shape[-1] != k.shape[-1]:
+        raise ShapeError(f"attention: q/k depth mismatch {qs.shape} vs {k.shape}")
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"attention: k/v length mismatch {k.shape} vs {v.shape}")
     if not 0.0 <= weight_dropout < 1.0:
         raise ValueError(f"attention: weight dropout must be in [0, 1), got {weight_dropout}")
-    lead = q.shape[:-2]
+    lead = qs.shape[:-2]
     if k.shape[:-2] != lead or v.shape[:-2] != lead:
-        raise ShapeError(f"attention: leading axes of {q.shape}, {k.shape} and {v.shape} "
+        raise ShapeError(f"attention: leading axes of {qs.shape}, {k.shape} and {v.shape} "
                          "differ")
-    l_q, l_k = q.shape[-2], k.shape[-2]
-    inv_sqrt_dk = 1.0 / np.sqrt(q.shape[-1])
+    l_q, l_k = qs.shape[-2], k.shape[-2]
     blocks, block_groups = _blocks(lead, 8 * l_q * l_k)
-    block_scores = block_groups * l_q * l_k
-    qs = q.data * inv_sqrt_dk
     out = np.empty_like(qs, shape=lead + (l_q, v.shape[-1]))
     lse = np.empty(lead + (l_q, 1))
-    keep = drop_scale = None
-    if weight_dropout > 0.0:
-        keep = np.empty(lead + (l_q, l_k), dtype=bool)
+    keep = np.empty(lead + (l_q, l_k), dtype=bool) if weight_dropout > 0.0 else None
     # |score| <= the bound (Cauchy-Schwarz); a NaN bound fails the test too
-    shift = not _row_norm_max(qs) * _row_norm_max(k.data) <= EXP_SAFE
+    shift = not _row_norm_max(qs) * _row_norm_max(k) <= EXP_SAFE
     ones = np.ones((l_k, 1))
-    scratch = np.empty(block_scores)
+    scratch = np.empty(block_groups * l_q * l_k)
     for blk in blocks:
-        e = _scores(qs[blk], k.data[blk], scratch)
+        e = _scores(qs[blk], k[blk], scratch)
         if shift:
             row_max = e.max(axis=-1, keepdims=True)
             e -= row_max
@@ -164,47 +173,52 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, weight_dropout: float 
             keep[blk], drop_scale = ad._dropout_mask(e.shape, weight_dropout, rng)
             e *= keep[blk]
             e *= drop_scale
-        np.matmul(e, v.data[blk], out=out[blk])
+        np.matmul(e, v[blk], out=out[blk])
         out[blk] /= row_sum
+    return out, lse, keep
 
-    def back(g):
-        # the softmax row term sum_j W_ij dW_ij, as rowsum(dO * O)
-        row_dot = np.einsum("...d,...d->...", g, out)[..., None]
-        qs = q.data * inv_sqrt_dk
-        g_q = np.empty_like(qs) if q.requires_grad else None
-        g_k = np.empty_like(k.data) if k.requires_grad else None
-        g_v = np.empty_like(v.data) if v.requires_grad else None
-        w_scratch, g_w_scratch = np.empty(block_scores), np.empty(block_scores)
-        for blk in blocks:
-            w = _scores(qs[blk], k.data[blk], w_scratch)
-            w -= lse[blk]
-            np.exp(w, out=w)
-            g_w = _scores(g[blk], v.data[blk], g_w_scratch)
-            if keep is not None:
-                g_w *= keep[blk]
-                g_w *= drop_scale
-            if g_v is not None:
-                applied = w if keep is None else w * keep[blk] * drop_scale
-                np.matmul(np.swapaxes(applied, -1, -2), g[blk], out=g_v[blk])
-            # softmax backward, in place: the gradient of the scaled scores
-            g_w -= row_dot[blk]
-            g_w *= w
-            if g_q is not None:
-                np.matmul(g_w, k.data[blk], out=g_q[blk])
-            if g_k is not None:
-                np.matmul(np.swapaxes(g_w, -1, -2), qs[blk], out=g_k[blk])
+
+def _attend_back(g: np.ndarray, qs: np.ndarray, k: np.ndarray, v: np.ndarray,
+                 out: np.ndarray, lse: np.ndarray, keep, weight_dropout: float,
+                 g_q, g_k, g_v):
+    """The backward of ``_attend``: writes the gradients of the unscaled
+    queries, of k and of v into g_q, g_k and g_v (None: not wanted). Each may
+    be its own input array (g_q qs, g_k k, g_v v), since a block reads its
+    inputs before it writes their gradients and touches no other block's
+    groups. Each block's weights are recomputed as exp(qs k^T - lse), and the
+    softmax row term is rowsum(g * out)."""
+    l_q, l_k, d_k = qs.shape[-2], k.shape[-2], qs.shape[-1]
+    blocks, block_groups = _blocks(qs.shape[:-2], 8 * l_q * l_k)
+    drop_scale = 1.0 / (1.0 - weight_dropout)
+    # the softmax row term sum_j W_ij dW_ij, as rowsum(dO * O)
+    row_dot = np.einsum("...d,...d->...", g, out)[..., None]
+    w_scratch, g_w_scratch = (np.empty(block_groups * l_q * l_k) for _ in range(2))
+    g_q_scratch = np.empty(block_groups * l_q * d_k)
+    for blk in blocks:
+        w = _scores(qs[blk], k[blk], w_scratch)
+        w -= lse[blk]
+        np.exp(w, out=w)
+        g_w = _scores(g[blk], v[blk], g_w_scratch)
+        if keep is not None:
+            g_w *= keep[blk]
+            g_w *= drop_scale
+        if g_v is not None:
+            applied = w if keep is None else w * keep[blk] * drop_scale
+            np.matmul(np.swapaxes(applied, -1, -2), g[blk], out=g_v[blk])
+        # softmax backward, in place: the gradient of the scaled scores
+        g_w -= row_dot[blk]
+        g_w *= w
         if g_q is not None:
-            g_q *= inv_sqrt_dk
-        for t, grad in ((q, g_q), (k, g_k), (v, g_v)):
-            if grad is not None:
-                ad._accum(t, grad)
-
-    return ad._record(Tensor(out), (q, k, v), back)
+            g_qs = _scores(g_w, np.swapaxes(k[blk], -1, -2), g_q_scratch)
+        if g_k is not None:
+            np.matmul(np.swapaxes(g_w, -1, -2), qs[blk], out=g_k[blk])
+        if g_q is not None:
+            np.multiply(g_qs, 1.0 / np.sqrt(d_k), out=g_q[blk])
 
 
 def _blocks(lead: tuple, group_bytes: int) -> tuple:
-    """The blocks ``scaled_dot_attention`` walks over the leading axes
-    ``lead``, as index tuples, and the most groups one holds.
+    """The blocks the attention core walks over the leading axes ``lead``,
+    as index tuples, and the most groups one holds.
 
     Each block is a run of groups consecutive in C order whose scores, at
     ``group_bytes`` a group, fit ``BLOCK_BYTES`` (one group at least): the
@@ -237,45 +251,64 @@ def _scores(a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return np.matmul(a, np.swapaxes(b, -1, -2), out=scratch[:math.prod(shape)].reshape(shape))
 
 
-def _project(x: Tensor, w: Tensor, order: tuple) -> Tensor:
-    """x [B, N, T, d] times every head's [d, d_k] projection, as one matmul
-    with w [h, d, d_k] viewed as a [d, h*d_k] matrix, then viewed as
-    [B, G, h, L, d_k] in ``order``."""
-    h, d, d_k = w.shape
-    matrix = ad.reshape(ad.transpose(w, (1, 0, 2)), (d, h * d_k))
-    per_head = ad.reshape(ad.matmul(x, matrix), x.shape[:-1] + (h, d_k))
-    return ad.transpose(per_head, order)
-
-
-def _merge_heads(heads: Tensor, w_o: Tensor, order: tuple) -> Tensor:
-    # [B, G, h, L, d_k] in ``order`` -> [B, N, T, h, d_k] -> [B, N, T, h*d_k]
-    # -> output projection; the attention output has the memory layout of q,
-    # so both steps are views
-    merged = ad.transpose(heads, tuple(np.argsort(order)))
-    b, n, t, h, d_k = merged.shape
-    return ad.matmul(ad.reshape(merged, (b, n, t, h * d_k)), w_o)
-
-
-def _multi_head(x: Tensor, p: AttentionParams, over_nodes: bool, weight_dropout: float,
-                rng, values: Tensor | None = None) -> Tensor:
-    """Multi-head attention over x [B, N, T, d]: over time per (batch, node),
-    or with ``over_nodes`` over nodes per (batch, step); each group attends
-    independently over its positions. The value stream is projected from
-    ``values`` when given."""
-    # [B, N, T, h, d_k] -> [B, N, h, T, d_k] or [B, T, h, N, d_k]
+def multi_head_attention(x: Tensor, p: AttentionParams, over_nodes: bool,
+                         weight_dropout: float, rng, values: Tensor | None = None) -> Tensor:
+    """Multi-head attention over x [B, N, T, d] as one tape entry (see the
+    module docstring): over time per (batch, node), or with ``over_nodes``
+    over nodes per (batch, step). The value stream is projected from
+    ``values`` (shaped like x) when given."""
+    h, d, d_k = p.w_q.shape
+    if values is not None and values.shape != x.shape:
+        raise ShapeError(f"attention: values {values.shape} are not shaped like x {x.shape}")
+    # w_q, w_k and w_v as one [3, d, h d_k] stack, and which of them each
+    # input stream is projected with
+    w3 = np.stack([w.data.transpose(1, 0, 2).reshape(d, h * d_k) for w in (p.w_q, p.w_k, p.w_v)])
+    streams = [(x, slice(0, 3))] if values is None else [(x, slice(0, 2)), (values, slice(2, 3))]
+    # [B, N, T, h, d_k] -> [B, N, h, T, d_k] over time or [B, T, h, N, d_k] over nodes
     order = (0, 2, 3, 1, 4) if over_nodes else (0, 1, 3, 2, 4)
-    q = _project(x, p.w_q, order)
-    k = _project(x, p.w_k, order)
-    v = _project(x if values is None else values, p.w_v, order)
-    heads = scaled_dot_attention(q, k, v, weight_dropout, rng)
-    return _merge_heads(heads, p.w_o, order)
+
+    def project():
+        # q (scaled in place), k and v as one [3, B, N, T, h d_k] buffer
+        qkv = np.empty((3,) + x.shape[:-1] + (h * d_k,))
+        for t, ws in streams:
+            np.matmul(t.data, w3[ws, None, None], out=qkv[ws])
+        qkv[0] *= 1.0 / np.sqrt(d_k)
+        return qkv, [a.reshape(x.shape[:-1] + (h, d_k)).transpose(order) for a in qkv]
+
+    heads, lse, keep = _attend(*project()[1], weight_dropout, rng)
+    merged = heads.transpose(np.argsort(order)).reshape(x.shape[:-1] + (h * d_k,))
+    out = np.matmul(merged, p.w_o.data)
+
+    def back(g):
+        g_rows = g.reshape(-1, p.w_o.shape[1])
+        ad._accum(p.w_o, np.matmul(merged.reshape(-1, h * d_k).T, g_rows))
+        g_heads = np.matmul(g_rows, p.w_o.data.T).reshape(x.shape[:-1] + (h, d_k))
+        qkv, (q, k, v) = project()
+        _attend_back(g_heads.transpose(order), q, k, v, heads, lse, keep, weight_dropout,
+                     q, k, v)
+        del g_heads
+        # qkv holds the gradients of q, k and v now
+        g_w = np.empty((3, d, h * d_k))
+        for t, ws in streams:
+            np.matmul(t.data.reshape(-1, d).T, qkv[ws].reshape(-1, len(g_rows), h * d_k),
+                      out=g_w[ws])
+            if t.requires_grad:
+                g_t = np.matmul(qkv[ws.start], w3[ws.start].T)
+                for i in range(ws.start + 1, ws.stop):
+                    g_t += np.matmul(qkv[i], w3[i].T)
+                ad._accum(t, g_t)
+        for w, g_w_i in zip((p.w_q, p.w_k, p.w_v), g_w):
+            ad._accum(w, g_w_i.reshape(d, h, d_k).transpose(1, 0, 2))
+
+    inputs = (x, p.w_q, p.w_k, p.w_v, p.w_o) + (() if values is None else (values,))
+    return ad._record(Tensor(out), inputs, back)
 
 
 def temporal_attention(x: Tensor, p: AttentionParams, weight_dropout: float = 0.0,
                        rng=None) -> Tensor:
     """Attend over time steps independently per (batch, node). [B,N,T,d] in
     and out."""
-    return _multi_head(x, p, False, weight_dropout, rng)
+    return multi_head_attention(x, p, False, weight_dropout, rng)
 
 
 def spatial_attention(x: Tensor, p: AttentionParams, weight_dropout: float = 0.0,
@@ -283,7 +316,7 @@ def spatial_attention(x: Tensor, p: AttentionParams, weight_dropout: float = 0.0
     """Attend over nodes independently per (batch, step). [B,N,T,d] in and
     out; the projections run on x as it is and only their views put the
     nodes on the attended axis."""
-    return _multi_head(x, p, True, weight_dropout, rng)
+    return multi_head_attention(x, p, True, weight_dropout, rng)
 
 
 def stfa(x: Tensor, fusion: AttentionParams, spatial: AttentionParams,
@@ -291,7 +324,7 @@ def stfa(x: Tensor, fusion: AttentionParams, spatial: AttentionParams,
     """Fusion attention: temporal attention whose value stream is the output
     of a spatial attention over the same input."""
     s = spatial_attention(x, spatial, weight_dropout, rng)
-    return _multi_head(x, fusion, False, weight_dropout, rng, values=s)
+    return multi_head_attention(x, fusion, False, weight_dropout, rng, values=s)
 
 
 @dataclass

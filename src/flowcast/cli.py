@@ -30,6 +30,9 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_DIVERGED = 3
 
+# the input errors ``main`` reports as a data error (exit 2)
+_DATA_ERRORS = (ParseError, InsufficientDataError, InvalidGraphError, FileNotFoundError)
+
 # data.synth's keys and the synth command's flags: the parameters of
 # data.synthesize, with their kinds and defaults (data.synth's seed defaults
 # to the run seed instead)
@@ -372,7 +375,9 @@ def cmd_ablate(args) -> int:
             cell_dir = os.path.join(args.out, "cells", f"{mode}__{variant}")
             try:
                 result, report = _run_training(cell, cell_dir, verbose=False)
-            except Exception as exc:  # record and continue with the grid
+            except (ConfigError, TrainingDiverged) + _DATA_ERRORS as exc:
+                # a documented error of this cell: record it and go on; any
+                # other exception is a program fault and ends the command
                 failures.append({"graph_mode": mode, "variant": variant, "error": str(exc)})
                 print(f"cell {mode}/{variant} failed: {exc}", file=sys.stderr)
                 continue
@@ -500,7 +505,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ParseError, InsufficientDataError, InvalidGraphError, FileNotFoundError) as exc:
+    except _DATA_ERRORS as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except TrainingDiverged as exc:

@@ -33,12 +33,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import InvalidGraphError, ShapeError
 
-# Power iteration for the spectral bound. Tolerance is far below the 1e-6
-# contract so permuting node order perturbs lambda_max by ~1e-12 at most.
-_POWER_TOL = 1e-12
-_POWER_MAX_ITERS = 1000
-
-
 @dataclass
 class EmbeddingBank:
     """Learnable node/position embeddings plus the layer-norm affine used to
@@ -146,6 +140,8 @@ def normalized_laplacian(adjacency: np.ndarray) -> np.ndarray:
     a = np.asarray(adjacency, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidGraphError(f"adjacency must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise InvalidGraphError("adjacency must be finite")
     if np.abs(a - a.T).max() > 1e-12:
         raise InvalidGraphError("adjacency must be symmetric")
     if a.min() < 0:
@@ -159,24 +155,8 @@ def normalized_laplacian(adjacency: np.ndarray) -> np.ndarray:
 
 
 def spectral_bound(matrix: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration, or
-    2.0 (a valid bound for the normalized Laplacian) when the iteration does
-    not settle within the budget."""
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(matrix.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(_POWER_MAX_ITERS):
-        w = matrix @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 2.0
-        v = w / norm
-        new_lam = float(v @ (matrix @ v))
-        if abs(new_lam - lam) < _POWER_TOL:
-            return new_lam
-        lam = new_lam
-    return 2.0
+    """Largest eigenvalue of a symmetric matrix (the normalized Laplacian)."""
+    return float(np.linalg.eigvalsh(matrix).max())
 
 
 def build_static_graph(adjacency: np.ndarray) -> GraphBundle:

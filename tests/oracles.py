@@ -10,8 +10,10 @@ deliberately avoiding the code paths under test, except:
 - the composed convolution and encoder (conv_composed, encode_composed),
   which build the recurrent update from generic tape ops (matmul, concat,
   transpose, ...) and none of the encoder's own Chebyshev or GRU code;
+- ``multi_head_composed``, multi-head attention from generic tape ops
+  around the library's scaled-dot op;
 - ``attention_weights``, which reads the library's own attention weights
-  by running its scaled-dot op with identity values.
+  by running its attention core with identity values.
 """
 
 from contextlib import contextmanager
@@ -220,24 +222,45 @@ def encode_composed(x, cell, bundle, bank):
 @contextmanager
 def attention_weights():
     """Collect the softmax weights of every scaled-dot attention the library
-    runs inside the block, one [.., L, L] array per call. Each call is run a
-    second time, untaped and undropped, with v = I (an identity [L, L] per
-    group), whose output is exactly the weights of the real call."""
-    attend = att.scaled_dot_attention
+    runs inside the block, one [.., L, L] array per call. Each call of the
+    attention core is run a second time, undropped, with v = I (an identity
+    [L, L] per group), whose output is exactly the weights of the real call."""
+    attend = att._attend
     captured = []
 
-    def recording(q, k, v, *args):
+    def recording(qs, k, v, *args):
         l_k = k.shape[-2]
         identity = np.broadcast_to(np.eye(l_k), k.shape[:-2] + (l_k, l_k))
-        with ad.no_grad():
-            captured.append(attend(q, k, Tensor(identity)).data)
-        return attend(q, k, v, *args)
+        captured.append(attend(qs, k, identity, 0.0, None)[0])
+        return attend(qs, k, v, *args)
 
-    att.scaled_dot_attention = recording
+    att._attend = recording
     try:
         yield captured
     finally:
-        att.scaled_dot_attention = attend
+        att._attend = attend
+
+
+def multi_head_composed(x, p, over_nodes, weight_dropout=0.0, rng=None, values=None):
+    """Multi-head attention from generic tape ops, one projection at a time:
+    each of q, k and v is transpose -> reshape -> matmul -> reshape ->
+    transpose, then ``att.scaled_dot_attention``, then transpose -> reshape ->
+    matmul with w_o. The reference ``att.multi_head_attention`` must agree
+    with."""
+    order = (0, 2, 3, 1, 4) if over_nodes else (0, 1, 3, 2, 4)
+
+    def project(stream, w):
+        h, d, d_k = w.shape
+        matrix = ad.reshape(ad.transpose(w, (1, 0, 2)), (d, h * d_k))
+        per_head = ad.reshape(ad.matmul(stream, matrix), stream.shape[:-1] + (h, d_k))
+        return ad.transpose(per_head, order)
+
+    heads = att.scaled_dot_attention(project(x, p.w_q), project(x, p.w_k),
+                                     project(x if values is None else values, p.w_v),
+                                     weight_dropout, rng)
+    merged = ad.transpose(heads, tuple(np.argsort(order)))
+    b, n, t, h, d_k = merged.shape
+    return ad.matmul(ad.reshape(merged, (b, n, t, h * d_k)), p.w_o)
 
 
 def attention_loop(q, k, v):

@@ -8,9 +8,9 @@ from flowcast import autodiff as ad
 from flowcast.autodiff import Tensor
 from flowcast.errors import ConfigError, ShapeError
 
-from oracles import (attention_loop, attention_weights, finite_diff_grad, multi_head_loop,
-                     relu_op, scalar_affine, softmax_rows, spatial_attention_loop, stfa_loop,
-                     weighted_sum)
+from oracles import (attention_loop, attention_weights, finite_diff_grad, multi_head_composed,
+                     multi_head_loop, relu_op, scalar_affine, softmax_rows,
+                     spatial_attention_loop, stfa_loop, weighted_sum)
 
 
 def make_params(dim, heads, seed=0):
@@ -435,6 +435,82 @@ def test_spatial_is_transposed_temporal():
         Tensor(x.transpose(0, 2, 1, 3)), p
     ).data.transpose(0, 2, 1, 3)
     assert np.array_equal(direct, via_transpose)
+
+
+SITES = ["temporal", "spatial", "fusion"]
+
+
+def site_arrays(seed, lead=(2, 5, 4), dim=8):
+    """x, the fusion value stream and the output weight, all [*lead, dim]."""
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal(lead + (dim,)) for _ in range(3)]
+
+
+def run_site(attend, site, arrays, params, weight_dropout):
+    """One attention site with ``attend`` (the library op or the composed
+    reference) on fresh leaves, then backward; returns the output, the
+    gradients of x, the values (fusion only) and the four weights, and the
+    stream's next draw."""
+    x_arr, values_arr, weight = arrays
+    ad.reset_tape()
+    x = Tensor(x_arr, requires_grad=True)
+    values = Tensor(values_arr, requires_grad=True) if site == "fusion" else None
+    p = att.AttentionParams(*(Tensor(w.data.copy(), requires_grad=True)
+                              for w in (params.w_q, params.w_k, params.w_v, params.w_o)))
+    draws = np.random.default_rng(23)
+    out = attend(x, p, site == "spatial", weight_dropout, draws, values=values)
+    ad.backward(weighted_sum(out, weight))
+    grads = [x.grad] + ([] if values is None else [values.grad]) + \
+        [w.grad for w in (p.w_q, p.w_k, p.w_v, p.w_o)]
+    return [out.data] + grads, draws.random()
+
+
+@pytest.mark.parametrize("weight_dropout", [0.0, 0.3])
+@pytest.mark.parametrize("site", SITES)
+def test_multi_head_attention_matches_composed_ops(site, weight_dropout):
+    arrays = site_arrays(40)
+    params = make_params(8, 2, seed=40)
+    fused, after_fused = run_site(att.multi_head_attention, site, arrays, params,
+                                  weight_dropout)
+    composed, after_composed = run_site(multi_head_composed, site, arrays, params,
+                                        weight_dropout)
+    assert len(fused) == len(composed) == (7 if site == "fusion" else 6)
+    for got, expected in zip(fused, composed):
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() < 1e-12
+    assert after_fused == after_composed  # the same dropout draws from the stream
+
+
+def test_each_attention_call_is_one_tape_entry():
+    x = Tensor(site_arrays(41)[0], requires_grad=True)
+    p, q = make_params(8, 2, seed=41), make_params(8, 2, seed=42)
+    for attend, entries in ((lambda: att.temporal_attention(x, p), 1),
+                            (lambda: att.spatial_attention(x, p), 1),
+                            (lambda: att.stfa(x, p, q), 2)):
+        ad.reset_tape()
+        attend()
+        assert len(ad.tape().entries) == entries
+    ad.reset_tape()
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_multi_head_training_forward_keeps_no_projections(site):
+    # the tape keeps the output, the [.., h*d_k] heads and the row
+    # logsumexp; q, k and v (three more arrays the size of x) are recomputed
+    x_arr, values_arr, _ = site_arrays(43, lead=(4, 16, 12), dim=16)
+    p = make_params(16, 2, seed=43)
+    x = Tensor(x_arr, requires_grad=True)
+    values = Tensor(values_arr, requires_grad=True) if site == "fusion" else None
+    ad.reset_tape()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = att.multi_head_attention(x, p, site == "spatial", 0.0, None, values=values)
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    ad.reset_tape()
+    assert retained - out.data.nbytes < 1.5 * x_arr.nbytes, (retained, x_arr.nbytes)
 
 
 def test_head_divisibility_rejected_at_construction():

@@ -611,6 +611,20 @@ def test_ablate_records_failed_cells_and_continues(tmp_path):
     assert summary["failures"][0]["graph_mode"] == "static"
 
 
+def test_ablate_does_not_record_a_program_fault(tmp_path, monkeypatch):
+    # a cell records only the errors main maps to exit codes; anything else
+    # ends ablate as it ends train, and is not a result of the grid
+    def faulty_fit(*args, **kwargs):
+        raise TypeError("a program fault")
+
+    monkeypatch.setattr(cli.tr, "fit", faulty_fit)
+    out = str(tmp_path / "ablate")
+    with pytest.raises(TypeError, match="a program fault"):
+        run(["ablate", "--out", out, "--seed", "9", "--graph-modes", "adaptive",
+             "--variants", "none", *sum([["--set", s] for s in tiny_overrides()], [])])
+    assert not os.path.exists(os.path.join(out, "ablation_summary.json"))
+
+
 @pytest.mark.parametrize("extra,named", [
     pytest.param(["--graph-modes", "adaptive,bogus"],
                  "--graph-modes: unknown value 'bogus'; allowed: static, adaptive, sequence_aware",

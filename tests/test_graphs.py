@@ -134,6 +134,14 @@ def test_static_asymmetric_rejected():
         graphs.build_static_graph(adjacency)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_static_non_finite_rejected(bad):
+    adjacency = np.ones((3, 3))
+    adjacency[0, 1] = adjacency[1, 0] = bad
+    with pytest.raises(InvalidGraphError, match="finite"):
+        graphs.build_static_graph(adjacency)
+
+
 def test_static_scaled_laplacian_symmetric():
     rng = np.random.default_rng(4)
     raw = rng.random((6, 6))
@@ -144,14 +152,13 @@ def test_static_scaled_laplacian_symmetric():
     assert np.abs(lap - lap.T).max() < 1e-12
 
 
-def test_spectral_bound_matches_eigvalsh():
-    rng = np.random.default_rng(8)
-    for _ in range(5):
-        raw = rng.random((5, 5))
-        adjacency = (raw + raw.T) / 2
-        np.fill_diagonal(adjacency, 0.0)
-        lap = graphs.normalized_laplacian(adjacency)
-        assert abs(graphs.spectral_bound(lap) - np.linalg.eigvalsh(lap).max()) < 1e-8
+def test_spectral_bound_of_an_even_ring_is_two():
+    # the normalized Laplacian of an n-ring has eigenvalues 1 - cos(2 pi j / n),
+    # so an even ring (bipartite) has lambda_max exactly 2
+    for n in (4, 6, 10, 100):
+        adjacency = np.roll(np.eye(n), 1, axis=1) + np.roll(np.eye(n), -1, axis=1)
+        lam = graphs.spectral_bound(graphs.normalized_laplacian(adjacency))
+        assert abs(lam - 2.0) < 1e-12, n
 
 
 # -- Chebyshev terms --------------------------------------------------------------
