@@ -22,17 +22,16 @@ thirds of the buffer rather than side by side in [rows, 3 h d_k] rows, which
 would allow one GEMM for the input's gradient: the core's strided reads of
 those rows made a temporal plus spatial pair about 5% slower (N=100, B=32).
 
-The core (``_attend``, ``_attend_back``, and the tape op
-``scaled_dot_attention`` over them) works through its attention groups in
-blocks sized to ``BLOCK_BYTES``. Its forward bounds every score once per
-call by Cauchy-Schwarz, max_i |q_i| max_j |k_j| / sqrt(d_k); when that bound
-is at most ``EXP_SAFE`` it exponentiates the scores with no row-max pass
-(one pass fewer over the scores; Milakov and Gimelshein, arXiv 1805.02867),
-otherwise it shifts each row by its max. Its backward recomputes each
-block's softmax weights from the row logsumexp, so no float [.., L, L] array
-outlives one block. Its output has the memory layout of q. It returns no
-weights: run with v = I, an identity [L, L] value per group, its output is
-the weights themselves, bit for bit.
+The scaled-dot core (``_attend`` and ``_attend_back``, on arrays) works
+through its attention groups in blocks sized to ``BLOCK_BYTES``. Its forward
+bounds every score once per call by Cauchy-Schwarz, max_i |q_i| max_j |k_j|
+/ sqrt(d_k); when that bound is at most ``EXP_SAFE`` it exponentiates the
+scores with no row-max pass (one pass fewer over the scores; Milakov and
+Gimelshein, arXiv 1805.02867), otherwise it shifts each row by its max. Its
+backward recomputes each block's softmax weights from the row logsumexp, so
+no float [.., L, L] array outlives one block. Its output has the memory
+layout of q. It returns no weights: run with v = I, an identity [L, L] value
+per group, its output is the weights themselves, bit for bit.
 
 Dropout is given to every function here as rates, which the model sets to 0
 outside training; a rate of 0 draws nothing from the stream.
@@ -104,35 +103,14 @@ class AttentionParams:
         )
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, weight_dropout: float = 0.0,
-                         rng: np.random.Generator | None = None) -> Tensor:
-    """softmax(q k^T / sqrt(d_k)) v over the second-to-last axis, as one tape
-    entry over the core ``_attend`` / ``_attend_back``. q, k are [..., L, d_k]
-    and v is [..., L, d_v], with the same leading axes. With
-    ``weight_dropout`` > 0 the weights go through inverted dropout before the
-    product with v. The output has the memory layout of q and each gradient
-    that of its input."""
-    inv_sqrt_dk = 1.0 / np.sqrt(q.shape[-1])
-    out, lse, keep = _attend(q.data * inv_sqrt_dk, k.data, v.data, weight_dropout, rng)
-
-    def back(g):
-        qs = q.data * inv_sqrt_dk
-        grads = [qs if q.requires_grad else None] + \
-            [np.empty_like(t.data) if t.requires_grad else None for t in (k, v)]
-        _attend_back(g, qs, k.data, v.data, out, lse, keep, weight_dropout, *grads)
-        for t, grad in zip((q, k, v), grads):
-            if grad is not None:
-                ad._accum(t, grad)
-
-    return ad._record(Tensor(out), (q, k, v), back)
-
-
 def _attend(qs: np.ndarray, k: np.ndarray, v: np.ndarray, weight_dropout: float,
             rng: np.random.Generator | None) -> tuple:
     """The forward of the scaled-dot core on arrays: softmax(qs k^T) v, for
-    queries qs already scaled by 1/sqrt(d_k). Returns the output (in the
-    memory layout of qs), the row logsumexp [..., L, 1] and the boolean
-    dropout mask (None at rate 0).
+    queries qs [..., L_q, d_k] already scaled by 1/sqrt(d_k), keys k
+    [..., L_k, d_k] and values v [..., L_k, d_v] with the same leading axes
+    (not checked: ``multi_head_attention`` passes views of one buffer).
+    Returns the output (in the memory layout of qs), the row logsumexp
+    [..., L, 1] and the boolean dropout mask (None at rate 0).
 
     Each block of groups (see ``_blocks``) has its scores exponentiated in
     place in one reused buffer: unshifted when the Cauchy-Schwarz bound
@@ -140,16 +118,9 @@ def _attend(qs: np.ndarray, k: np.ndarray, v: np.ndarray, weight_dropout: float,
     included) shifted by the row max. The dropout mask is drawn block by
     block in C order, which takes the same values from the stream as
     ``autodiff.dropout``'s draw of the full [..., L, L] mask."""
-    if qs.shape[-1] != k.shape[-1]:
-        raise ShapeError(f"attention: q/k depth mismatch {qs.shape} vs {k.shape}")
-    if k.shape[-2] != v.shape[-2]:
-        raise ShapeError(f"attention: k/v length mismatch {k.shape} vs {v.shape}")
     if not 0.0 <= weight_dropout < 1.0:
         raise ValueError(f"attention: weight dropout must be in [0, 1), got {weight_dropout}")
     lead = qs.shape[:-2]
-    if k.shape[:-2] != lead or v.shape[:-2] != lead:
-        raise ShapeError(f"attention: leading axes of {qs.shape}, {k.shape} and {v.shape} "
-                         "differ")
     l_q, l_k = qs.shape[-2], k.shape[-2]
     blocks, block_groups = _blocks(lead, 8 * l_q * l_k)
     out = np.empty_like(qs, shape=lead + (l_q, v.shape[-1]))
@@ -179,14 +150,12 @@ def _attend(qs: np.ndarray, k: np.ndarray, v: np.ndarray, weight_dropout: float,
 
 
 def _attend_back(g: np.ndarray, qs: np.ndarray, k: np.ndarray, v: np.ndarray,
-                 out: np.ndarray, lse: np.ndarray, keep, weight_dropout: float,
-                 g_q, g_k, g_v):
-    """The backward of ``_attend``: writes the gradients of the unscaled
-    queries, of k and of v into g_q, g_k and g_v (None: not wanted). Each may
-    be its own input array (g_q qs, g_k k, g_v v), since a block reads its
-    inputs before it writes their gradients and touches no other block's
-    groups. Each block's weights are recomputed as exp(qs k^T - lse), and the
-    softmax row term is rowsum(g * out)."""
+                 out: np.ndarray, lse: np.ndarray, keep, weight_dropout: float):
+    """The backward of ``_attend``: overwrites qs, k and v in place with the
+    gradients of the unscaled queries, of k and of v. That is safe because a
+    block reads its inputs before it writes their gradients and touches no
+    other block's groups. Each block's weights are recomputed as
+    exp(qs k^T - lse), and the softmax row term is rowsum(g * out)."""
     l_q, l_k, d_k = qs.shape[-2], k.shape[-2], qs.shape[-1]
     blocks, block_groups = _blocks(qs.shape[:-2], 8 * l_q * l_k)
     drop_scale = 1.0 / (1.0 - weight_dropout)
@@ -202,18 +171,14 @@ def _attend_back(g: np.ndarray, qs: np.ndarray, k: np.ndarray, v: np.ndarray,
         if keep is not None:
             g_w *= keep[blk]
             g_w *= drop_scale
-        if g_v is not None:
-            applied = w if keep is None else w * keep[blk] * drop_scale
-            np.matmul(np.swapaxes(applied, -1, -2), g[blk], out=g_v[blk])
+        applied = w if keep is None else w * keep[blk] * drop_scale
+        np.matmul(np.swapaxes(applied, -1, -2), g[blk], out=v[blk])
         # softmax backward, in place: the gradient of the scaled scores
         g_w -= row_dot[blk]
         g_w *= w
-        if g_q is not None:
-            g_qs = _scores(g_w, np.swapaxes(k[blk], -1, -2), g_q_scratch)
-        if g_k is not None:
-            np.matmul(np.swapaxes(g_w, -1, -2), qs[blk], out=g_k[blk])
-        if g_q is not None:
-            np.multiply(g_qs, 1.0 / np.sqrt(d_k), out=g_q[blk])
+        g_qs = _scores(g_w, np.swapaxes(k[blk], -1, -2), g_q_scratch)
+        np.matmul(np.swapaxes(g_w, -1, -2), qs[blk], out=k[blk])
+        np.multiply(g_qs, 1.0 / np.sqrt(d_k), out=qs[blk])
 
 
 def _blocks(lead: tuple, group_bytes: int) -> tuple:
@@ -284,8 +249,7 @@ def multi_head_attention(x: Tensor, p: AttentionParams, over_nodes: bool,
         ad._accum(p.w_o, np.matmul(merged.reshape(-1, h * d_k).T, g_rows))
         g_heads = np.matmul(g_rows, p.w_o.data.T).reshape(x.shape[:-1] + (h, d_k))
         qkv, (q, k, v) = project()
-        _attend_back(g_heads.transpose(order), q, k, v, heads, lse, keep, weight_dropout,
-                     q, k, v)
+        _attend_back(g_heads.transpose(order), q, k, v, heads, lse, keep, weight_dropout)
         del g_heads
         # qkv holds the gradients of q, k and v now
         g_w = np.empty((3, d, h * d_k))
@@ -487,7 +451,7 @@ def apply_global_layer(h: Tensor, p: Gst2Params | None, input_dropout: float = 0
     if p is None:
         return h
     pe = positional_encoding(h.shape[2], h.shape[3])
-    x = ad.dropout(ad.add(h, ad.reshape(pe, (1, 1) + pe.shape)), input_dropout, rng)
+    x = ad.dropout(ad.add(h, pe), input_dropout, rng)
     for site in BLOCKS[p.variant]:
         norm = p.norm[site]
         x = ad.layer_norm(ad.add(_sublayer(site, x, p, inner_dropout, rng), x),

@@ -156,14 +156,17 @@ def backward(loss: Tensor):
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b with numpy broadcasting. Backward sums the gradient down to the
+    shape of each input that needs one, and skips the others."""
     try:
         out = Tensor(a.data + b.data)
     except ValueError:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
 
     def back(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+        for t in (a, b):
+            if t.requires_grad:
+                _accum(t, _unbroadcast(g, t.shape))
 
     return _record(out, (a, b), back)
 
@@ -174,9 +177,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     Backward computes only the gradients an input needs. A 2-d ``b`` (a
     weight) gets its gradient from one GEMM over all rows of ``a``,
     a[rows, K]^T @ g[rows, N], and not from one product per leading index
-    summed afterwards. When ``a`` is a transposed view, its gradient is
-    computed as (b @ g^T)^T, in ``a``'s own layout, so that transposing it
-    back to ``a``'s base gives a contiguous array and not a strided one."""
+    summed afterwards."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must be >=2-d, got {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -188,11 +189,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def back(g):
         if a.requires_grad:
-            if a.data.strides[-1] > a.data.strides[-2]:
-                ga = np.swapaxes(np.matmul(b.data, np.swapaxes(g, -1, -2)), -1, -2)
-            else:
-                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            _accum(a, _unbroadcast(ga, a.shape))
+            _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
         if b.requires_grad:
             if b.ndim == 2:
                 gb = np.matmul(a.data.reshape(-1, a.shape[-1]).T, g.reshape(-1, g.shape[-1]))

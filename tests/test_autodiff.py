@@ -8,6 +8,7 @@ import pytest
 
 from flowcast import attention as att
 from flowcast import autodiff as ad
+from flowcast import graphs, recurrent
 from flowcast.autodiff import Tensor
 from flowcast.errors import ShapeError
 
@@ -104,7 +105,7 @@ def test_matmul_weight_gradient_matches_einsum(a_grad, b_grad, contiguous):
 
 def test_matmul_gradient_of_a_transposed_view_keeps_its_layout():
     # a [N, B, K] viewed from a contiguous [N, K, B] base: the gradient
-    # comes back contiguous in the base's layout
+    # comes back in the base's axis order
     rng = np.random.default_rng(13)
     base = Tensor(rng.standard_normal((5, 6, 4)), requires_grad=True)
     b_arr = rng.standard_normal((5, 6, 3))
@@ -112,7 +113,6 @@ def test_matmul_gradient_of_a_transposed_view_keeps_its_layout():
     out = ad.matmul(ad.transpose(base, (0, 2, 1)), Tensor(b_arr))
     ad.backward(weighted_sum(out, weight))
     assert np.abs(base.grad - np.einsum("nbo,nko->nkb", weight, b_arr)).max() < 1e-12
-    assert base.grad.flags.c_contiguous
 
 
 def test_matmul_weight_gradient_needs_no_per_row_products():
@@ -391,6 +391,21 @@ def test_broadcast_add_grad_shapes():
     assert np.array_equal(gb, np.full(4, 6.0))
 
 
+def test_add_sums_no_gradient_for_a_constant(monkeypatch):
+    # the positional table is a constant [T, d] added to [B, N, T, d]: its
+    # gradient would be a sum over B and N that nothing reads
+    summed = []
+    unbroadcast = ad._unbroadcast
+    monkeypatch.setattr(ad, "_unbroadcast", lambda g, shape: summed.append(shape) or
+                        unbroadcast(g, shape))
+    x = Tensor(np.random.default_rng(2).standard_normal((2, 3, 4)), requires_grad=True)
+    constant = Tensor(np.random.default_rng(3).standard_normal((3, 4)))
+    ad.backward(weighted_sum(ad.add(x, constant)))
+    assert summed == [x.shape]
+    assert np.array_equal(x.grad, np.ones(x.shape))
+    assert constant.grad is None
+
+
 def test_select_roundtrip_grads():
     rng = np.random.default_rng(37)
     x = rng.standard_normal((3, 4, 5))
@@ -451,26 +466,51 @@ def test_backward_peak_memory_below_tape_plus_all_grads():
 # -- the module's surface --------------------------------------------------------------
 
 
-def test_every_public_op_is_run_by_the_library():
-    # the ops are the public functions defined in autodiff, except the tape
-    # controls; each one must be reached as `<alias of autodiff>.<op>` or
-    # imported by name in another module of the package
-    controls = {"tape", "reset_tape", "no_grad", "backward"}
-    ops = {name for name, fn in vars(ad).items()
-           if inspect.isfunction(fn) and fn.__module__ == ad.__name__
-           and not name.startswith("_") and name not in controls}
+def names_used_from(module) -> set:
+    """The names the package's other modules take from ``module``: reached as
+    ``<alias of module>.<name>`` or imported by name."""
+    stem = pathlib.Path(module.__file__).stem
     used = set()
-    for path in pathlib.Path(ad.__file__).parent.glob("*.py"):
-        if path.name == "autodiff.py":
+    for path in pathlib.Path(module.__file__).parent.glob("*.py"):
+        if path.stem == stem:
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         aliases = set()
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "autodiff":
+            if isinstance(node, ast.ImportFrom) and node.module == stem:
                 used.update(a.name for a in node.names)
             elif isinstance(node, ast.ImportFrom) and node.module is None:
-                aliases.update(a.asname or a.name for a in node.names if a.name == "autodiff")
+                aliases.update(a.asname or a.name for a in node.names if a.name == stem)
         used.update(node.attr for node in ast.walk(tree)
                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                     and node.value.id in aliases)
+    return used
+
+
+def public_functions(module) -> set:
+    return {name for name, fn in vars(module).items()
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__
+            and not name.startswith("_")}
+
+
+def test_every_public_op_is_run_by_the_library():
+    # the ops are the public functions defined in autodiff, except the tape
+    # controls; each one must be reached from another module of the package
+    controls = {"tape", "reset_tape", "no_grad", "backward"}
+    ops = public_functions(ad) - controls
+    used = names_used_from(ad)
     assert ops and not ops - used, sorted(ops - used)
+
+
+@pytest.mark.parametrize("module", [att, graphs, recurrent], ids=lambda m: m.__name__)
+def test_every_public_function_is_used_by_the_library(module):
+    # a function only tests call is a second path to keep in step: each public
+    # function must be named by another module or, outside its own definition,
+    # by its own
+    used = names_used_from(module)
+    for top in ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8")).body:
+        own = getattr(top, "name", None)
+        used.update(node.id for node in ast.walk(top)
+                    if isinstance(node, ast.Name) and node.id != own)
+    functions = public_functions(module)
+    assert functions and not functions - used, sorted(functions - used)
