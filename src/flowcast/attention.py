@@ -39,7 +39,11 @@ outside training; a rate of 0 draws nothing from the stream.
 Every block variant is a row of the ``BLOCKS`` site table: after positional
 encoding, each site applies its sublayer (an attention, the parallel merge of
 temporal and spatial attention, or the feed-forward network, itself one tape
-entry) with a residual connection and layer normalization. The three paper
+entry) with a residual connection and layer normalization, the one op
+``autodiff.layer_norm(sublayer, x, ...)``, which keeps neither the sum nor
+x-hat. The feed-forward network runs its rows in chunks sized to
+``BLOCK_BYTES``; at the FFN site, whose hidden activation is wider than x, it
+keeps no activation and rebuilds each chunk's in backward. The three paper
 blocks combine temporal and spatial attention in parallel, in series, or
 fused; ``ta_only`` and ``sa_only`` keep one attention for ablation.
 """
@@ -56,8 +60,9 @@ from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 
 # byte budget of the [L, L] float scores of one block of attention groups,
-# and of the node weights of one chunk of nodes in recurrent._conv: a block's
-# scores, exp'd and multiplied in place, stay in a core's L2 cache
+# of the node weights of one chunk of nodes in recurrent._conv and of the
+# hidden activation of one chunk of rows in feed_forward: a block's scores,
+# exp'd and multiplied in place, stay in a core's L2 cache
 BLOCK_BYTES = 1 << 20
 # scores bounded by this in magnitude are exponentiated unshifted: exp(+-300)
 # is about 1e+-130, so no row sum overflows and no row underflows to 0
@@ -382,47 +387,95 @@ def feed_forward(x: Tensor, p: FfnParams, dropout: float = 0.0,
     as one tape entry. It is the position-wise FFN site
     of the global block and, with dropout 0, the model's output head.
 
-    The hidden activation is one [rows, d_hidden] array: the bias, the ReLU
-    and the dropout mask (the one ``autodiff.dropout`` would draw for it) act
-    on it in place, and the dropout scale goes into a scaled copy of w2. The
-    ReLU is ``np.fmax(h, 0)``, which maps NaN to 0. Backward keeps x and that
-    activation and no mask, since ReLU and dropout pass a gradient exactly
-    where the activation is positive (so the subgradient at 0 is 0), and
-    writes the hidden gradient into the activation's buffer, which nothing
-    reads after it; the only [rows, d_hidden] array it allocates is that
-    boolean mask. It skips the products for the gradients of x, w1 and w2
-    when that input needs none; bias gradients are products with a ones
-    vector."""
+    The rows of x run in chunks whose [chunk, d_hidden] hidden activation
+    fits ``BLOCK_BYTES`` (read at call time; one row at least). Per chunk,
+    x w1 is written into a hidden buffer, and the bias, the ReLU and the
+    chunk's dropout flags act on it in place before its product with w2
+    (times the dropout scale) fills the chunk's output rows. The ReLU is
+    ``np.fmax(h, 0)``, which maps NaN to 0. The flags are drawn chunk by
+    chunk in C order, the values one ``autodiff.dropout`` draw of the whole
+    mask takes from the stream. A row's products are the same GEMM
+    arithmetic in any chunk, so the output is bit for bit that of one chunk.
+
+    What backward keeps follows from the shapes. When d_hidden > d_in (the
+    block's FFN site) the hidden activation is larger than x, which its
+    producer keeps anyway: the forward reuses one chunk buffer, the tape
+    keeps x and the boolean dropout flags, and backward rebuilds each
+    chunk's activation from x in a chunk buffer of its own (gradient
+    checkpointing, Chen et al., arXiv 1604.06174). Otherwise (the output
+    head) the chunks fill one kept [rows, d_hidden] activation and backward
+    runs over all its rows at once. Either way ReLU and dropout pass a
+    gradient exactly where the activation is positive (so the subgradient at
+    0 is 0), and the hidden gradient is written over the activation, which
+    nothing reads after it. The weight and bias gradients are added up
+    chunk by chunk. Backward skips the products for the gradients of x, w1
+    and w2 when that input needs none; bias gradients are products with a
+    ones vector."""
     if not 0.0 <= dropout < 1.0:
         raise ValueError(f"dropout: p must be in [0, 1), got {dropout}")
     w1, b1, w2, b2 = p.w1, p.b1, p.w2, p.b2
-    rows = x.data.reshape(-1, w1.shape[0])
-    hidden = np.matmul(rows, w1.data)
-    hidden += b1.data
-    np.fmax(hidden, 0.0, out=hidden)
-    scale = 1.0
-    if dropout > 0.0:
-        keep, scale = ad._dropout_mask(hidden.shape, dropout, rng)
-        hidden *= keep
-    out = np.matmul(hidden, w2.data * scale)
+    d_in, d_hidden = w1.shape
+    rows = x.data.reshape(-1, d_in)
+    n = len(rows)
+    chunk = max(1, BLOCK_BYTES // (8 * d_hidden))
+    recompute = d_hidden > d_in
+    scale = 1.0 / (1.0 - dropout)
+    keep = np.empty((n, d_hidden), dtype=bool) if dropout > 0.0 and recompute else None
+    hidden = None if recompute else np.empty((n, d_hidden))
+
+    def relu_rows(start, stop, h, flags):
+        # relu(x w1 + b1) of rows start:stop, times their dropout flags, in h
+        np.matmul(rows[start:stop], w1.data, out=h)
+        h += b1.data
+        np.fmax(h, 0.0, out=h)
+        if flags is not None:
+            h *= flags
+        return h
+
+    out = np.empty((n, w2.shape[1]))
+    buf = np.empty((min(n, chunk), d_hidden)) if recompute else None
+    w2_scaled = w2.data * scale
+    for start in range(0, n, chunk):
+        stop = min(n, start + chunk)
+        flags = None
+        if dropout > 0.0:
+            flags = ad._dropout_mask((stop - start, d_hidden), dropout, rng)[0]
+            if keep is not None:
+                keep[start:stop] = flags
+        h = relu_rows(start, stop, buf[:stop - start] if recompute else hidden[start:stop], flags)
+        np.matmul(h, w2_scaled, out=out[start:stop])
     out += b2.data
 
     def back(g):
         g_rows = g.reshape(out.shape)
-        ones = np.ones(len(rows))
-        ad._accum(b2, np.matmul(ones, g_rows))
-        if w2.requires_grad:
-            w2_grad = np.matmul(hidden.T, g_rows)
-            w2_grad *= scale
-            ad._accum(w2, w2_grad)
-        mask = hidden > 0.0
-        g_hidden = np.matmul(g_rows, (w2.data * scale).T, out=hidden)
-        g_hidden *= mask
-        ad._accum(b1, np.matmul(ones, g_hidden))
-        if w1.requires_grad:
-            ad._accum(w1, np.matmul(rows.T, g_hidden))
-        if x.requires_grad:
-            ad._accum(x, np.matmul(g_hidden, w1.data.T).reshape(x.shape))
+        ad._accum(b2, np.matmul(np.ones(n), g_rows))
+        step = chunk if recompute else max(1, n)
+        ones = np.ones(min(n, step))
+        g_x = np.empty_like(rows) if x.requires_grad else None
+        w2_t = (w2.data * scale).T
+        h_buf = np.empty((min(n, chunk), d_hidden)) if recompute else None
+        for start in range(0, n, step):
+            stop = min(n, start + step)
+            if recompute:
+                h = relu_rows(start, stop, h_buf[:stop - start],
+                              None if keep is None else keep[start:stop])
+            else:
+                h = hidden[start:stop]
+            g_c = g_rows[start:stop]
+            if w2.requires_grad:
+                g_w2 = np.matmul(h.T, g_c)
+                g_w2 *= scale
+                ad._accum(w2, g_w2)
+            mask = h > 0.0
+            g_h = np.matmul(g_c, w2_t, out=h)
+            g_h *= mask
+            ad._accum(b1, np.matmul(ones[:stop - start], g_h))
+            if w1.requires_grad:
+                ad._accum(w1, np.matmul(rows[start:stop].T, g_h))
+            if g_x is not None:
+                np.matmul(g_h, w1.data.T, out=g_x[start:stop])
+        if g_x is not None:
+            ad._accum(x, g_x.reshape(x.shape))
 
     return ad._record(Tensor(out.reshape(x.shape[:-1] + (w2.shape[1],))),
                       (x, w1, b1, w2, b2), back)
@@ -454,6 +507,5 @@ def apply_global_layer(h: Tensor, p: Gst2Params | None, input_dropout: float = 0
     x = ad.dropout(ad.add(h, pe), input_dropout, rng)
     for site in BLOCKS[p.variant]:
         norm = p.norm[site]
-        x = ad.layer_norm(ad.add(_sublayer(site, x, p, inner_dropout, rng), x),
-                          norm.gamma, norm.beta)
+        x = ad.layer_norm(_sublayer(site, x, p, inner_dropout, rng), x, norm.gamma, norm.beta)
     return x

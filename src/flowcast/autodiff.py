@@ -235,49 +235,64 @@ def softmax(x: Tensor) -> Tensor:
     return _record(Tensor(y), (x,), back)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize the last dimension to mean 0 / population variance 1 (with
-    ``LN_EPS`` added to the variance), then apply the affine
-    gamma * xhat + beta.
+def layer_norm(a: Tensor, b: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """LayerNorm(a + b): the sum of a and b (numpy broadcasting) normalized
+    over its last dimension to mean 0 / population variance 1 (with
+    ``LN_EPS`` added to the variance), then the affine gamma * xhat + beta.
+    Every caller normalizes a residual sum; pass a zero b to normalize one
+    tensor.
 
-    The arithmetic runs in place. Row sums are products with a ones vector
-    and row dots are einsums, so the forward allocates only xhat (kept for
-    backward) and the output as [.., d] arrays. Backward allocates one [.., d]
-    array, the input gradient, and reuses the buffer of xhat, which nothing
-    reads after it."""
-    d = x.shape[-1]
+    The forward allocates one [.., d] array, a + b, and runs the mean
+    subtraction, the scaling and the affine in place on it, so that array is
+    the output. Row sums are products with a ones vector and row dots are
+    einsums. The op keeps only the row mean and inverse deviation, [.., 1]
+    each: backward rebuilds xhat = (a + b - mean) * inv with the same ops, so
+    bit for bit the forward's, and allocates one more [.., d] array, the
+    gradient of the sum, which each input that needs it gets summed down to
+    its shape."""
+    try:
+        y = np.add(a.data, b.data)
+    except ValueError:
+        raise ShapeError(f"layer_norm: summands {a.shape} and {b.shape} do not broadcast") from None
+    d = y.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(
-            f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match last dim {d} of {x.shape}"
+            f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match last dim {d} of {y.shape}"
         )
     ones = np.ones((d, 1))
-    xhat = x.data - np.matmul(x.data, ones) / d
-    inv = np.einsum("...d,...d->...", xhat, xhat)[..., None]   # [.., 1]
+    mean = np.matmul(y, ones) / d                             # [.., 1]
+    y -= mean
+    inv = np.einsum("...d,...d->...", y, y)[..., None]         # [.., 1]
     inv /= d
     inv += LN_EPS
     np.sqrt(inv, out=inv)
     np.reciprocal(inv, out=inv)
-    xhat *= inv
-    out = xhat * gamma.data
-    out += beta.data
+    y *= inv
+    y *= gamma.data
+    y += beta.data
 
     def back(g):
+        xhat = np.add(a.data, b.data)
+        xhat -= mean
+        xhat *= inv
         rows = g.reshape(-1, d)
         _accum(gamma, np.einsum("rd,rd->d", rows, xhat.reshape(-1, d)))
         _accum(beta, np.einsum("rd->d", rows))
-        if x.requires_grad:
+        if a.requires_grad or b.requires_grad:
             # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = g * gamma
             gx = g * gamma.data
             mean_dx = np.matmul(gx, ones) / d
             xhat_dot = np.einsum("...d,...d->...", gx, xhat)[..., None]
             xhat_dot /= d
-            np.multiply(xhat, xhat_dot, out=xhat)
+            xhat *= xhat_dot
             gx -= xhat
             gx -= mean_dx
             gx *= inv
-            _accum(x, gx)
+            for t in (a, b):
+                if t.requires_grad:
+                    _accum(t, _unbroadcast(gx, t.shape))
 
-    return _record(Tensor(out), (x, gamma, beta), back)
+    return _record(Tensor(y), (a, b, gamma, beta), back)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:

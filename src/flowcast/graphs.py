@@ -122,7 +122,7 @@ def build_sequence_graphs(bank: EmbeddingBank) -> GraphBundle:
     E[t] E[t]^T. Differentiable in the bank."""
     if bank.position is None:
         raise ShapeError("sequence-aware graphs need position embeddings in the bank")
-    e = ad.layer_norm(ad.add(bank.node, bank.position), bank.ln_gamma, bank.ln_beta)
+    e = ad.layer_norm(bank.node, bank.position, bank.ln_gamma, bank.ln_beta)
     scores = ad.matmul(e, ad.transpose(e, (0, 2, 1)))       # [T, N, N]
     laplacians = ad.softmax(scores)
     return GraphBundle(laplacians, node_features=e)

@@ -5,6 +5,9 @@ import pytest
 
 from flowcast import attention as att
 from flowcast import autodiff as ad
+from flowcast import data as dp
+from flowcast import model as md
+from flowcast import training as tr
 from flowcast.autodiff import Tensor
 from flowcast.errors import ConfigError
 
@@ -376,6 +379,88 @@ def test_feed_forward_backward_writes_the_hidden_gradient_in_place(dropout):
     assert peak < hidden_bytes, (peak, hidden_bytes)
     assert x.grad is not None and params.w1.grad is not None
 
+
+
+# one model of each side of feed_forward's keep-or-recompute rule: d_hidden >
+# d_in rebuilds the hidden activation in backward, d_hidden <= d_in keeps it
+FFN_SIDES = {"recompute": (4, 6), "keep": (6, 4)}
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("side", FFN_SIDES)
+def test_feed_forward_row_chunks_match_one_chunk(monkeypatch, side, dropout):
+    # 30 rows in chunks of 7: four full chunks and a ragged one of 2
+    dim, ffn_dim = FFN_SIDES[side]
+    *arrays, weight = ffn_arrays(40, dim, ffn_dim)
+    results, next_draws = [], []
+    for block_bytes in (None, 8 * ffn_dim * 7):
+        if block_bytes is not None:
+            monkeypatch.setattr(att, "BLOCK_BYTES", block_bytes)
+        for feed in (att.feed_forward, composed_feed_forward):
+            ad.reset_tape()
+            tensors = [Tensor(a, requires_grad=True) for a in arrays]
+            draws = np.random.default_rng(23)
+            out = feed(tensors[0], att.FfnParams(*tensors[1:]), dropout, draws)
+            ad.backward(weighted_sum(out, weight))
+            results.append([out.data] + [t.grad for t in tensors])
+            next_draws.append(draws.random())
+    one_chunk, _, chunked, composed = results
+    assert np.array_equal(chunked[0], one_chunk[0])
+    for got, want in zip(chunked, one_chunk):
+        assert np.abs(got - want).max() < 1e-12
+    # the chunks' dropout flags are the mask of one draw over all rows
+    for got, want in zip(chunked, composed):
+        assert np.abs(got - want).max() < 1e-12
+    assert len(set(next_draws)) == 1
+
+
+@pytest.mark.parametrize("side", FFN_SIDES)
+def test_feed_forward_keeps_the_hidden_activation_only_when_no_wider_than_x(side):
+    # at rate 0 the recompute side keeps no array of its own: neither the
+    # activation nor the forward's chunk buffer
+    lead = (4, 8, 16)
+    dim, ffn_dim = {"recompute": (8, 64), "keep": (64, 8)}[side]
+    x_arr, w1, b1, w2, b2, _ = ffn_arrays(41, dim, ffn_dim, lead)
+    ad.reset_tape()
+    params = att.FfnParams(*(Tensor(a, requires_grad=True) for a in (w1, b1, w2, b2)))
+    x = Tensor(x_arr, requires_grad=True)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = att.feed_forward(x, params)
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    ad.reset_tape()
+    hidden_bytes = 8 * int(np.prod(lead)) * ffn_dim
+    kept = retained - out.data.nbytes
+    if side == "recompute":
+        assert kept <= 4096, (kept, hidden_bytes)
+    else:
+        assert hidden_bytes <= kept <= hidden_bytes + 4096, (kept, hidden_bytes)
+
+
+def test_retraining_with_dropout_across_ffn_chunks_is_bit_identical(monkeypatch):
+    # 100-row chunks of the [B, N, T, 8] hidden activation (768 rows a
+    # batch), so every FFN call spans several chunks with a ragged last one
+    monkeypatch.setattr(att, "BLOCK_BYTES", 8 * 8 * 100)
+    series, _ = dp.synthesize(4, 300, seed=5)
+    windows = dp.make_windows(series.values[:240], 6, 3)
+    val = dp.make_windows(series.values[240:], 6, 3)
+    norm = dp.Normalizer.fit(series.values[:240])
+    runs = []
+    for _ in range(2):
+        cfg = md.ModelConfig(n_nodes=4, input_steps=6, output_steps=3, embed_dim=2,
+                             hidden_dim=4, heads=2, cheb_order=1, ffn_dim=8, fc_hidden=16,
+                             dropout_input=0.1, dropout_inner=0.1, seed=5)
+        model = md.Forecaster(cfg)
+        result = tr.fit(model, windows, val, norm,
+                        tr.TrainConfig(max_epochs=2, patience=30, batch_size=32, seed=5))
+        runs.append(([r.train_loss for r in result.history],
+                     [t.data.copy() for _, t in model.params]))
+    assert runs[0][0] == runs[1][0]
+    for a, b in zip(runs[0][1], runs[1][1]):
+        assert np.array_equal(a, b)
 
 # -- multi-head temporal / spatial --------------------------------------------------
 

@@ -178,13 +178,13 @@ def test_softmax_grad_vs_finite_differences():
 
 
 def test_layer_norm_hand_case():
-    out = ad.layer_norm(Tensor([1.0, -1.0]), Tensor([1.0, 1.0]), Tensor([0.0, 0.0]))
+    out = ad.layer_norm(Tensor([1.0, -1.0]), Tensor(0.0), Tensor([1.0, 1.0]), Tensor([0.0, 0.0]))
     assert np.allclose(out.data, [0.999995, -0.999995], atol=1e-5)
 
 
 def test_layer_norm_constant_slice_gives_beta():
     beta = np.array([3.0, -1.0, 0.5])
-    out = ad.layer_norm(Tensor([5.0, 5.0, 5.0]), Tensor(np.ones(3)), Tensor(beta))
+    out = ad.layer_norm(Tensor([5.0, 5.0, 5.0]), Tensor(0.0), Tensor(np.ones(3)), Tensor(beta))
     assert np.array_equal(out.data, beta)
 
 
@@ -192,13 +192,13 @@ def test_layer_norm_mean_is_mean_beta_for_uniform_gamma():
     rng = np.random.default_rng(17)
     x = rng.standard_normal((4, 6))
     beta = rng.standard_normal(6)
-    out = ad.layer_norm(Tensor(x), Tensor(np.full(6, 2.0)), Tensor(beta))
+    out = ad.layer_norm(Tensor(x), Tensor(0.0), Tensor(np.full(6, 2.0)), Tensor(beta))
     assert np.allclose(out.data.mean(axis=-1), beta.mean(), atol=1e-10)
 
 
 def test_layer_norm_dim_mismatch():
     with pytest.raises(ShapeError):
-        ad.layer_norm(Tensor(np.ones((2, 3))), Tensor(np.ones(4)), Tensor(np.zeros(4)))
+        ad.layer_norm(Tensor(np.ones((2, 3))), Tensor(0.0), Tensor(np.ones(4)), Tensor(np.zeros(4)))
 
 
 def test_layer_norm_grad_vs_finite_differences():
@@ -209,7 +209,7 @@ def test_layer_norm_grad_vs_finite_differences():
     weight = rng.standard_normal((2, 5))
 
     gx, gg, gb = grads_of(
-        lambda a, g, b: weighted_sum(ad.layer_norm(a, g, b), weight),
+        lambda a, g, b: weighted_sum(ad.layer_norm(a, Tensor(0.0), g, b), weight),
         x, gamma, beta,
     )
 
@@ -230,7 +230,7 @@ def test_layer_norm_matches_composed_formula():
     gamma, beta = rng.standard_normal(32), rng.standard_normal(32)
     weight = rng.standard_normal(x.shape)
     tensors = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
-    out = ad.layer_norm(*tensors)
+    out = ad.layer_norm(tensors[0], Tensor(0.0), *tensors[1:])
     ad.backward(weighted_sum(out, weight))
 
     # the textbook forward and backward, one numpy expression each
@@ -249,6 +249,56 @@ def test_layer_norm_matches_composed_formula():
         assert got.shape == want.shape
         assert np.abs(got - want).max() < 1e-12
 
+
+
+def test_layer_norm_of_a_broadcast_sum_matches_composed_formula():
+    # the graph bank's case: node embeddings [N, d_e] plus per-step
+    # embeddings [T, 1, d_e]
+    rng = np.random.default_rng(21)
+    a, b = rng.standard_normal((6, 8)), rng.standard_normal((5, 1, 8))
+    gamma, beta = rng.standard_normal(8), rng.standard_normal(8)
+    weight = rng.standard_normal((5, 6, 8))
+    tensors = [Tensor(t, requires_grad=True) for t in (a, b, gamma, beta)]
+    out = ad.layer_norm(*tensors)
+    ad.backward(weighted_sum(out, weight))
+
+    x = a + b
+    mu = x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(((x - mu) ** 2).mean(axis=-1, keepdims=True) + 1e-5)
+    xhat = (x - mu) * inv
+    dxhat = weight * gamma
+    gx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    expected = [gamma * xhat + beta, gx.sum(axis=0), gx.sum(axis=1, keepdims=True),
+                (weight * xhat).sum(axis=(0, 1)), weight.sum(axis=(0, 1))]
+    for got, want in zip([out.data] + [t.grad for t in tensors], expected):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-12
+
+
+def test_layer_norm_summands_that_do_not_broadcast():
+    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 3\)"):
+        ad.layer_norm(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3))),
+                      Tensor(np.ones(3)), Tensor(np.zeros(3)))
+
+
+def test_layer_norm_training_forward_retains_only_its_output():
+    # the op keeps the row mean and inverse deviation, [rows, 1] each; x-hat
+    # and the sum are rebuilt in backward from the summands, kept anyway
+    rng = np.random.default_rng(22)
+    a, b = (Tensor(rng.standard_normal((16, 32, 32)), requires_grad=True) for _ in range(2))
+    gamma, beta = Tensor(np.ones(32), requires_grad=True), Tensor(np.zeros(32), requires_grad=True)
+    ad.reset_tape()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = ad.layer_norm(a, b, gamma, beta)
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    ad.reset_tape()
+    rows = 16 * 32
+    assert retained - out.data.nbytes <= 2 * 8 * rows + 4096, (retained, out.data.nbytes)
 
 # -- elementwise --------------------------------------------------------------
 
