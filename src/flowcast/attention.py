@@ -41,9 +41,9 @@ encoding, each site applies its sublayer (an attention, the parallel merge of
 temporal and spatial attention, or the feed-forward network, itself one tape
 entry) with a residual connection and layer normalization, the one op
 ``autodiff.layer_norm(sublayer, x, ...)``, which keeps neither the sum nor
-x-hat. The feed-forward network runs its rows in chunks sized to
-``BLOCK_BYTES``; at the FFN site, whose hidden activation is wider than x, it
-keeps no activation and rebuilds each chunk's in backward. The three paper
+x-hat. The feed-forward network walks its rows with ``_blocks`` in forward
+and in backward; at the FFN site, whose hidden activation is wider than x,
+it keeps no activation and rebuilds each block's in backward. The three paper
 blocks combine temporal and spatial attention in parallel, in series, or
 fused; ``ta_only`` and ``sa_only`` keep one attention for ablation.
 """
@@ -59,10 +59,10 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 
-# byte budget of the [L, L] float scores of one block of attention groups,
-# of the node weights of one chunk of nodes in recurrent._conv and of the
-# hidden activation of one chunk of rows in feed_forward: a block's scores,
-# exp'd and multiplied in place, stay in a core's L2 cache
+# byte budget of one block of every blocked op (see _blocks): the [L, L]
+# float scores of attention groups, the node weights of nodes in
+# recurrent._conv, the hidden activation of rows in feed_forward. A block's
+# scores, exp'd and multiplied in place, stay in a core's L2 cache
 BLOCK_BYTES = 1 << 20
 # scores bounded by this in magnitude are exponentiated unshifted: exp(+-300)
 # is about 1e+-130, so no row sum overflows and no row underflows to 0
@@ -187,14 +187,15 @@ def _attend_back(g: np.ndarray, qs: np.ndarray, k: np.ndarray, v: np.ndarray,
 
 
 def _blocks(lead: tuple, group_bytes: int) -> tuple:
-    """The blocks the attention core walks over the leading axes ``lead``,
-    as index tuples, and the most groups one holds.
+    """The blocks a blocked op walks over the leading axes ``lead``, as
+    index tuples, and the most groups one holds; the only code that turns
+    ``BLOCK_BYTES`` (read at call time) into block sizes.
 
-    Each block is a run of groups consecutive in C order whose scores, at
-    ``group_bytes`` a group, fit ``BLOCK_BYTES`` (one group at least): the
-    trailing axes that fit whole, and a slice of the axis before them. So a
-    block indexes any array with these leading axes as a view, and the blocks
-    visit the groups in C order."""
+    Each block is a run of groups consecutive in C order whose working set,
+    at ``group_bytes`` a group, fits ``BLOCK_BYTES`` (one group at least):
+    the trailing axes that fit whole, and a slice of the axis before them. So
+    a block indexes any array with these leading axes as a view, and the
+    blocks visit the groups in C order."""
     inner, axis = 1, len(lead)
     while axis > 0 and inner * lead[axis - 1] * group_bytes <= BLOCK_BYTES:
         axis -= 1
@@ -387,45 +388,45 @@ def feed_forward(x: Tensor, p: FfnParams, dropout: float = 0.0,
     as one tape entry. It is the position-wise FFN site
     of the global block and, with dropout 0, the model's output head.
 
-    The rows of x run in chunks whose [chunk, d_hidden] hidden activation
-    fits ``BLOCK_BYTES`` (read at call time; one row at least). Per chunk,
-    x w1 is written into a hidden buffer, and the bias, the ReLU and the
-    chunk's dropout flags act on it in place before its product with w2
-    (times the dropout scale) fills the chunk's output rows. The ReLU is
-    ``np.fmax(h, 0)``, which maps NaN to 0. The flags are drawn chunk by
-    chunk in C order, the values one ``autodiff.dropout`` draw of the whole
+    Forward and backward walk the rows of x in the same blocks, those of
+    ``_blocks`` at the [rows, d_hidden] hidden activation's bytes a row. Per
+    block, x w1 is written into a hidden buffer, and the bias, the ReLU and
+    the block's dropout flags act on it in place before its product with w2
+    (times the dropout scale) fills the block's output rows. The ReLU is
+    ``np.fmax(h, 0)``, which maps NaN to 0. The flags are drawn block by
+    block in C order, the values one ``autodiff.dropout`` draw of the whole
     mask takes from the stream. A row's products are the same GEMM
-    arithmetic in any chunk, so the output is bit for bit that of one chunk.
+    arithmetic in any block, so the output is bit for bit that of one block.
 
-    What backward keeps follows from the shapes. When d_hidden > d_in (the
-    block's FFN site) the hidden activation is larger than x, which its
-    producer keeps anyway: the forward reuses one chunk buffer, the tape
-    keeps x and the boolean dropout flags, and backward rebuilds each
-    chunk's activation from x in a chunk buffer of its own (gradient
-    checkpointing, Chen et al., arXiv 1604.06174). Otherwise (the output
-    head) the chunks fill one kept [rows, d_hidden] activation and backward
-    runs over all its rows at once. Either way ReLU and dropout pass a
-    gradient exactly where the activation is positive (so the subgradient at
-    0 is 0), and the hidden gradient is written over the activation, which
-    nothing reads after it. The weight and bias gradients are added up
-    chunk by chunk. Backward skips the products for the gradients of x, w1
-    and w2 when that input needs none; bias gradients are products with a
-    ones vector."""
+    The hidden activation is kept exactly when d_hidden <= d_in (the output
+    head): the blocks fill one kept [rows, d_hidden] array. Otherwise (the
+    block's FFN site) it is larger than x, which its producer keeps anyway,
+    so the forward reuses one block buffer, the tape keeps x and the boolean
+    dropout flags, and backward rebuilds each block's activation from x in a
+    block buffer of its own (gradient checkpointing, Chen et al., arXiv
+    1604.06174). Either way ReLU and dropout pass a gradient exactly where
+    the activation is positive (so the subgradient at 0 is 0), the hidden
+    gradient is written over the block's activation, which nothing reads
+    after it, and the weight and bias gradients are added up block by block.
+    Backward skips the products for the gradients of x, w1 and w2 when that
+    input needs none; bias gradients are products with a ones vector."""
     if not 0.0 <= dropout < 1.0:
         raise ValueError(f"dropout: p must be in [0, 1), got {dropout}")
     w1, b1, w2, b2 = p.w1, p.b1, p.w2, p.b2
     d_in, d_hidden = w1.shape
     rows = x.data.reshape(-1, d_in)
     n = len(rows)
-    chunk = max(1, BLOCK_BYTES // (8 * d_hidden))
-    recompute = d_hidden > d_in
+    blocks, block_rows = _blocks((n,), 8 * d_hidden)
     scale = 1.0 / (1.0 - dropout)
-    keep = np.empty((n, d_hidden), dtype=bool) if dropout > 0.0 and recompute else None
-    hidden = None if recompute else np.empty((n, d_hidden))
+    hidden = np.empty((n, d_hidden)) if d_hidden <= d_in else None
+    keep = np.empty((n, d_hidden), dtype=bool) if dropout > 0.0 and hidden is None else None
 
-    def relu_rows(start, stop, h, flags):
-        # relu(x w1 + b1) of rows start:stop, times their dropout flags, in h
-        np.matmul(rows[start:stop], w1.data, out=h)
+    def relu_rows(blk, buf, flags):
+        # relu(x w1 + b1) of the rows blk, times their dropout flags, in
+        # their slice of the kept activation or the front of buf
+        x_b = rows[blk]
+        h = buf[:len(x_b)] if hidden is None else hidden[blk]
+        np.matmul(x_b, w1.data, out=h)
         h += b1.data
         np.fmax(h, 0.0, out=h)
         if flags is not None:
@@ -433,47 +434,40 @@ def feed_forward(x: Tensor, p: FfnParams, dropout: float = 0.0,
         return h
 
     out = np.empty((n, w2.shape[1]))
-    buf = np.empty((min(n, chunk), d_hidden)) if recompute else None
+    buf = np.empty((block_rows, d_hidden)) if hidden is None else None
     w2_scaled = w2.data * scale
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
+    for blk in blocks:
         flags = None
         if dropout > 0.0:
-            flags = ad._dropout_mask((stop - start, d_hidden), dropout, rng)[0]
+            flags = ad._dropout_mask((len(out[blk]), d_hidden), dropout, rng)[0]
             if keep is not None:
-                keep[start:stop] = flags
-        h = relu_rows(start, stop, buf[:stop - start] if recompute else hidden[start:stop], flags)
-        np.matmul(h, w2_scaled, out=out[start:stop])
+                keep[blk] = flags
+        np.matmul(relu_rows(blk, buf, flags), w2_scaled, out=out[blk])
     out += b2.data
 
     def back(g):
         g_rows = g.reshape(out.shape)
         ad._accum(b2, np.matmul(np.ones(n), g_rows))
-        step = chunk if recompute else max(1, n)
-        ones = np.ones(min(n, step))
+        ones = np.ones(block_rows)
         g_x = np.empty_like(rows) if x.requires_grad else None
         w2_t = (w2.data * scale).T
-        h_buf = np.empty((min(n, chunk), d_hidden)) if recompute else None
-        for start in range(0, n, step):
-            stop = min(n, start + step)
-            if recompute:
-                h = relu_rows(start, stop, h_buf[:stop - start],
-                              None if keep is None else keep[start:stop])
-            else:
-                h = hidden[start:stop]
-            g_c = g_rows[start:stop]
+        h_buf = np.empty((block_rows, d_hidden)) if hidden is None else None
+        for blk in blocks:
+            h = (relu_rows(blk, h_buf, None if keep is None else keep[blk])
+                 if hidden is None else hidden[blk])
+            g_b = g_rows[blk]
             if w2.requires_grad:
-                g_w2 = np.matmul(h.T, g_c)
+                g_w2 = np.matmul(h.T, g_b)
                 g_w2 *= scale
                 ad._accum(w2, g_w2)
             mask = h > 0.0
-            g_h = np.matmul(g_c, w2_t, out=h)
+            g_h = np.matmul(g_b, w2_t, out=h)
             g_h *= mask
-            ad._accum(b1, np.matmul(ones[:stop - start], g_h))
+            ad._accum(b1, np.matmul(ones[:len(g_h)], g_h))
             if w1.requires_grad:
-                ad._accum(w1, np.matmul(rows[start:stop].T, g_h))
+                ad._accum(w1, np.matmul(rows[blk].T, g_h))
             if g_x is not None:
-                np.matmul(g_h, w1.data.T, out=g_x[start:stop])
+                np.matmul(g_h, w1.data.T, out=g_x[blk])
         if g_x is not None:
             ad._accum(x, g_x.reshape(x.shape))
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import data as dp
 from . import model as md
 from . import training as tr
-from .errors import (ConfigError, InsufficientDataError, InvalidGraphError,
+from .errors import (ConfigError, ForecastNotFinite, InsufficientDataError, InvalidGraphError,
                      ParseError, ShapeError, TrainingDiverged)
 
 EXIT_OK = 0
@@ -242,15 +242,22 @@ def _score_test_split(model: md.Forecaster, splits: dict, normalizer: dp.Normali
                       batch_size: int, out_dir: str, verbose: bool = True):
     """Forecast the test windows and write metrics.json (overall and per
     horizon) into ``out_dir``; ``verbose`` prints the summary line. Returns
-    (report, normalized predictions)."""
+    (report, normalized predictions). Forecasts or metrics that are not
+    finite raise ForecastNotFinite before anything is written."""
     x_test, y_test = splits["test"]
     preds = tr.predict_batched(model, x_test, batch_size)
     report = dp.metrics(preds, y_test, normalizer)
+    per_horizon = dp.metrics_per_horizon(preds, y_test, normalizer)
+    # the MAE averages every denormalized forecast, so it is finite only if
+    # they all are
+    scores = [v for r in [report] + per_horizon for v in (r.mae, r.rmse, r.mape) if v is not None]
+    if not np.isfinite(scores).all():
+        raise ForecastNotFinite()
     doc = dataclasses.asdict(report)
     doc["per_horizon"] = [{"horizon": i + 1, **dataclasses.asdict(r)}
-                          for i, r in enumerate(dp.metrics_per_horizon(preds, y_test, normalizer))]
+                          for i, r in enumerate(per_horizon)]
     dp.write_atomic(os.path.join(out_dir, "metrics.json"),
-                    (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
+                    (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode())
     if verbose:
         print(f"test mae={report.mae:.4f} rmse={report.rmse:.4f} "
               f"mape={'n/a' if report.mape is None else f'{report.mape:.2f}%'}")
@@ -328,7 +335,10 @@ def cmd_eval(args) -> int:
     except (KeyError, ShapeError) as exc:
         raise ParseError(f"{args.checkpoint}: {exc.args[0]}") from None
 
-    _, preds = _score_test_split(model, splits, normalizer, train_cfg.batch_size, args.out)
+    try:
+        _, preds = _score_test_split(model, splits, normalizer, train_cfg.batch_size, args.out)
+    except ForecastNotFinite as exc:  # the checkpoint's values, not a training run
+        raise ParseError(f"{args.checkpoint}: {exc}") from None
     dp.write_predictions_csv(os.path.join(args.out, "predictions.csv"),
                              normalizer.denormalize(preds))
     return EXIT_OK
@@ -396,8 +406,8 @@ def cmd_ablate(args) -> int:
         lines.append(f"{mode},{variant},{mae!r},{rmse!r},{mape_s}")
     dp.write_atomic(os.path.join(args.out, "ablation.csv"), ("\n".join(lines) + "\n").encode())
     dp.write_atomic(os.path.join(args.out, "ablation_summary.json"),
-                    (json.dumps({"cells": summary, "failures": failures}, indent=2)
-                     + "\n").encode())
+                    (json.dumps({"cells": summary, "failures": failures}, indent=2,
+                                allow_nan=False) + "\n").encode())
     baseline = [s for s in summary if s["variant"] == "none"]
     enhanced = [s for s in summary if s["variant"] in ("parallel", "serial", "fused")]
     if baseline and enhanced:
@@ -501,7 +511,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        # overflow is reported by the checks that turn it into an exit code
+        # (a non-finite loss, parameter, forecast or normalizer), in one line
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

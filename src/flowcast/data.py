@@ -134,12 +134,11 @@ def make_windows(values: np.ndarray, input_steps: int, output_steps: int
         raise InsufficientDataError(
             f"segment of {s} steps cannot fit one window of {total} steps"
         )
-    x = np.empty((count, input_steps, n, 1))
-    y = np.empty((count, output_steps, n))
-    for i in range(count):
-        x[i, :, :, 0] = values[i:i + input_steps]
-        y[i] = values[i + input_steps:i + total]
-    return x, y
+    # [count, N, total] views of the segment, copied out step-major
+    windows = np.lib.stride_tricks.sliding_window_view(values, total, axis=0)
+    x = np.ascontiguousarray(windows[:, :, :input_steps].transpose(0, 2, 1))
+    y = np.ascontiguousarray(windows[:, :, input_steps:].transpose(0, 2, 1))
+    return x[..., None], y
 
 
 @dataclass
@@ -151,10 +150,18 @@ class Normalizer:
 
     @staticmethod
     def fit(train_values: np.ndarray) -> "Normalizer":
-        std = float(train_values.std())
+        """The training segment's mean and standard deviation. Finite values
+        can still overflow them (the squares of values near 1e300 are
+        infinite); statistics that are not finite, like zero variance, are an
+        InsufficientDataError."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, std = float(train_values.mean()), float(train_values.std())
+        if not (np.isfinite(mean) and np.isfinite(std)):
+            raise InsufficientDataError(f"training segment has mean {mean} and standard "
+                                        f"deviation {std}; cannot normalize")
         if std <= 0:
             raise InsufficientDataError("training segment has zero variance; cannot normalize")
-        return Normalizer(float(train_values.mean()), std)
+        return Normalizer(mean, std)
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
         return (x - self.mean) / self.std
@@ -210,7 +217,9 @@ def synthesize(nodes: int = 8, steps: int = 2016, seed: int = 0, noise_level: fl
     Each node carries a daily sinusoid (period 288 steps) with its own phase,
     amplitude and offset; every tick mixes in the neighbors' previous values
     through the row-normalized adjacency with weight ``diffusion``, then adds
-    Gaussian noise and clamps at zero.
+    Gaussian noise and clamps at zero. A noise level that makes the series
+    overflow is a ValueError, so no series is written that ``load_series``
+    rejects.
 
     Returns:
         (series, adjacency) with a symmetric zero-diagonal adjacency in which
@@ -250,6 +259,8 @@ def synthesize(nodes: int = 8, steps: int = 2016, seed: int = 0, noise_level: fl
     if noise_level > 0.0:
         values = values + rng.normal(0.0, noise_level, values.shape)
     values = np.clip(values, 0.0, None)
+    if not np.isfinite(values).all():  # a noise level near the float limit overflows
+        raise ValueError(f"noise level {noise_level} makes the series overflow")
     return TrafficSeries(values), adjacency
 
 

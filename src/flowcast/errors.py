@@ -40,3 +40,13 @@ class TrainingDiverged(RuntimeError):
         self.epoch = epoch
         self.loss = loss
         self.parameter = parameter
+
+
+class ForecastNotFinite(TrainingDiverged):
+    """Raised when a model's test forecasts, or their metrics, are not
+    finite: a divergence no loss or parameter check caught, so ``epoch``,
+    ``loss`` and ``parameter`` are None."""
+
+    def __init__(self):
+        RuntimeError.__init__(self, "the test forecasts or their metrics are not finite")
+        self.epoch = self.loss = self.parameter = None

@@ -281,7 +281,8 @@ def save_checkpoint(manifest_path: str, blob_path: str, config_echo: dict,
         "parameters": entries,
     }
     write_atomic(blob_path, blob)
-    write_atomic(manifest_path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
+    write_atomic(manifest_path, (json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
+                                 + "\n").encode())
 
 
 def load_checkpoint(manifest_path: str) -> tuple[dict, dict[str, np.ndarray]]:

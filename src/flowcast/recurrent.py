@@ -25,7 +25,7 @@ that is the layout of the Chebyshev terms [N, K+1, C, B], so z and r are row
 blocks of the gate output and no step copies between [B, N] and [N, B]. The
 z and r pools are concatenated once per forward (GruCellParams.gate_params).
 The gate and candidate ops take the step's node features, not node weights:
-the forward builds them chunk by chunk of nodes in one buffer of about
+the forward builds them block by block of nodes in one buffer of about
 attention.BLOCK_BYTES, and the backward rebuilds them whole, so the tape
 keeps no step's weights, and every graph mode runs one path. Likewise
 they keep no Chebyshev terms: encode_sequence allocates one terms buffer per
@@ -88,13 +88,12 @@ def _conv(x_t: Tensor, h: Tensor, r: np.ndarray | None, lap: Tensor, e: Tensor,
     [N, (K+1)(C + d_h), C_out] (rows ordered (k, i)) and the bias
     e @ bias_pool [N, C_out], for node features e [N, d_e].
 
-    The forward never holds theta for all N nodes: it takes the nodes in
-    chunks whose theta fits ``attention.BLOCK_BYTES`` (read at call time; one
-    node at least), and for each builds that theta and its per-node product
-    in one reused chunk buffer that stays in cache. A node's theta and
-    product are the same GEMM arithmetic in any chunk, so the output is bit
-    for bit that of one chunk. The backward rebuilds theta for all nodes as
-    one GEMM.
+    The forward never holds theta for all N nodes: it walks the nodes in
+    the blocks of ``attention._blocks`` at theta's bytes a node, and for
+    each builds that theta and its per-node product in one reused block
+    buffer that stays in cache. A node's theta and product are the same GEMM
+    arithmetic in any block, so the output is bit for bit that of one block.
+    The backward rebuilds theta for all nodes as one GEMM.
 
     The terms are written into ``terms``, a buffer of that shape which the
     ops of a whole encoder pass share. The backward keeps none of them: it
@@ -122,13 +121,12 @@ def _conv(x_t: Tensor, h: Tensor, r: np.ndarray | None, lap: Tensor, e: Tensor,
 
     fill()
     out = np.empty((n, c_out, b))    # before theta, so freeing theta leaves no heap hole
-    chunk = max(1, attention.BLOCK_BYTES // (8 * pool.shape[1]))
-    theta = np.empty((min(n, chunk), k1 * c_in, c_out))
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        part = theta[:stop - start]
-        np.matmul(e.data[start:stop], pool, out=part.reshape(stop - start, -1))
-        np.matmul(part.transpose(0, 2, 1), rows[start:stop], out=out[start:stop])
+    blocks, block_nodes = attention._blocks((n,), 8 * pool.shape[1])
+    theta = np.empty((block_nodes, k1 * c_in, c_out))
+    for blk in blocks:
+        part = theta[:len(out[blk])]
+        np.matmul(e.data[blk], pool, out=part.reshape(len(part), -1))
+        np.matmul(part.transpose(0, 2, 1), rows[blk], out=out[blk])
     out += (e.data @ params.bias_pool.data)[:, :, None]
 
     def back(g, need_y):

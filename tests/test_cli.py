@@ -167,6 +167,8 @@ def test_synth_writes_series_and_adjacency(tmp_path):
     pytest.param("--diffusion", "5", "diffusion", id="diffusion_out_of_range"),
     pytest.param("--noise-level", "-1", "noise level", id="noise_negative"),
     pytest.param("--noise-level", "nan", "noise level", id="noise_nan"),
+    pytest.param("--noise-level", "1e308", "synth: noise level 1e+308 makes the series overflow",
+                 id="noise_overflows_the_series"),
     pytest.param("--nodes", "x", "argument --nodes: invalid int value: 'x'",
                  id="nodes_not_a_number"),
     pytest.param("--seed", "-1", "synth: seed must be >= 0, got -1", id="seed_negative"),
@@ -293,6 +295,27 @@ def test_non_finite_series_cell_exits_two(tmp_path, capsys):
     assert code == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "line 5, column 1" in err
+
+
+def test_training_segment_that_cannot_be_normalized_exits_two(tmp_path, capsys):
+    # finite readings of about 1e300 have an infinite standard deviation
+    code = run(["train", "--out", str(tmp_path / "run"), "--seed", "1",
+                *sum([["--set", s] for s in tiny_overrides(
+                    ["data.synth.noise_level=1e300"])], [])])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "cannot normalize" in err
+    assert not os.path.exists(tmp_path / "run" / "metrics.json")
+
+
+def test_overflowing_training_run_exits_three_with_one_stderr_line(tmp_path, capsys):
+    # the first update overflows the parameters; numpy's overflow warnings
+    # must not add lines to the one-line error
+    code = run(["train", "--out", str(tmp_path / "run"), "--seed", "1",
+                *sum([["--set", s] for s in tiny_overrides(["train.lr=1e308"])], [])])
+    assert code == cli.EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("training error:")
 
 
 def _latin1_csv(directory):
@@ -489,6 +512,26 @@ def test_eval_non_finite_checkpoint_value_exits_two(trained_run, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "checkpoint.bin" in err and "'embed.node'" in err
     assert not os.path.exists(tmp_path / "eval" / "metrics.json")
+
+
+def test_eval_non_finite_forecasts_exit_two_before_any_output(trained_run, tmp_path, capsys):
+    # every stored value scaled to 1e300: finite parameters whose forecasts
+    # or metrics overflow, so nothing may be written, JSON least of all
+    run_dir = str(tmp_path / "run")
+    shutil.copytree(trained_run, run_dir)
+    manifest = os.path.join(run_dir, "checkpoint.json")
+    config, values = cli.md.load_checkpoint(manifest)
+    model = cli.md.Forecaster(cli.md.config_from_dict(config["model"]))
+    model.params.load_values({name: value * 1e300 for name, value in values.items()})
+    cli.md.save_checkpoint(manifest, os.path.join(run_dir, "checkpoint.bin"), config,
+                           model.params)
+    capsys.readouterr()
+    out = tmp_path / "eval"
+    code = run(["eval", "--checkpoint", manifest, "--out", str(out)])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "checkpoint.json" in err and "not finite" in err
+    assert os.listdir(out) == []
 
 
 def test_eval_v1_checkpoint_fixture_exits_zero(tmp_path, capsys):

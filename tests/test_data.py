@@ -158,6 +158,13 @@ def test_normalizer_rejects_constant_series():
         dp.Normalizer.fit(np.full((10, 2), 3.0))
 
 
+def test_normalizer_rejects_statistics_that_overflow():
+    # every value is finite, but their squares, and so the std, are not
+    train = np.array([[1e300, 0.0], [0.0, 1e300]])
+    with pytest.raises(InsufficientDataError, match="cannot normalize"):
+        dp.Normalizer.fit(train)
+
+
 # -- metrics -----------------------------------------------------------------------
 
 
@@ -280,3 +287,9 @@ def test_synthesize_validates_sizes():
 def test_synthesize_rejects_a_noise_level_out_of_range(noise_level):
     with pytest.raises(ValueError, match="noise level"):
         dp.synthesize(4, 300, seed=0, noise_level=noise_level)
+
+
+def test_synthesize_rejects_a_noise_level_that_overflows_the_series():
+    # load_series rejects infinite cells, so synthesize never makes one
+    with pytest.raises(ValueError, match="noise level 1e\\+308 makes the series overflow"):
+        dp.synthesize(4, 300, seed=1, noise_level=1e308)
