@@ -15,12 +15,14 @@ the scaled-dot core runs on those views, its output is the [B, N, T, h d_k]
 heads as a view, and one matmul with w_o merges them. Backward keeps only the
 input, the heads, the row logsumexp and, when weight dropout runs, a boolean
 mask: it recomputes q, k and v with the same call, writes their gradients
-over them in that buffer, and sums the input's three gradient products in
-place into one array (FlashAttention's recompute, Dao et al., arXiv
-2205.14135, carried out to the projections). q, k and v lie in separate
-thirds of the buffer rather than side by side in [rows, 3 h d_k] rows, which
-would allow one GEMM for the input's gradient: the core's strided reads of
-those rows made a temporal plus spatial pair about 5% slower (N=100, B=32).
+over them in that buffer, and sums the input's three gradient products into
+the spent heads-gradient buffer, through the slots of spent q, k and v
+gradients, so it allocates nothing of the input's size while that buffer is
+live (FlashAttention's recompute, Dao et al., arXiv 2205.14135, carried out
+to the projections). q, k and v lie in separate thirds of the buffer rather
+than side by side in [rows, 3 h d_k] rows, which would allow one GEMM for
+the input's gradient: the core's strided reads of those rows made a
+temporal plus spatial pair about 5% slower (N=100, B=32).
 
 The scaled-dot core (``_attend`` and ``_attend_back``, on arrays) works
 through its attention groups in blocks sized to ``BLOCK_BYTES``. Its forward
@@ -37,9 +39,11 @@ Dropout is given to every function here as rates, which the model sets to 0
 outside training; a rate of 0 draws nothing from the stream.
 
 Every block variant is a row of the ``BLOCKS`` site table: after positional
-encoding, each site applies its sublayer (an attention, the parallel merge of
-temporal and spatial attention, or the feed-forward network, itself one tape
-entry) with a residual connection and layer normalization, the one op
+encoding, each site applies its sublayer (an attention; the parallel merge of
+temporal and spatial attention, ``parallel_attention``, one tape entry over
+the bodies of both that keeps neither branch output nor their concatenation;
+or the feed-forward network, itself one tape entry) with a residual
+connection and layer normalization, the one op
 ``autodiff.layer_norm(sublayer, x, ...)``, which keeps neither the sum nor
 x-hat. The feed-forward network walks its rows with ``_blocks`` in forward
 and in backward; at the FFN site, whose hidden activation is wider than x,
@@ -222,12 +226,14 @@ def _scores(a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return np.matmul(a, np.swapaxes(b, -1, -2), out=scratch[:math.prod(shape)].reshape(shape))
 
 
-def multi_head_attention(x: Tensor, p: AttentionParams, over_nodes: bool,
-                         weight_dropout: float, rng, values: Tensor | None = None) -> Tensor:
-    """Multi-head attention over x [B, N, T, d] as one tape entry (see the
-    module docstring): over time per (batch, node), or with ``over_nodes``
-    over nodes per (batch, step). The value stream is projected from
-    ``values`` (shaped like x) when given."""
+def _attention(x: Tensor, p: AttentionParams, over_nodes: bool, weight_dropout: float, rng,
+               values: Tensor | None = None) -> tuple:
+    """The body of ``multi_head_attention``, which its callers record:
+    returns the [B, N, T, d] output, the merged heads [B, N, T, h d_k] whose
+    product with w_o it is, and the backward, which given the output's
+    gradient accumulates those of x, ``values`` and the four weights. Of the
+    input gradients, only that of fusion's value stream is a new array while
+    the q, k, v buffer is live (see the module docstring)."""
     h, d, d_k = p.w_q.shape
     if values is not None and values.shape != x.shape:
         raise ShapeError(f"attention: values {values.shape} are not shaped like x {x.shape}")
@@ -254,22 +260,37 @@ def multi_head_attention(x: Tensor, p: AttentionParams, over_nodes: bool,
         g_rows = g.reshape(-1, p.w_o.shape[1])
         ad._accum(p.w_o, np.matmul(merged.reshape(-1, h * d_k).T, g_rows))
         g_heads = np.matmul(g_rows, p.w_o.data.T).reshape(x.shape[:-1] + (h, d_k))
-        qkv, (q, k, v) = project()
-        _attend_back(g_heads.transpose(order), q, k, v, heads, lse, keep, weight_dropout)
-        del g_heads
+        qkv, qkv_views = project()
+        _attend_back(g_heads.transpose(order), *qkv_views, heads, lse, keep, weight_dropout)
+        del qkv_views
         # qkv holds the gradients of q, k and v now
         g_w = np.empty((3, d, h * d_k))
         for t, ws in streams:
             np.matmul(t.data.reshape(-1, d).T, qkv[ws].reshape(-1, len(g_rows), h * d_k),
                       out=g_w[ws])
-            if t.requires_grad:
-                g_t = np.matmul(qkv[ws.start], w3[ws.start].T)
-                for i in range(ws.start + 1, ws.stop):
-                    g_t += np.matmul(qkv[i], w3[i].T)
-                ad._accum(t, g_t)
         for w, g_w_i in zip((p.w_q, p.w_k, p.w_v), g_w):
             ad._accum(w, g_w_i.reshape(d, h, d_k).transpose(1, 0, 2))
+        g_inputs = []
+        for (t, ws), buf in zip(streams, (g_heads.reshape(x.shape), None)):
+            if t.requires_grad:
+                g_t = np.matmul(qkv[ws.start], w3[ws.start].T, out=buf)
+                for i in range(ws.start + 1, ws.stop):
+                    g_t += np.matmul(qkv[i], w3[i].T, out=qkv[i - 1])
+                g_inputs.append((t, g_t))
+        del qkv
+        for t, g_t in g_inputs:
+            ad._accum(t, g_t)
 
+    return out, merged, back
+
+
+def multi_head_attention(x: Tensor, p: AttentionParams, over_nodes: bool,
+                         weight_dropout: float, rng, values: Tensor | None = None) -> Tensor:
+    """Multi-head attention over x [B, N, T, d] as one tape entry (see the
+    module docstring): over time per (batch, node), or with ``over_nodes``
+    over nodes per (batch, step). The value stream is projected from
+    ``values`` (shaped like x) when given."""
+    out, _, back = _attention(x, p, over_nodes, weight_dropout, rng, values)
     inputs = (x, p.w_q, p.w_k, p.w_v, p.w_o) + (() if values is None else (values,))
     return ad._record(Tensor(out), inputs, back)
 
@@ -381,6 +402,40 @@ class Gst2Params:
         return p
 
 
+def parallel_attention(x: Tensor, p: Gst2Params, weight_dropout: float, rng) -> Tensor:
+    """The merge site of the parallel block: temporal and spatial attention
+    over x side by side, concat(ta, sa) projected to d by P = concat_proj
+    [2 d, d], as one tape entry that keeps only what the two attentions keep.
+
+    It runs as ta P[:d] + sa P[d:], so neither branch output nor their
+    [.., 2 d] concatenation outlives the forward; temporal attention draws
+    its dropout first. Backward rebuilds each branch output with one GEMM of
+    its heads with w_o for P's gradient, then runs spatial's backward before
+    temporal's."""
+    d = p.concat_proj.shape[1]
+    proj_t, proj_s = p.concat_proj.data[:d], p.concat_proj.data[d:]
+    ta, heads_t, back_t = _attention(x, p.temporal, False, weight_dropout, rng)
+    out = np.matmul(ta, proj_t)
+    del ta
+    sa, heads_s, back_s = _attention(x, p.spatial, True, weight_dropout, rng)
+    out += np.matmul(sa, proj_s)
+    del sa
+
+    def back(g):
+        g_rows = g.reshape(-1, d)
+        g_proj = np.empty(p.concat_proj.shape)
+        for heads, w_o, rows in ((heads_t, p.temporal.w_o, g_proj[:d]),
+                                 (heads_s, p.spatial.w_o, g_proj[d:])):
+            np.matmul(np.matmul(heads, w_o.data).reshape(-1, d).T, g_rows, out=rows)
+        ad._accum(p.concat_proj, g_proj)
+        back_s(np.matmul(g, proj_s.T))
+        back_t(np.matmul(g, proj_t.T))
+
+    inputs = (x, p.concat_proj, p.temporal.w_q, p.temporal.w_k, p.temporal.w_v, p.temporal.w_o,
+              p.spatial.w_q, p.spatial.w_k, p.spatial.w_v, p.spatial.w_o)
+    return ad._record(Tensor(out), inputs, back)
+
+
 def feed_forward(x: Tensor, p: FfnParams, dropout: float = 0.0,
                  rng: np.random.Generator | None = None) -> Tensor:
     """The feed-forward network relu(x w1 + b1) w2 + b2 over the last axis
@@ -480,10 +535,8 @@ def _sublayer(site: str, x: Tensor, p: Gst2Params, dropout: float, rng) -> Tenso
         return temporal_attention(x, p.temporal, dropout, rng)
     if site == "spatial":
         return spatial_attention(x, p.spatial, dropout, rng)
-    if site == "merge":  # temporal and spatial attention side by side, projected to d
-        ta = temporal_attention(x, p.temporal, dropout, rng)
-        sa = spatial_attention(x, p.spatial, dropout, rng)
-        return ad.matmul(ad.concat([ta, sa], axis=-1), p.concat_proj)
+    if site == "merge":
+        return parallel_attention(x, p, dropout, rng)
     if site == "fusion":
         return stfa(x, p.fusion, p.spatial, dropout, rng)
     # "ffn": the position-wise feed-forward network

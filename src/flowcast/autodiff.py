@@ -156,10 +156,12 @@ def backward(loss: Tensor):
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """a + b with numpy broadcasting. Backward sums the gradient down to the
-    shape of each input that needs one, and skips the others."""
+    """a + b with numpy broadcasting, into a new C-contiguous array whatever
+    the memory layout of the inputs (the encoder's states arrive as a
+    transposed view). Backward sums the gradient down to the shape of each
+    input that needs one, and skips the others."""
     try:
-        out = Tensor(a.data + b.data)
+        out = Tensor(np.add(a.data, b.data, order="C"))
     except ValueError:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
 

@@ -42,10 +42,10 @@ _SYNTH_DEFAULTS = {**{name: p.default for name, p in _SYNTH_PARAMS.items()}, "se
 # the objects a run config nests; data.synth may also be None (no synthetic data)
 _SECTIONS = ("data", "model", "train", "data.synth")
 
-# gradcheck's desk-size problem, whatever the configured sizes
+# gradcheck's desk-size problem, whatever the configured sizes; its head
+# count is the configured one capped at 2, which divides the hidden dim
 _GRADCHECK_SIZES = dict(n_nodes=4, input_steps=6, output_steps=3, embed_dim=2, hidden_dim=4,
-                        heads=2, dropout_input=0.0, dropout_inner=0.0, ffn_dim=8,
-                        fc_hidden=16)
+                        dropout_input=0.0, dropout_inner=0.0, ffn_dim=8, fc_hidden=16)
 
 
 def default_run_config() -> dict:
@@ -423,7 +423,9 @@ def cmd_gradcheck(args) -> int:
     if not (np.isfinite(args.tol) and args.tol > 0):
         raise ConfigError(f"--tol must be a finite number > 0, got {args.tol}")
     cfg = resolve_run_config(args)
-    model_cfg = dataclasses.replace(md.config_from_dict(cfg["model"]), **_GRADCHECK_SIZES)
+    model_cfg = md.config_from_dict(cfg["model"])
+    md.check_field_types(model_cfg)
+    model_cfg = dataclasses.replace(model_cfg, heads=min(model_cfg.heads, 2), **_GRADCHECK_SIZES)
     model_cfg.validate()
     rng = np.random.default_rng(cfg["seed"])
     x = rng.standard_normal((2, model_cfg.input_steps, model_cfg.n_nodes,

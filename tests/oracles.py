@@ -13,7 +13,8 @@ deliberately avoiding the code paths under test, except:
 - ``scaled_dot_op``, a tape op over the library's scaled-dot core
   (``att._attend``/``att._attend_back``), which the core's tests record;
 - ``multi_head_composed``, multi-head attention from generic tape ops
-  around ``scaled_dot_op``;
+  around ``scaled_dot_op``, and ``merge_composed``, the parallel block's
+  merge site from two of them, concat and matmul;
 - ``attention_weights``, which reads the library's own attention weights
   by running its attention core with identity values.
 """
@@ -283,6 +284,16 @@ def multi_head_composed(x, p, over_nodes, weight_dropout=0.0, rng=None, values=N
     merged = ad.transpose(heads, tuple(np.argsort(order)))
     b, n, t, h, d_k = merged.shape
     return ad.matmul(ad.reshape(merged, (b, n, t, h * d_k)), p.w_o)
+
+
+def merge_composed(x, p, weight_dropout=0.0, rng=None):
+    """The parallel block's merge site from generic tape ops: temporal and
+    spatial ``multi_head_composed`` over x (temporal drawing its dropout
+    first), joined by concat and projected by matmul with concat_proj. The
+    reference ``att.parallel_attention`` must agree with."""
+    ta = multi_head_composed(x, p.temporal, False, weight_dropout, rng)
+    sa = multi_head_composed(x, p.spatial, True, weight_dropout, rng)
+    return ad.matmul(ad.concat([ta, sa], axis=-1), p.concat_proj)
 
 
 def attention_loop(q, k, v):

@@ -7,13 +7,15 @@ from flowcast import attention as att
 from flowcast import autodiff as ad
 from flowcast import data as dp
 from flowcast import model as md
+from flowcast import recurrent
 from flowcast import training as tr
 from flowcast.autodiff import Tensor
 from flowcast.errors import ConfigError
 
-from oracles import (attention_loop, attention_weights, finite_diff_grad, multi_head_composed,
-                     multi_head_loop, relu_op, scalar_affine, scaled_dot_op, softmax_rows,
-                     spatial_attention_loop, stfa_loop, weighted_sum)
+from oracles import (attention_loop, attention_weights, finite_diff_grad, merge_composed,
+                     multi_head_composed, multi_head_loop, relu_op, scalar_affine,
+                     scaled_dot_op, softmax_rows, spatial_attention_loop, stfa_loop,
+                     weighted_sum)
 
 
 def make_params(dim, heads, seed=0):
@@ -590,6 +592,32 @@ def test_multi_head_training_forward_keeps_no_projections(site):
     assert retained - out.data.nbytes < 1.5 * x_arr.nbytes, (retained, x_arr.nbytes)
 
 
+@pytest.mark.parametrize("site", ["temporal", "spatial"])
+def test_multi_head_backward_allocates_nothing_while_qkv_is_live(monkeypatch, site):
+    # the backward's own arrays of x's size are the heads' gradient and the
+    # [3, ..] q, k, v buffer (4), and x's gradient goes into spent ones of
+    # them; with blocks of one group the core adds little, and the peak read
+    # 4.31 arrays over time and 4.32 over nodes (5.10 each while x's
+    # gradient was a new array)
+    monkeypatch.setattr(att, "BLOCK_BYTES", 1)
+    x_arr, _, g = site_arrays(46, lead=(4, 16, 12), dim=16)
+    p = make_params(16, 2, seed=46)
+    x = Tensor(x_arr, requires_grad=True)
+    ad.reset_tape()
+    att.multi_head_attention(x, p, site == "spatial", 0.0, None)
+    (_, _, back), = ad.tape().entries
+    ad.reset_tape()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        back(g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * x_arr.nbytes, peak / x_arr.nbytes
+    assert x.grad is not None and p.w_q.grad is not None
+
+
 def test_head_divisibility_rejected_at_construction():
     with pytest.raises(ConfigError):
         make_params(6, 4)
@@ -638,6 +666,103 @@ def test_spatial_oracle_agreement_random_trials():
         out = att.spatial_attention(Tensor(x), p)
         expected = spatial_attention_loop(x, p.w_q.data, p.w_k.data, p.w_v.data, p.w_o.data)
         assert np.abs(out.data - expected).max() < 1e-12
+
+
+# -- the parallel block's merge site ------------------------------------------------------
+
+
+@pytest.mark.parametrize("weight_dropout", [0.0, 0.3])
+def test_merge_op_matches_composed_concat_and_matmul(weight_dropout):
+    # ta P[:d] + sa P[d:] as one op against concat(ta, sa) P from tape ops:
+    # the output and the gradients of x and of all nine weights
+    x_arr, _, weight = site_arrays(44)
+    results, next_draws, entries = [], [], []
+    for merge in (att.parallel_attention, merge_composed):
+        ad.reset_tape()
+        p = layer_params("parallel", dim=8, heads=2, seed=44)
+        x = Tensor(x_arr, requires_grad=True)
+        draws = np.random.default_rng(24)
+        out = merge(x, p, weight_dropout, draws)
+        entries.append(len(ad.tape().entries))
+        ad.backward(weighted_sum(out, weight))
+        weights = [p.concat_proj] + [getattr(a, w) for a in (p.temporal, p.spatial)
+                                     for w in ("w_q", "w_k", "w_v", "w_o")]
+        results.append([out.data, x.grad] + [w.grad for w in weights])
+        next_draws.append(draws.random())
+    assert entries[0] == 1
+    for got, expected in zip(*results):
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() < 1e-12
+    assert next_draws[0] == next_draws[1]  # the same dropout draws from the stream
+
+
+def held_arrays(entries):
+    """Every array the tape entries hold, with the bases of views: their
+    outputs and inputs, and the arrays in the closures of their backward
+    rules and of the functions those hold."""
+    found, seen = [], set()
+
+    def visit(value):
+        if isinstance(value, Tensor):
+            value = value.data
+        if isinstance(value, np.ndarray):
+            while value is not None:
+                found.append(value)
+                value = value.base
+        elif callable(value) and id(value) not in seen:
+            seen.add(id(value))
+            for cell in getattr(value, "__closure__", None) or ():
+                visit(cell.cell_contents)
+
+    for out, inputs, back in entries:
+        for value in (out, *inputs, back):
+            visit(value)
+    return found
+
+
+def test_parallel_training_forward_keeps_no_concat_or_branch_output():
+    # the merge op keeps what the two attentions keep (x, heads, logsumexp)
+    # and neither branch output nor their [B, N, T, 2d] concatenation
+    cfg = md.ModelConfig(n_nodes=5, input_steps=4, output_steps=3, embed_dim=3, hidden_dim=8,
+                         heads=2, cheb_order=2, ffn_dim=16, fc_hidden=8,
+                         dropout_input=0.0, dropout_inner=0.0)
+    model = md.Forecaster(cfg)
+    rng = np.random.default_rng(45)
+    x, y = rng.standard_normal((2, 4, 5, 1)), rng.standard_normal((2, 3, 5))
+    ad.reset_tape()
+    md.l1_loss(model.forward(Tensor(x), training=True), Tensor(y))
+    held = held_arrays(ad.tape().entries)
+    ad.reset_tape()
+    with ad.no_grad():
+        h = recurrent.encode_sequence(Tensor(x), model.cell, model.build_bundle(), model.bank)
+        block_in = Tensor(h.data + att.positional_encoding(4, 8).data)
+        branches = [att.temporal_attention(block_in, model.gst2.temporal).data,
+                    att.spatial_attention(block_in, model.gst2.spatial).data]
+    assert any(a.shape == block_in.shape for a in held)
+    assert all(a.shape != (2, 5, 4, 16) for a in held)
+    for branch in branches:
+        assert not any(a.shape == branch.shape and np.array_equal(a, branch) for a in held)
+
+
+def test_retraining_the_parallel_block_with_dropout_is_bit_identical():
+    series, _ = dp.synthesize(4, 300, seed=6)
+    windows = dp.make_windows(series.values[:240], 6, 3)
+    val = dp.make_windows(series.values[240:], 6, 3)
+    norm = dp.Normalizer.fit(series.values[:240])
+    runs = []
+    for _ in range(2):
+        cfg = md.ModelConfig(n_nodes=4, input_steps=6, output_steps=3, embed_dim=2,
+                             hidden_dim=4, heads=2, cheb_order=1, gst2_variant="parallel",
+                             ffn_dim=8, fc_hidden=16, dropout_input=0.1, dropout_inner=0.1,
+                             seed=6)
+        model = md.Forecaster(cfg)
+        result = tr.fit(model, windows, val, norm,
+                        tr.TrainConfig(max_epochs=2, patience=30, batch_size=32, seed=6))
+        runs.append(([r.train_loss for r in result.history],
+                     [t.data.copy() for _, t in model.params]))
+    assert runs[0][0] == runs[1][0]
+    for a, b in zip(runs[0][1], runs[1][1]):
+        assert np.array_equal(a, b)
 
 
 # -- the global block variants ----------------------------------------------------------

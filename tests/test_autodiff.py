@@ -103,6 +103,19 @@ def test_matmul_weight_gradient_matches_einsum(a_grad, b_grad, contiguous):
         assert b.grad is None
 
 
+def test_add_of_a_transposed_view_is_c_contiguous():
+    # the encoder's states reach the positional add as a [B, N, T, d] view
+    # of a [T, N, d, B] buffer; the sum is the block's first C-order array
+    rng = np.random.default_rng(14)
+    a = Tensor(rng.standard_normal((5, 3, 2, 4)).transpose(3, 1, 0, 2), requires_grad=True)
+    b = Tensor(rng.standard_normal((5, 2)))
+    out = ad.add(a, b)
+    assert out.data.flags.c_contiguous
+    assert np.array_equal(out.data, a.data + b.data)
+    ad.backward(weighted_sum(out))
+    assert np.array_equal(a.grad, np.ones(a.shape))
+
+
 def test_matmul_gradient_of_a_transposed_view_keeps_its_layout():
     # a [N, B, K] viewed from a contiguous [N, K, B] base: the gradient
     # comes back in the base's axis order

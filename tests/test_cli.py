@@ -7,6 +7,7 @@ import pytest
 
 from flowcast import cli
 from flowcast import data as dp
+from flowcast import training as tr
 from flowcast.errors import ConfigError
 
 
@@ -605,6 +606,21 @@ def test_gradcheck_checks_the_configured_chebyshev_order(capsys):
     code = run(["gradcheck", "--seed", "1", "--set", "model.cheb_order=3"])
     assert code == 0
     assert "gru.update.weight_pool: checked 160," in capsys.readouterr().out
+
+
+def test_gradcheck_checks_the_configured_head_count_up_to_two(capsys, monkeypatch):
+    # its hidden dim is 4, so one head checks attention at d_k = d
+    seen = []
+    grad_check = tr.grad_check
+
+    def recording(cfg, *args, **kwargs):
+        seen.append(cfg.heads)
+        return grad_check(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(tr, "grad_check", recording)
+    for heads in (1, 4):
+        assert run(["gradcheck", "--seed", "1", "--set", f"model.heads={heads}"]) == 0
+    assert seen == [1, 2]
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-4"])

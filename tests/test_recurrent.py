@@ -518,6 +518,20 @@ def test_training_tape_holds_one_terms_buffer():
     assert len(tape_terms_buffers(sequence_training_tape(), (5, 3, 1 + 4, 2))) == 1
 
 
+def test_encoder_result_is_a_view_of_the_step_states():
+    # each step's blend op writes its state into slice t of one
+    # [T, N, d_h, B] buffer, so the [B, N, T, d_h] result copies nothing
+    x, cell, bank, bundle, _ = encoder_case("sequence_aware", 2, 130)
+    ad.reset_tape()
+    h = recurrent.encode_sequence(x, cell, bundle(), bank)
+    out, states, _ = ad.tape().entries[-1]
+    ad.reset_tape()
+    assert out is h and len(states) == x.shape[1]
+    for t, state in enumerate(states):
+        assert np.shares_memory(h.data, state.data)
+        assert np.array_equal(h.data[:, :, t], state.data.transpose(2, 0, 1))
+
+
 def test_wrong_tanh_backward_moves_encoder_gradients():
     # The benchmark's self-test checks its correctness gate by patching
     # ad.tanh's backward; that only works while the encoder's training path
