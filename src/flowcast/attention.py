@@ -6,34 +6,36 @@ All attention operates on [B, N, T, d] hidden sequences. Temporal attention
 attends over the T axis per node; spatial attention attends over nodes per
 step; fusion attention is temporal attention whose value stream is the output
 of an inner spatial attention. Each of them is one tape entry,
-``multi_head_attention``: one matmul call of the [B, N, T, d] input with
-w_q, w_k and w_v as a [3, d, h d_k] stack writes q, k and v into one
-[3, B, N, T, h d_k] buffer (two calls when fusion attention brings its value
-stream), and each is viewed, not copied, as the [B, G, h, L, d_k] groups of
-the attention ([B, N, h, T, d_k] over time, [B, T, h, N, d_k] over nodes);
-the scaled-dot core runs on those views, its output is the [B, N, T, h d_k]
-heads as a view, and one matmul with w_o merges them. Backward keeps only the
-input, the heads, the row logsumexp and, when weight dropout runs, a boolean
-mask: it recomputes q, k and v with the same call, writes their gradients
-over them in that buffer, and sums the input's three gradient products into
-the spent heads-gradient buffer, through the slots of spent q, k and v
-gradients, so it allocates nothing of the input's size while that buffer is
-live (FlashAttention's recompute, Dao et al., arXiv 2205.14135, carried out
-to the projections). q, k and v lie in separate thirds of the buffer rather
-than side by side in [rows, 3 h d_k] rows, which would allow one GEMM for
-the input's gradient: the core's strided reads of those rows made a
-temporal plus spatial pair about 5% slower (N=100, B=32).
+``multi_head_attention``, around ``_attention``. Its groups are the (batch,
+node, head) triples over time and the (batch, step, head) triples over nodes,
+and it walks them in the blocks of ``_blocks``, sized so that a block's q, k,
+v and [L, L] scores fit ``BLOCK_BYTES``. Each block projects its own q, k and
+v: its rows of the input (of the value stream, for fusion's v) times its
+heads' columns of w_q, w_k and w_v as one [3, d, h d_k] stack, into one
+buffer that every block reuses. The scaled-dot core runs on views of that
+buffer and writes the block's part of the merged [B, N, T, h d_k] heads, and
+one matmul with w_o merges them. Backward keeps only the input, the heads,
+and each block's row logsumexp and, when weight dropout runs, boolean mask.
+It walks the same blocks: it forms the block's heads gradient from g and
+w_o, recomputes its q, k and v, has the core overwrite them with their
+gradients, and adds x^T dqkv into the weights' gradient and
+dq w_q^T + dk w_k^T + dv w_v^T into x's. So neither pass allocates an array
+of the input's size but the heads, the output and the inputs' gradients
+(FlashAttention's recompute, Dao et al., arXiv 2205.14135, and the blocked
+attention of Rabe and Staats, arXiv 2112.05682, carried to the projections).
 
-The scaled-dot core (``_attend`` and ``_attend_back``, on arrays) works
-through its attention groups in blocks sized to ``BLOCK_BYTES``. Its forward
-bounds every score once per call by Cauchy-Schwarz, max_i |q_i| max_j |k_j|
-/ sqrt(d_k); when that bound is at most ``EXP_SAFE`` it exponentiates the
-scores with no row-max pass (one pass fewer over the scores; Milakov and
+The scaled-dot core (``_attend`` and ``_attend_back``, on one block's
+arrays) bounds the block's scores by Cauchy-Schwarz, max_i |q_i| max_j |k_j|
+/ sqrt(d_k); when that bound is at most ``EXP_SAFE`` it exponentiates them
+with no row-max pass (one pass fewer over the scores; Milakov and
 Gimelshein, arXiv 1805.02867), otherwise it shifts each row by its max. Its
-backward recomputes each block's softmax weights from the row logsumexp, so
-no float [.., L, L] array outlives one block. Its output has the memory
-layout of q. It returns no weights: run with v = I, an identity [L, L] value
-per group, its output is the weights themselves, bit for bit.
+backward recomputes the block's softmax weights from the row logsumexp, so no
+float [.., L, L] array outlives one block. The blocks draw their dropout
+flags in C order over the groups, the values one draw of the whole
+[.., L, L] mask takes from the stream. Its output has the memory layout of q
+unless it is given an array to fill. It returns no weights: run with v = I,
+an identity [L, L] value per group, its output is the weights themselves,
+bit for bit.
 
 Dropout is given to every function here as rates, which the model sets to 0
 outside training; a rate of 0 draws nothing from the stream.
@@ -63,10 +65,11 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 
-# byte budget of one block of every blocked op (see _blocks): the [L, L]
-# float scores of attention groups, the node weights of nodes in
-# recurrent._conv, the hidden activation of rows in feed_forward. A block's
-# scores, exp'd and multiplied in place, stay in a core's L2 cache
+# byte budget of one block of every blocked op (see _blocks): the q, k, v and
+# [L, L] float scores of attention groups, the node weights of nodes in
+# recurrent._conv, the hidden activation of rows in feed_forward, the rows of
+# layer_norm's backward. A block's scores, exp'd and multiplied in place, stay
+# in a core's L2 cache
 BLOCK_BYTES = 1 << 20
 # scores bounded by this in magnitude are exponentiated unshifted: exp(+-300)
 # is about 1e+-130, so no row sum overflows and no row underflows to 0
@@ -113,81 +116,78 @@ class AttentionParams:
 
 
 def _attend(qs: np.ndarray, k: np.ndarray, v: np.ndarray, weight_dropout: float,
-            rng: np.random.Generator | None) -> tuple:
-    """The forward of the scaled-dot core on arrays: softmax(qs k^T) v, for
-    queries qs [..., L_q, d_k] already scaled by 1/sqrt(d_k), keys k
-    [..., L_k, d_k] and values v [..., L_k, d_v] with the same leading axes
-    (not checked: ``multi_head_attention`` passes views of one buffer).
-    Returns the output (in the memory layout of qs), the row logsumexp
-    [..., L, 1] and the boolean dropout mask (None at rate 0).
+            rng: np.random.Generator | None, out: np.ndarray | None = None,
+            scratch: np.ndarray | None = None) -> tuple:
+    """The forward of the scaled-dot core on one block's arrays:
+    softmax(qs k^T) v, for queries qs [..., L_q, d_k] already scaled by
+    1/sqrt(d_k), keys k [..., L_k, d_k] and values v [..., L_k, d_v] with the
+    same leading axes (not checked: ``_attention`` passes views of one
+    buffer). Returns the output (written into ``out`` when given, else in the
+    memory layout of qs), the row logsumexp [..., L, 1] and the boolean
+    dropout mask (None at rate 0).
 
-    Each block of groups (see ``_blocks``) has its scores exponentiated in
-    place in one reused buffer: unshifted when the Cauchy-Schwarz bound
+    The scores are written into the front of ``scratch`` (a fresh array when
+    None) and exponentiated in place: unshifted when the Cauchy-Schwarz bound
     max_i |qs_i| max_j |k_j| is at most ``EXP_SAFE``, else (a NaN bound
-    included) shifted by the row max. The dropout mask is drawn block by
-    block in C order, which takes the same values from the stream as
-    ``autodiff.dropout``'s draw of the full [..., L, L] mask."""
+    included) shifted by the row max. The dropout mask is one
+    ``autodiff._dropout_mask`` draw of the [..., L, L] weights."""
     if not 0.0 <= weight_dropout < 1.0:
         raise ValueError(f"attention: weight dropout must be in [0, 1), got {weight_dropout}")
-    lead = qs.shape[:-2]
-    l_q, l_k = qs.shape[-2], k.shape[-2]
-    blocks, block_groups = _blocks(lead, 8 * l_q * l_k)
-    out = np.empty_like(qs, shape=lead + (l_q, v.shape[-1]))
-    lse = np.empty(lead + (l_q, 1))
-    keep = np.empty(lead + (l_q, l_k), dtype=bool) if weight_dropout > 0.0 else None
+    l_k = k.shape[-2]
+    if out is None:
+        out = np.empty_like(qs, shape=qs.shape[:-1] + (v.shape[-1],))
     # |score| <= the bound (Cauchy-Schwarz); a NaN bound fails the test too
     shift = not _row_norm_max(qs) * _row_norm_max(k) <= EXP_SAFE
-    ones = np.ones((l_k, 1))
-    scratch = np.empty(block_groups * l_q * l_k)
-    for blk in blocks:
-        e = _scores(qs[blk], k[blk], scratch)
-        if shift:
-            row_max = e.max(axis=-1, keepdims=True)
-            e -= row_max
-        np.exp(e, out=e)
-        row_sum = np.matmul(e.reshape(-1, l_k), ones).reshape(e.shape[:-1] + (1,))
-        np.log(row_sum, out=lse[blk])
-        if shift:
-            lse[blk] += row_max
-        if keep is not None:
-            keep[blk], drop_scale = ad._dropout_mask(e.shape, weight_dropout, rng)
-            e *= keep[blk]
-            e *= drop_scale
-        np.matmul(e, v[blk], out=out[blk])
-        out[blk] /= row_sum
+    e = _scores(qs, k, scratch)
+    if shift:
+        row_max = e.max(axis=-1, keepdims=True)
+        e -= row_max
+    np.exp(e, out=e)
+    row_sum = np.matmul(e.reshape(-1, l_k), np.ones((l_k, 1))).reshape(e.shape[:-1] + (1,))
+    lse = np.log(row_sum)
+    if shift:
+        lse += row_max
+    keep = None
+    if weight_dropout > 0.0:
+        keep, drop_scale = ad._dropout_mask(e.shape, weight_dropout, rng)
+        e *= keep
+        e *= drop_scale
+    np.matmul(e, v, out=out)
+    out /= row_sum
     return out, lse, keep
 
 
 def _attend_back(g: np.ndarray, qs: np.ndarray, k: np.ndarray, v: np.ndarray,
-                 out: np.ndarray, lse: np.ndarray, keep, weight_dropout: float):
-    """The backward of ``_attend``: overwrites qs, k and v in place with the
-    gradients of the unscaled queries, of k and of v. That is safe because a
-    block reads its inputs before it writes their gradients and touches no
-    other block's groups. Each block's weights are recomputed as
-    exp(qs k^T - lse), and the softmax row term is rowsum(g * out)."""
-    l_q, l_k, d_k = qs.shape[-2], k.shape[-2], qs.shape[-1]
-    blocks, block_groups = _blocks(qs.shape[:-2], 8 * l_q * l_k)
+                 out: np.ndarray, lse: np.ndarray, keep, weight_dropout: float,
+                 scratch: np.ndarray | None = None):
+    """The backward of ``_attend`` on the same block: overwrites qs, k and v
+    in place with the gradients of the unscaled queries, of k and of v, which
+    is safe because each is read for the last time before its gradient is
+    written. The weights are recomputed as exp(qs k^T - lse) and the softmax
+    row term is rowsum(g * out). Two [..., L, L] arrays and the queries'
+    gradient go into the front of ``scratch`` (a fresh array when None)."""
+    l_k, d_k = k.shape[-2], qs.shape[-1]
+    rows = math.prod(qs.shape[:-1])
+    if scratch is None:
+        scratch = np.empty(rows * (2 * l_k + d_k))
     drop_scale = 1.0 / (1.0 - weight_dropout)
     # the softmax row term sum_j W_ij dW_ij, as rowsum(dO * O)
     row_dot = np.einsum("...d,...d->...", g, out)[..., None]
-    w_scratch, g_w_scratch = (np.empty(block_groups * l_q * l_k) for _ in range(2))
-    g_q_scratch = np.empty(block_groups * l_q * d_k)
-    for blk in blocks:
-        w = _scores(qs[blk], k[blk], w_scratch)
-        w -= lse[blk]
-        np.exp(w, out=w)
-        g_w = _scores(g[blk], v[blk], g_w_scratch)
-        if keep is not None:
-            g_w *= keep[blk]
-            g_w *= drop_scale
-        applied = w if keep is None else w * keep[blk] * drop_scale
-        np.matmul(np.swapaxes(applied, -1, -2), g[blk], out=v[blk])
-        # softmax backward, in place: the gradient of the scaled scores
-        g_w -= row_dot[blk]
-        g_w *= w
-        g_qs = _scores(g_w, np.swapaxes(k[blk], -1, -2), g_q_scratch)
-        np.matmul(np.swapaxes(g_w, -1, -2), qs[blk], out=k[blk])
-        np.multiply(g_qs, 1.0 / np.sqrt(d_k), out=qs[blk])
+    w = _scores(qs, k, scratch)
+    w -= lse
+    np.exp(w, out=w)
+    g_w = _scores(g, v, scratch[rows * l_k:])
+    if keep is not None:
+        g_w *= keep
+        g_w *= drop_scale
+    applied = w if keep is None else w * keep * drop_scale
+    np.matmul(np.swapaxes(applied, -1, -2), g, out=v)
+    # softmax backward, in place: the gradient of the scaled scores
+    g_w -= row_dot
+    g_w *= w
+    g_qs = _scores(g_w, np.swapaxes(k, -1, -2), scratch[2 * rows * l_k:])
+    np.matmul(np.swapaxes(g_w, -1, -2), qs, out=k)
+    np.multiply(g_qs, 1.0 / np.sqrt(d_k), out=qs)
 
 
 def _blocks(lead: tuple, group_bytes: int) -> tuple:
@@ -218,22 +218,25 @@ def _row_norm_max(a: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("...d,...d->...", a, a).max(initial=0.0)))
 
 
-def _scores(a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _scores(a: np.ndarray, b: np.ndarray, scratch: np.ndarray | None) -> np.ndarray:
     """a b^T over the last two axes, written into the front of ``scratch``
     (reused block after block, which keeps the peak RSS of a pass lower than
-    a fresh array per block)."""
+    a fresh array per block), or into a fresh array when it is None."""
     shape = a.shape[:-1] + b.shape[-2:-1]
+    if scratch is None:
+        scratch = np.empty(math.prod(shape))
     return np.matmul(a, np.swapaxes(b, -1, -2), out=scratch[:math.prod(shape)].reshape(shape))
 
 
 def _attention(x: Tensor, p: AttentionParams, over_nodes: bool, weight_dropout: float, rng,
                values: Tensor | None = None) -> tuple:
-    """The body of ``multi_head_attention``, which its callers record:
-    returns the [B, N, T, d] output, the merged heads [B, N, T, h d_k] whose
-    product with w_o it is, and the backward, which given the output's
-    gradient accumulates those of x, ``values`` and the four weights. Of the
-    input gradients, only that of fusion's value stream is a new array while
-    the q, k, v buffer is live (see the module docstring)."""
+    """The body of ``multi_head_attention`` and of each branch of
+    ``parallel_attention``, which record it: returns the merged heads
+    [B, N, T, h d_k] and their backward, ``back(g, w_out, grads)``. Given g,
+    the gradient of heads w_out for a [h d_k, d] matrix w_out, it accumulates
+    the gradients of w_q, w_k and w_v and adds those of x and ``values`` into
+    ``grads``, one array per input stream (None where a stream needs none).
+    See the module docstring for the blocks it walks."""
     h, d, d_k = p.w_q.shape
     if values is not None and values.shape != x.shape:
         raise ShapeError(f"attention: values {values.shape} are not shaped like x {x.shape}")
@@ -241,47 +244,65 @@ def _attention(x: Tensor, p: AttentionParams, over_nodes: bool, weight_dropout: 
     # input stream is projected with
     w3 = np.stack([w.data.transpose(1, 0, 2).reshape(d, h * d_k) for w in (p.w_q, p.w_k, p.w_v)])
     streams = [(x, slice(0, 3))] if values is None else [(x, slice(0, 2)), (values, slice(2, 3))]
-    # [B, N, T, h, d_k] -> [B, N, h, T, d_k] over time or [B, T, h, N, d_k] over nodes
-    order = (0, 2, 3, 1, 4) if over_nodes else (0, 1, 3, 2, 4)
 
-    def project():
-        # q (scaled in place), k and v as one [3, B, N, T, h d_k] buffer
-        qkv = np.empty((3,) + x.shape[:-1] + (h * d_k,))
+    def rows(a):
+        # [B, N, T, c] as [B, G, L, c]: the groups' axis, then the attended one
+        return a.swapaxes(1, 2) if over_nodes else a
+
+    def split(a):
+        # [.., L, n d_k] as the [.., n, L, d_k] groups of n heads (a view)
+        return np.swapaxes(a.reshape(a.shape[:-1] + (-1, d_k)), -2, -3)
+
+    batch, groups, length, _ = rows(x.data).shape
+    # a block is groups consecutive in C order over [B, G, h]: its rows of
+    # the streams, blk[:2], and its head columns of w3, blk[2:]
+    blocks, block_groups = _blocks((batch, groups, h), 8 * length * (length + 3 * d_k))
+    cols = [slice(None) if len(blk) < 3 else slice(blk[2].start * d_k, blk[2].stop * d_k)
+            for blk in blocks]
+    block_size = block_groups * length * d_k
+
+    def project(blk, c, buf):
+        # the block's q (scaled), k and v as [3, .., L, c] in the front of buf
+        shape = rows(x.data)[blk[:2]].shape[:-1] + (w3[0, 0, c].size,)
+        qkv = buf[:3 * math.prod(shape)].reshape((3,) + shape)
         for t, ws in streams:
-            np.matmul(t.data, w3[ws, None, None], out=qkv[ws])
+            for i in range(ws.start, ws.stop):
+                np.matmul(rows(t.data)[blk[:2]], w3[i, :, c], out=qkv[i])
         qkv[0] *= 1.0 / np.sqrt(d_k)
-        return qkv, [a.reshape(x.shape[:-1] + (h, d_k)).transpose(order) for a in qkv]
+        return qkv
 
-    heads, lse, keep = _attend(*project()[1], weight_dropout, rng)
-    merged = heads.transpose(np.argsort(order)).reshape(x.shape[:-1] + (h * d_k,))
-    out = np.matmul(merged, p.w_o.data)
+    heads = np.empty(x.shape[:-1] + (h * d_k,))
+    buf, scratch = np.empty(3 * block_size), np.empty(block_groups * length * length)
+    saved = []
+    for blk, c in zip(blocks, cols):
+        q, k, v = (split(a) for a in project(blk, c, buf))
+        saved.append(_attend(q, k, v, weight_dropout, rng, split(rows(heads)[blk[:2]][..., c]),
+                             scratch)[1:])
 
-    def back(g):
-        g_rows = g.reshape(-1, p.w_o.shape[1])
-        ad._accum(p.w_o, np.matmul(merged.reshape(-1, h * d_k).T, g_rows))
-        g_heads = np.matmul(g_rows, p.w_o.data.T).reshape(x.shape[:-1] + (h, d_k))
-        qkv, qkv_views = project()
-        _attend_back(g_heads.transpose(order), *qkv_views, heads, lse, keep, weight_dropout)
-        del qkv_views
-        # qkv holds the gradients of q, k and v now
-        g_w = np.empty((3, d, h * d_k))
-        for t, ws in streams:
-            np.matmul(t.data.reshape(-1, d).T, qkv[ws].reshape(-1, len(g_rows), h * d_k),
-                      out=g_w[ws])
+    def back(g, w_out, grads):
+        g_w = np.zeros((3, d, h * d_k))
+        buf = np.empty(4 * block_size)
+        scratch = np.empty(block_groups * length * (2 * length + d_k))
+        for blk, c, (lse, keep) in zip(blocks, cols, saved):
+            r = blk[:2]
+            qkv = project(blk, c, buf)
+            g_heads = np.matmul(rows(g)[r], w_out[c].T,
+                                out=buf[qkv.size:qkv.size + qkv[0].size].reshape(qkv.shape[1:]))
+            _attend_back(split(g_heads), *(split(a) for a in qkv), split(rows(heads)[r][..., c]),
+                         lse, keep, weight_dropout, scratch)
+            # qkv holds the gradients of q, k and v now
+            for (t, ws), g_t in zip(streams, grads):
+                rows_t = rows(t.data)[r].reshape(-1, d)
+                g_qkv = qkv[ws].reshape(ws.stop - ws.start, len(rows_t), -1)
+                g_w[ws, :, c] += np.matmul(rows_t.T, g_qkv)
+                if g_t is not None:
+                    g_rows = rows(g_t)[r]
+                    for i in range(ws.start, ws.stop):
+                        g_rows += np.matmul(qkv[i], w3[i, :, c].T)
         for w, g_w_i in zip((p.w_q, p.w_k, p.w_v), g_w):
             ad._accum(w, g_w_i.reshape(d, h, d_k).transpose(1, 0, 2))
-        g_inputs = []
-        for (t, ws), buf in zip(streams, (g_heads.reshape(x.shape), None)):
-            if t.requires_grad:
-                g_t = np.matmul(qkv[ws.start], w3[ws.start].T, out=buf)
-                for i in range(ws.start + 1, ws.stop):
-                    g_t += np.matmul(qkv[i], w3[i].T, out=qkv[i - 1])
-                g_inputs.append((t, g_t))
-        del qkv
-        for t, g_t in g_inputs:
-            ad._accum(t, g_t)
 
-    return out, merged, back
+    return heads, back
 
 
 def multi_head_attention(x: Tensor, p: AttentionParams, over_nodes: bool,
@@ -290,9 +311,19 @@ def multi_head_attention(x: Tensor, p: AttentionParams, over_nodes: bool,
     module docstring): over time per (batch, node), or with ``over_nodes``
     over nodes per (batch, step). The value stream is projected from
     ``values`` (shaped like x) when given."""
-    out, _, back = _attention(x, p, over_nodes, weight_dropout, rng, values)
-    inputs = (x, p.w_q, p.w_k, p.w_v, p.w_o) + (() if values is None else (values,))
-    return ad._record(Tensor(out), inputs, back)
+    heads, back = _attention(x, p, over_nodes, weight_dropout, rng, values)
+    streams, h_dk = (x,) if values is None else (x, values), heads.shape[-1]
+
+    def back_op(g):
+        ad._accum(p.w_o, np.matmul(heads.reshape(-1, h_dk).T, g.reshape(-1, p.w_o.shape[1])))
+        grads = [np.zeros(t.shape) if t.requires_grad else None for t in streams]
+        back(g, p.w_o.data, grads)
+        for t, g_t in zip(streams, grads):
+            if g_t is not None:
+                ad._accum(t, g_t)
+
+    inputs = (x, p.w_q, p.w_k, p.w_v, p.w_o) + streams[1:]
+    return ad._record(Tensor(np.matmul(heads, p.w_o.data)), inputs, back_op)
 
 
 def temporal_attention(x: Tensor, p: AttentionParams, weight_dropout: float = 0.0,
@@ -407,33 +438,41 @@ def parallel_attention(x: Tensor, p: Gst2Params, weight_dropout: float, rng) -> 
     over x side by side, concat(ta, sa) projected to d by P = concat_proj
     [2 d, d], as one tape entry that keeps only what the two attentions keep.
 
-    It runs as ta P[:d] + sa P[d:], so neither branch output nor their
-    [.., 2 d] concatenation outlives the forward; temporal attention draws
-    its dropout first. Backward rebuilds each branch output with one GEMM of
-    its heads with w_o for P's gradient, then runs spatial's backward before
-    temporal's."""
+    It runs as heads_t (w_o,t P[:d]) + heads_s (w_o,s P[d:]), so neither
+    branch output nor their [.., 2 d] concatenation is ever formed, and the
+    spatial term is added in row blocks; temporal attention draws its dropout
+    first. Backward forms each branch's heads^T g once for the gradients of
+    its w_o and of P, then runs spatial's body backward before temporal's,
+    both adding into one gradient of x."""
     d = p.concat_proj.shape[1]
-    proj_t, proj_s = p.concat_proj.data[:d], p.concat_proj.data[d:]
-    ta, heads_t, back_t = _attention(x, p.temporal, False, weight_dropout, rng)
-    out = np.matmul(ta, proj_t)
-    del ta
-    sa, heads_s, back_s = _attention(x, p.spatial, True, weight_dropout, rng)
-    out += np.matmul(sa, proj_s)
-    del sa
+    branches = []
+    for a, over_nodes, proj in ((p.temporal, False, p.concat_proj.data[:d]),
+                                (p.spatial, True, p.concat_proj.data[d:])):
+        heads, back = _attention(x, a, over_nodes, weight_dropout, rng)
+        branches.append((a, proj, heads, back, np.matmul(a.w_o.data, proj)))
+    (_, _, heads_t, _, w_t), (_, _, heads_s, _, w_s) = branches
+    out = np.matmul(heads_t, w_t)
+    out_rows, heads_rows = out.reshape(-1, d), heads_s.reshape(-1, heads_s.shape[-1])
+    for blk in _blocks((len(out_rows),), 8 * d)[0]:
+        out_rows[blk] += np.matmul(heads_rows[blk], w_s)
 
-    def back(g):
+    def back_op(g):
         g_rows = g.reshape(-1, d)
         g_proj = np.empty(p.concat_proj.shape)
-        for heads, w_o, rows in ((heads_t, p.temporal.w_o, g_proj[:d]),
-                                 (heads_s, p.spatial.w_o, g_proj[d:])):
-            np.matmul(np.matmul(heads, w_o.data).reshape(-1, d).T, g_rows, out=rows)
+        grads = [np.zeros(x.shape) if x.requires_grad else None]
+        for (a, proj, heads, back, w_out), g_proj_rows in zip(branches[::-1],
+                                                              (g_proj[d:], g_proj[:d])):
+            heads_g = np.matmul(heads.reshape(-1, heads.shape[-1]).T, g_rows)
+            ad._accum(a.w_o, np.matmul(heads_g, proj.T))
+            np.matmul(a.w_o.data.T, heads_g, out=g_proj_rows)
+            back(g, w_out, grads)
         ad._accum(p.concat_proj, g_proj)
-        back_s(np.matmul(g, proj_s.T))
-        back_t(np.matmul(g, proj_t.T))
+        if grads[0] is not None:
+            ad._accum(x, grads[0])
 
     inputs = (x, p.concat_proj, p.temporal.w_q, p.temporal.w_k, p.temporal.w_v, p.temporal.w_o,
               p.spatial.w_q, p.spatial.w_k, p.spatial.w_v, p.spatial.w_o)
-    return ad._record(Tensor(out), inputs, back)
+    return ad._record(Tensor(out), inputs, back_op)
 
 
 def feed_forward(x: Tensor, p: FfnParams, dropout: float = 0.0,

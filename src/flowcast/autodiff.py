@@ -249,9 +249,11 @@ def layer_norm(a: Tensor, b: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     the output. Row sums are products with a ones vector and row dots are
     einsums. The op keeps only the row mean and inverse deviation, [.., 1]
     each: backward rebuilds xhat = (a + b - mean) * inv with the same ops, so
-    bit for bit the forward's, and allocates one more [.., d] array, the
-    gradient of the sum, which each input that needs it gets summed down to
-    its shape."""
+    bit for bit the forward's, and allocates no other [.., d] array. It takes
+    gamma's and beta's gradients from xhat first, then turns xhat into the
+    gradient of the sum in place, walking its rows in the blocks of
+    ``attention._blocks``; each input that needs the gradient gets it summed
+    down to its shape."""
     try:
         y = np.add(a.data, b.data)
     except ValueError:
@@ -274,25 +276,30 @@ def layer_norm(a: Tensor, b: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     y += beta.data
 
     def back(g):
+        # imported here: attention imports this module
+        from .attention import _blocks
         xhat = np.add(a.data, b.data)
         xhat -= mean
         xhat *= inv
-        rows = g.reshape(-1, d)
-        _accum(gamma, np.einsum("rd,rd->d", rows, xhat.reshape(-1, d)))
+        rows, xhat_rows = g.reshape(-1, d), xhat.reshape(-1, d)
+        _accum(gamma, np.einsum("rd,rd->d", rows, xhat_rows))
         _accum(beta, np.einsum("rd->d", rows))
         if a.requires_grad or b.requires_grad:
             # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = g * gamma
-            gx = g * gamma.data
-            mean_dx = np.matmul(gx, ones) / d
-            xhat_dot = np.einsum("...d,...d->...", gx, xhat)[..., None]
-            xhat_dot /= d
-            xhat *= xhat_dot
-            gx -= xhat
-            gx -= mean_dx
-            gx *= inv
+            inv_rows = inv.reshape(-1, 1)
+            for blk in _blocks((len(rows),), 8 * d)[0]:
+                gx = rows[blk] * gamma.data
+                mean_dx = np.matmul(gx, ones) / d
+                xhat_dot = np.einsum("rd,rd->r", gx, xhat_rows[blk])[:, None]
+                xhat_dot /= d
+                g_sum = xhat_rows[blk]
+                g_sum *= xhat_dot
+                np.subtract(gx, g_sum, out=g_sum)
+                g_sum -= mean_dx
+                g_sum *= inv_rows[blk]
             for t in (a, b):
                 if t.requires_grad:
-                    _accum(t, _unbroadcast(gx, t.shape))
+                    _accum(t, _unbroadcast(xhat, t.shape))
 
     return _record(Tensor(y), (a, b, gamma, beta), back)
 

@@ -123,7 +123,7 @@ def make_windows(values: np.ndarray, input_steps: int, output_steps: int
     """Slide a (input_steps + output_steps) window with stride 1 over a
     [S, N] segment.
 
-    Returns:
+    Returns read-only views of ``values``, which stores each value once:
         X: [n_samples, input_steps, N, 1], the history windows.
         Y: [n_samples, output_steps, N], the targets immediately following.
     """
@@ -134,11 +134,9 @@ def make_windows(values: np.ndarray, input_steps: int, output_steps: int
         raise InsufficientDataError(
             f"segment of {s} steps cannot fit one window of {total} steps"
         )
-    # [count, N, total] views of the segment, copied out step-major
-    windows = np.lib.stride_tricks.sliding_window_view(values, total, axis=0)
-    x = np.ascontiguousarray(windows[:, :, :input_steps].transpose(0, 2, 1))
-    y = np.ascontiguousarray(windows[:, :, input_steps:].transpose(0, 2, 1))
-    return x[..., None], y
+    # [count, total, N] views of the segment
+    windows = np.lib.stride_tricks.sliding_window_view(values, total, axis=0).transpose(0, 2, 1)
+    return windows[:, :input_steps, :, None], windows[:, input_steps:]
 
 
 @dataclass

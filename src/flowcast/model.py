@@ -224,8 +224,9 @@ class Forecaster:
         input_rate, inner_rate = (cfg.dropout_input, cfg.dropout_inner) if training else (0.0, 0.0)
         if (input_rate > 0 or inner_rate > 0) and rng is None:
             raise ValueError("training forward with dropout requires a seeded rng")
-        bundle = self.build_bundle()
-        h = recurrent.encode_sequence(x, self.cell, bundle, self.bank)  # [B, N, T, d_h]
+        # [B, N, T, d_h]; no local keeps the bundle, so under no_grad its
+        # [T, N, N] graphs are freed before the global block runs
+        h = recurrent.encode_sequence(x, self.cell, self.build_bundle(), self.bank)
         h = att.apply_global_layer(h, self.gst2, input_rate, inner_rate, rng)
         b, n = h.shape[0], h.shape[1]
         flat = ad.reshape(h, (b, n, cfg.input_steps * cfg.hidden_dim))

@@ -126,17 +126,12 @@ def test_fused_attention_with_dropout_matches_composed_ops():
     assert next_draws[0] == next_draws[1]  # both drew the same mask from the stream
 
 
-# -- the blocked scaled-dot op ----------------------------------------------------------
+# -- the scaled-dot core ----------------------------------------------------------------
 
-# 8 groups of [16, 16] scores; with a budget of three groups' scores the op
-# walks blocks of 3, 3 and 2 groups
+# 8 groups of [16, 16] scores, which the core runs as one block (the blocks
+# of multi_head_attention are tested with the op, further down)
 BLOCKED_LEAD, BLOCKED_L, BLOCKED_D_K, BLOCKED_D_V = (2, 4), 16, 3, 5
 SCORES_BYTES = 8 * BLOCKED_L * BLOCKED_L * int(np.prod(BLOCKED_LEAD))
-
-
-@pytest.fixture
-def three_blocks(monkeypatch):
-    monkeypatch.setattr(att, "BLOCK_BYTES", 3 * 8 * BLOCKED_L * BLOCKED_L)
 
 
 def blocked_arrays(seed, scale=1.0):
@@ -169,7 +164,7 @@ def dropped_attention_loop(q, k, v, keep, scale):
 
 
 @pytest.mark.parametrize("weight_dropout", [0.0, 0.3])
-def test_blocked_attention_matches_composed_ops_and_loop(three_blocks, weight_dropout):
+def test_blocked_attention_matches_composed_ops_and_loop(weight_dropout):
     arrays = blocked_arrays(30)
     fused, _ = attend_and_backward(scaled_dot_op, arrays, weight_dropout)
     composed, _ = attend_and_backward(composed_attention, arrays, weight_dropout)
@@ -187,7 +182,7 @@ def test_blocked_attention_matches_composed_ops_and_loop(three_blocks, weight_dr
         assert np.abs(values[group] - expected).max() < 1e-12
 
 
-def test_blocked_dropout_mask_is_one_full_draw(three_blocks):
+def test_blocked_dropout_mask_is_one_full_draw():
     # with v the identity the output rows are the applied weights, zero
     # exactly where the mask dropped a (positive) weight
     q_arr, k_arr, _, _ = blocked_arrays(31)
@@ -199,7 +194,7 @@ def test_blocked_dropout_mask_is_one_full_draw(three_blocks):
     assert draws.random() == reference.random()
 
 
-def test_blocked_observers_see_one_full_array_per_call(three_blocks):
+def test_blocked_observers_see_one_full_array_per_call():
     # the weights, read with identity values, are whole across the blocks
     q_arr, k_arr, v_arr, _ = blocked_arrays(32)
     with attention_weights() as captured:
@@ -215,7 +210,7 @@ def test_blocked_observers_see_one_full_array_per_call(three_blocks):
             assert np.abs(rows - softmax_rows(group)).max() < 1e-12
 
 
-def test_blocked_attention_stable_at_large_logits(three_blocks):
+def test_blocked_attention_stable_at_large_logits():
     arrays = blocked_arrays(33, scale=25.0)  # logits of several hundred to 1e3
     scores = np.matmul(arrays[0], np.swapaxes(arrays[1], -1, -2)) / np.sqrt(BLOCKED_D_K)
     assert np.abs(scores).max() > 500.0
@@ -227,7 +222,7 @@ def test_blocked_attention_stable_at_large_logits(three_blocks):
 
 
 @pytest.mark.parametrize("weight_dropout", [0.0, 0.3])
-def test_unshifted_and_shifted_softmax_agree(three_blocks, monkeypatch, weight_dropout):
+def test_unshifted_and_shifted_softmax_agree(monkeypatch, weight_dropout):
     # The default inputs' scores are bounded well below EXP_SAFE, so they are
     # exponentiated with no row max; EXP_SAFE = 0 forces the max shift.
     arrays = blocked_arrays(35)
@@ -243,7 +238,7 @@ def test_unshifted_and_shifted_softmax_agree(three_blocks, monkeypatch, weight_d
 
 
 @pytest.mark.parametrize("exp_safe", [None, 0.0])
-def test_nan_query_gives_nan_rows(three_blocks, monkeypatch, exp_safe):
+def test_nan_query_gives_nan_rows(monkeypatch, exp_safe):
     if exp_safe is not None:
         monkeypatch.setattr(att, "EXP_SAFE", exp_safe)
     q_arr, k_arr, v_arr, _ = blocked_arrays(36)
@@ -255,7 +250,7 @@ def test_nan_query_gives_nan_rows(three_blocks, monkeypatch, exp_safe):
     assert np.isnan(out[1, 2, 5]).all()
 
 
-def test_blocked_training_forward_retains_no_scores_buffer(three_blocks):
+def test_blocked_training_forward_retains_no_scores_buffer():
     q_arr, k_arr, v_arr, _ = blocked_arrays(34)
     ad.reset_tape()
     q, k, v = (Tensor(a, requires_grad=True) for a in (q_arr, k_arr, v_arr))
@@ -616,6 +611,67 @@ def test_multi_head_backward_allocates_nothing_while_qkv_is_live(monkeypatch, si
         tracemalloc.stop()
     assert peak <= 5 * x_arr.nbytes, peak / x_arr.nbytes
     assert x.grad is not None and p.w_q.grad is not None
+
+
+@pytest.mark.parametrize("weight_dropout", [0.0, 0.3])
+@pytest.mark.parametrize("site", SITES)
+def test_blocks_of_one_group_match_one_block(monkeypatch, site, weight_dropout):
+    # at BLOCK_BYTES=1 each block projects one group of one head (so the
+    # heads of a row split across blocks); by default these shapes fit one
+    # block. Outputs, gradients and the dropout draws agree.
+    arrays = site_arrays(48)
+    params = make_params(8, 2, seed=48)
+    one_block, after_one = run_site(att.multi_head_attention, site, arrays, params,
+                                    weight_dropout)
+    monkeypatch.setattr(att, "BLOCK_BYTES", 1)
+    assert len(att._blocks((2, 5, 2), 8)[0]) == 20
+    blocked, after_blocked = run_site(att.multi_head_attention, site, arrays, params,
+                                      weight_dropout)
+    for got, expected in zip(blocked, one_block):
+        assert np.abs(got - expected).max() < 1e-12
+    assert after_blocked == after_one
+
+
+def traced(fn):
+    """fn's result, its traced peak above its start and the bytes it leaves
+    allocated."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        end, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - base, end - base
+
+
+@pytest.mark.parametrize("site", SITES + ["merge"])
+def test_attention_allocates_no_input_sized_buffer(monkeypatch, site):
+    # q, k and v are projected block by block, and g_heads formed per block,
+    # so beyond what forward keeps (the heads and the output) and backward
+    # returns (the inputs' gradients) neither allocates an array of x's size.
+    # With whole-input q, k, v (and heads-gradient) buffers, these peaks read
+    # 2.5-3.5 such arrays above that in forward and 3.0-6.0 in backward.
+    monkeypatch.setattr(att, "BLOCK_BYTES", 16384)
+    x_arr, values_arr, g = site_arrays(49, lead=(4, 16, 12), dim=16)
+    x = Tensor(x_arr, requires_grad=True)
+    values = Tensor(values_arr, requires_grad=True) if site == "fusion" else None
+    draws = np.random.default_rng(49)
+    ad.reset_tape()
+    if site == "merge":
+        p = layer_params("parallel", dim=16, heads=2, seed=49)
+        _, peak, kept = traced(lambda: att.parallel_attention(x, p, 0.3, draws))
+    else:
+        p = make_params(16, 2, seed=49)
+        _, peak, kept = traced(lambda: att.multi_head_attention(x, p, site == "spatial", 0.3,
+                                                                draws, values=values))
+    (_, _, back), = ad.tape().entries
+    ad.reset_tape()
+    assert peak - kept < x_arr.nbytes, (peak - kept) / x_arr.nbytes
+    _, peak, kept = traced(lambda: back(g))
+    assert peak - kept < x_arr.nbytes, (peak - kept) / x_arr.nbytes
+    assert peak < 3 * x_arr.nbytes, peak / x_arr.nbytes
+    assert x.grad is not None
 
 
 def test_head_divisibility_rejected_at_construction():

@@ -313,6 +313,43 @@ def test_layer_norm_training_forward_retains_only_its_output():
     rows = 16 * 32
     assert retained - out.data.nbytes <= 2 * 8 * rows + 4096, (retained, out.data.nbytes)
 
+
+def layer_norm_backward(a_arr, b_arr, g):
+    """The gradients of a, b, gamma and beta from one layer_norm backward run
+    by hand, and the traced peak of that backward above its start."""
+    a, b = Tensor(a_arr, requires_grad=True), Tensor(b_arr, requires_grad=True)
+    d = a_arr.shape[-1]
+    gamma = Tensor(np.linspace(0.5, 1.5, d), requires_grad=True)
+    beta = Tensor(np.zeros(d), requires_grad=True)
+    ad.reset_tape()
+    ad.layer_norm(a, b, gamma, beta)
+    (_, _, back), = ad.tape().entries
+    ad.reset_tape()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        back(g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return [t.grad for t in (a, b, gamma, beta)], peak
+
+
+def test_layer_norm_backward_allocates_one_sum_sized_array(monkeypatch):
+    # x-hat is rebuilt and turned into the gradient of the sum in place, in
+    # row blocks whose temporaries stay within BLOCK_BYTES (the arrays here
+    # are 8 of them); both summands get that one array. Blocks of 3 rows give
+    # the gradients of blocks of BLOCK_BYTES.
+    rng = np.random.default_rng(23)
+    a_arr, b_arr, g = (rng.standard_normal((8, 64, 64, 32)) for _ in range(3))
+    grads, peak = layer_norm_backward(a_arr, b_arr, g)
+    assert peak < 1.5 * g.nbytes, peak / g.nbytes
+    assert grads[0] is grads[1]
+    monkeypatch.setattr(att, "BLOCK_BYTES", 3 * 8 * 32)
+    blocked, _ = layer_norm_backward(a_arr, b_arr, g)
+    for got, expected in zip(blocked, grads):
+        assert np.abs(got - expected).max() < 1e-12
+
 # -- elementwise --------------------------------------------------------------
 
 

@@ -121,6 +121,19 @@ def test_window_alignment():
     assert np.array_equal(y[0, :, 0], np.arange(12.0, 24.0))
 
 
+def test_windows_are_read_only_views_of_the_segment():
+    # every window shares the segment's memory, and no caller can write
+    # through one into the segment
+    values = np.arange(60.0).reshape(30, 2)
+    x, y = dp.make_windows(values, 12, 6)
+    assert np.shares_memory(x, values) and np.shares_memory(y, values)
+    with pytest.raises(ValueError):
+        x[0, 0, 0, 0] = -1.0
+    with pytest.raises(ValueError):
+        y[0] = -1.0
+    assert values[0, 0] == 0.0 and values[12, 0] == 24.0
+
+
 def test_window_insufficient_data():
     with pytest.raises(InsufficientDataError):
         dp.make_windows(np.zeros((10, 2)), 12, 12)

@@ -1,9 +1,11 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from flowcast import attention as att
 from flowcast import autodiff as ad
 from flowcast import model as md
 from flowcast import training as tr
@@ -144,6 +146,29 @@ def test_forward_deterministic_at_inference():
     undropped.forward(Tensor(x), training=True, rng=draws)
     ad.reset_tape()
     assert draws.random() == np.random.default_rng(3).random()
+
+
+def test_predict_frees_the_per_step_graphs_before_the_global_block(monkeypatch):
+    # under no_grad nothing keeps the sequence-aware bundle past the encoder,
+    # so the live memory when the global block starts holds no [T, N, N] graph
+    steps, n = 4, 40
+    model = md.Forecaster(tiny_config(n_nodes=n, input_steps=steps))
+    x = np.random.default_rng(5).standard_normal((1, steps, n, 1))
+    apply_global_layer, live = att.apply_global_layer, []
+
+    def recording(h, *args):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return apply_global_layer(h, *args)
+
+    monkeypatch.setattr(att, "apply_global_layer", recording)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model.predict(x)
+    finally:
+        tracemalloc.stop()
+    assert len(live) == 1
+    assert live[0] - base < 8 * steps * n * n, (live[0] - base, 8 * steps * n * n)
 
 
 def test_forward_rejects_wrong_shape():
