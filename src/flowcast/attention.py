@@ -5,24 +5,33 @@ the full hidden-state sequence at once.
 All attention operates on [B, N, T, d] hidden sequences. Temporal attention
 attends over the T axis per node; spatial attention attends over nodes per
 step; fusion attention is temporal attention whose value stream is the output
-of an inner spatial attention. Each of them is one tape entry,
-``multi_head_attention``, around ``_attention``. Its groups are the (batch,
-node, head) triples over time and the (batch, step, head) triples over nodes,
-and it walks them in the blocks of ``_blocks``, sized so that a block's q, k,
-v and [L, L] scores fit ``BLOCK_BYTES``. Each block projects its own q, k and
-v: its rows of the input (of the value stream, for fusion's v) times its
-heads' columns of w_q, w_k and w_v as one [3, d, h d_k] stack, into one
-buffer that every block reuses. The scaled-dot core runs on views of that
-buffer and writes the block's part of the merged [B, N, T, h d_k] heads, and
-one matmul with w_o merges them. Backward keeps only the input, the heads,
-and each block's row logsumexp and, when weight dropout runs, boolean mask.
-It walks the same blocks: it forms the block's heads gradient from g and
-w_o, recomputes its q, k and v, has the core overwrite them with their
-gradients, and adds x^T dqkv into the weights' gradient and
-dq w_q^T + dk w_k^T + dv w_v^T into x's. So neither pass allocates an array
-of the input's size but the heads, the output and the inputs' gradients
-(FlashAttention's recompute, Dao et al., arXiv 2205.14135, and the blocked
-attention of Rabe and Staats, arXiv 2112.05682, carried to the projections).
+of an inner spatial attention. Every attention site is one tape op,
+``multi_head_attention``, given the site's attentions: one for the temporal
+and spatial sites and for each of fusion's two calls, and temporal and
+spatial for the parallel block's merge site, concat(ta, sa) P with
+P = concat_proj [2 d, d]. It outputs the sum over its attentions of
+heads_i w_i, with w_i = w_o,i, or w_o,i P[i d:(i+1) d] at the merge site, so
+neither branch output nor their concatenation is ever formed (concatenating
+heads and projecting them is the sum of per-head projections, as in the
+head merge of Vaswani et al., arXiv 1706.03762).
+
+Each attention is ``_attention``. Its groups are the (batch, node, head)
+triples over time and the (batch, step, head) triples over nodes, and it
+walks them in the blocks of ``autodiff._blocks``, sized so that a block's q,
+k, v and [L, L] scores fit ``autodiff.BLOCK_BYTES``. Each block projects its
+own q, k and v: its rows of the input (of the value stream, for fusion's v)
+times its heads' columns of w_q, w_k and w_v as one [3, d, h d_k] stack, into
+one buffer that every block reuses. The scaled-dot core runs on views of that
+buffer and writes the block's part of the merged [B, N, T, h d_k] heads.
+Backward keeps only the input, the heads, and each block's row logsumexp
+and, when weight dropout runs, boolean mask. It walks the same blocks: it
+forms the block's heads gradient from g and w_i, recomputes its q, k and v,
+has the core overwrite them with their gradients, and adds x^T dqkv into the
+weights' gradient and dq w_q^T + dk w_k^T + dv w_v^T into x's. So neither
+pass allocates an array of the input's size but the heads, the output and
+the inputs' gradients (FlashAttention's recompute, Dao et al., arXiv
+2205.14135, and the blocked attention of Rabe and Staats, arXiv 2112.05682,
+carried to the projections).
 
 The scaled-dot core (``_attend`` and ``_attend_back``, on one block's
 arrays) bounds the block's scores by Cauchy-Schwarz, max_i |q_i| max_j |k_j|
@@ -32,8 +41,7 @@ Gimelshein, arXiv 1805.02867), otherwise it shifts each row by its max. Its
 backward recomputes the block's softmax weights from the row logsumexp, so no
 float [.., L, L] array outlives one block. The blocks draw their dropout
 flags in C order over the groups, the values one draw of the whole
-[.., L, L] mask takes from the stream. Its output has the memory layout of q
-unless it is given an array to fill. It returns no weights: run with v = I,
+[.., L, L] mask takes from the stream. It returns no weights: run with v = I,
 an identity [L, L] value per group, its output is the weights themselves,
 bit for bit.
 
@@ -41,17 +49,15 @@ Dropout is given to every function here as rates, which the model sets to 0
 outside training; a rate of 0 draws nothing from the stream.
 
 Every block variant is a row of the ``BLOCKS`` site table: after positional
-encoding, each site applies its sublayer (an attention; the parallel merge of
-temporal and spatial attention, ``parallel_attention``, one tape entry over
-the bodies of both that keeps neither branch output nor their concatenation;
-or the feed-forward network, itself one tape entry) with a residual
-connection and layer normalization, the one op
-``autodiff.layer_norm(sublayer, x, ...)``, which keeps neither the sum nor
-x-hat. The feed-forward network walks its rows with ``_blocks`` in forward
-and in backward; at the FFN site, whose hidden activation is wider than x,
-it keeps no activation and rebuilds each block's in backward. The three paper
-blocks combine temporal and spatial attention in parallel, in series, or
-fused; ``ta_only`` and ``sa_only`` keep one attention for ablation.
+encoding, each site applies its sublayer (its attentions, or the
+feed-forward network, itself one tape entry) with a residual connection and
+layer normalization, the one op ``autodiff.layer_norm(sublayer, x, ...)``,
+which keeps neither the sum nor x-hat. The feed-forward network walks its
+rows with ``autodiff._blocks`` in forward and in backward; at the FFN site,
+whose hidden activation is wider than x, it keeps no activation and rebuilds
+each block's in backward. The three paper blocks combine temporal and
+spatial attention in parallel, in series, or fused; ``ta_only`` and
+``sa_only`` keep one attention for ablation.
 """
 
 from __future__ import annotations
@@ -65,12 +71,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 
-# byte budget of one block of every blocked op (see _blocks): the q, k, v and
-# [L, L] float scores of attention groups, the node weights of nodes in
-# recurrent._conv, the hidden activation of rows in feed_forward, the rows of
-# layer_norm's backward. A block's scores, exp'd and multiplied in place, stay
-# in a core's L2 cache
-BLOCK_BYTES = 1 << 20
 # scores bounded by this in magnitude are exponentiated unshifted: exp(+-300)
 # is about 1e+-130, so no row sum overflows and no row underflows to 0
 EXP_SAFE = 300.0
@@ -116,26 +116,21 @@ class AttentionParams:
 
 
 def _attend(qs: np.ndarray, k: np.ndarray, v: np.ndarray, weight_dropout: float,
-            rng: np.random.Generator | None, out: np.ndarray | None = None,
-            scratch: np.ndarray | None = None) -> tuple:
+            rng: np.random.Generator | None, out: np.ndarray, scratch: np.ndarray) -> tuple:
     """The forward of the scaled-dot core on one block's arrays:
     softmax(qs k^T) v, for queries qs [..., L_q, d_k] already scaled by
     1/sqrt(d_k), keys k [..., L_k, d_k] and values v [..., L_k, d_v] with the
     same leading axes (not checked: ``_attention`` passes views of one
-    buffer). Returns the output (written into ``out`` when given, else in the
-    memory layout of qs), the row logsumexp [..., L, 1] and the boolean
-    dropout mask (None at rate 0).
+    buffer). Returns the output (written into ``out``), the row logsumexp
+    [..., L, 1] and the boolean dropout mask (None at rate 0).
 
-    The scores are written into the front of ``scratch`` (a fresh array when
-    None) and exponentiated in place: unshifted when the Cauchy-Schwarz bound
+    The scores are written into the front of ``scratch`` and exponentiated in place: unshifted when the Cauchy-Schwarz bound
     max_i |qs_i| max_j |k_j| is at most ``EXP_SAFE``, else (a NaN bound
     included) shifted by the row max. The dropout mask is one
     ``autodiff._dropout_mask`` draw of the [..., L, L] weights."""
     if not 0.0 <= weight_dropout < 1.0:
         raise ValueError(f"attention: weight dropout must be in [0, 1), got {weight_dropout}")
     l_k = k.shape[-2]
-    if out is None:
-        out = np.empty_like(qs, shape=qs.shape[:-1] + (v.shape[-1],))
     # |score| <= the bound (Cauchy-Schwarz); a NaN bound fails the test too
     shift = not _row_norm_max(qs) * _row_norm_max(k) <= EXP_SAFE
     e = _scores(qs, k, scratch)
@@ -159,17 +154,15 @@ def _attend(qs: np.ndarray, k: np.ndarray, v: np.ndarray, weight_dropout: float,
 
 def _attend_back(g: np.ndarray, qs: np.ndarray, k: np.ndarray, v: np.ndarray,
                  out: np.ndarray, lse: np.ndarray, keep, weight_dropout: float,
-                 scratch: np.ndarray | None = None):
+                 scratch: np.ndarray):
     """The backward of ``_attend`` on the same block: overwrites qs, k and v
     in place with the gradients of the unscaled queries, of k and of v, which
     is safe because each is read for the last time before its gradient is
     written. The weights are recomputed as exp(qs k^T - lse) and the softmax
     row term is rowsum(g * out). Two [..., L, L] arrays and the queries'
-    gradient go into the front of ``scratch`` (a fresh array when None)."""
+    gradient go into the front of ``scratch``."""
     l_k, d_k = k.shape[-2], qs.shape[-1]
     rows = math.prod(qs.shape[:-1])
-    if scratch is None:
-        scratch = np.empty(rows * (2 * l_k + d_k))
     drop_scale = 1.0 / (1.0 - weight_dropout)
     # the softmax row term sum_j W_ij dW_ij, as rowsum(dO * O)
     row_dot = np.einsum("...d,...d->...", g, out)[..., None]
@@ -190,53 +183,28 @@ def _attend_back(g: np.ndarray, qs: np.ndarray, k: np.ndarray, v: np.ndarray,
     np.multiply(g_qs, 1.0 / np.sqrt(d_k), out=qs)
 
 
-def _blocks(lead: tuple, group_bytes: int) -> tuple:
-    """The blocks a blocked op walks over the leading axes ``lead``, as
-    index tuples, and the most groups one holds; the only code that turns
-    ``BLOCK_BYTES`` (read at call time) into block sizes.
-
-    Each block is a run of groups consecutive in C order whose working set,
-    at ``group_bytes`` a group, fits ``BLOCK_BYTES`` (one group at least):
-    the trailing axes that fit whole, and a slice of the axis before them. So
-    a block indexes any array with these leading axes as a view, and the
-    blocks visit the groups in C order."""
-    inner, axis = 1, len(lead)
-    while axis > 0 and inner * lead[axis - 1] * group_bytes <= BLOCK_BYTES:
-        axis -= 1
-        inner *= lead[axis]
-    if axis == 0:
-        return [()], inner
-    step = max(1, BLOCK_BYTES // (inner * group_bytes))
-    blocks = [prefix + (slice(start, start + step),)
-              for prefix in np.ndindex(*lead[:axis - 1])
-              for start in range(0, lead[axis - 1], step)]
-    return blocks, inner * step
-
-
 def _row_norm_max(a: np.ndarray) -> float:
     """The largest Euclidean norm of a row (last axis) of a; NaN if a holds one."""
     return float(np.sqrt(np.einsum("...d,...d->...", a, a).max(initial=0.0)))
 
 
-def _scores(a: np.ndarray, b: np.ndarray, scratch: np.ndarray | None) -> np.ndarray:
+def _scores(a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """a b^T over the last two axes, written into the front of ``scratch``
     (reused block after block, which keeps the peak RSS of a pass lower than
-    a fresh array per block), or into a fresh array when it is None."""
+    a fresh array per block)."""
     shape = a.shape[:-1] + b.shape[-2:-1]
-    if scratch is None:
-        scratch = np.empty(math.prod(shape))
     return np.matmul(a, np.swapaxes(b, -1, -2), out=scratch[:math.prod(shape)].reshape(shape))
 
 
 def _attention(x: Tensor, p: AttentionParams, over_nodes: bool, weight_dropout: float, rng,
                values: Tensor | None = None) -> tuple:
-    """The body of ``multi_head_attention`` and of each branch of
-    ``parallel_attention``, which record it: returns the merged heads
-    [B, N, T, h d_k] and their backward, ``back(g, w_out, grads)``. Given g,
-    the gradient of heads w_out for a [h d_k, d] matrix w_out, it accumulates
-    the gradients of w_q, w_k and w_v and adds those of x and ``values`` into
-    ``grads``, one array per input stream (None where a stream needs none).
-    See the module docstring for the blocks it walks."""
+    """One attention of ``multi_head_attention``, which records it: returns
+    the merged heads [B, N, T, h d_k] and their backward,
+    ``back(g, w_out, grads)``. Given g, the gradient of heads w_out for a
+    [h d_k, d] matrix w_out, it accumulates the gradients of w_q, w_k and w_v
+    and adds those of x and ``values`` into ``grads``, one array per input
+    stream (None where a stream needs none). See the module docstring for the
+    blocks it walks."""
     h, d, d_k = p.w_q.shape
     if values is not None and values.shape != x.shape:
         raise ShapeError(f"attention: values {values.shape} are not shaped like x {x.shape}")
@@ -256,7 +224,7 @@ def _attention(x: Tensor, p: AttentionParams, over_nodes: bool, weight_dropout: 
     batch, groups, length, _ = rows(x.data).shape
     # a block is groups consecutive in C order over [B, G, h]: its rows of
     # the streams, blk[:2], and its head columns of w3, blk[2:]
-    blocks, block_groups = _blocks((batch, groups, h), 8 * length * (length + 3 * d_k))
+    blocks, block_groups = ad._blocks((batch, groups, h), 8 * length * (length + 3 * d_k))
     cols = [slice(None) if len(blk) < 3 else slice(blk[2].start * d_k, blk[2].stop * d_k)
             for blk in blocks]
     block_size = block_groups * length * d_k
@@ -305,48 +273,56 @@ def _attention(x: Tensor, p: AttentionParams, over_nodes: bool, weight_dropout: 
     return heads, back
 
 
-def multi_head_attention(x: Tensor, p: AttentionParams, over_nodes: bool,
-                         weight_dropout: float, rng, values: Tensor | None = None) -> Tensor:
-    """Multi-head attention over x [B, N, T, d] as one tape entry (see the
-    module docstring): over time per (batch, node), or with ``over_nodes``
-    over nodes per (batch, step). The value stream is projected from
-    ``values`` (shaped like x) when given."""
-    heads, back = _attention(x, p, over_nodes, weight_dropout, rng, values)
-    streams, h_dk = (x,) if values is None else (x, values), heads.shape[-1]
+def multi_head_attention(x: Tensor, attentions: tuple, weight_dropout: float, rng,
+                         values: Tensor | None = None, proj: Tensor | None = None) -> Tensor:
+    """Every attention site over x [B, N, T, d] as one tape entry (see the
+    module docstring). ``attentions`` holds (AttentionParams, over_nodes)
+    pairs, run in order: each attends over time per (batch, node), or with
+    ``over_nodes`` over nodes per (batch, step). Their value stream is
+    projected from ``values`` (shaped like x) when given.
+
+    The output is the sum of heads_i w_i, with w_i = w_o,i, or
+    w_o,i proj[i d:(i+1) d] when the [n d, d] ``proj`` is given; terms after
+    the first are added in row blocks. Backward runs the attentions in
+    reverse order: each forms heads_i^T g once for the gradients of its w_o
+    and of proj, then adds into the one gradient of x (and of ``values``)."""
+    d = x.shape[-1]
+    terms = []
+    for i, (a, over_nodes) in enumerate(attentions):
+        heads, back = _attention(x, a, over_nodes, weight_dropout, rng, values)
+        rows = slice(i * d, (i + 1) * d)
+        w_out = a.w_o.data if proj is None else np.matmul(a.w_o.data, proj.data[rows])
+        terms.append((a, rows, heads, back, w_out))
+    (_, _, heads, _, w_out), *rest = terms
+    out = np.matmul(heads, w_out)
+    out_rows = out.reshape(-1, d)
+    for _, _, heads, _, w_out in rest:
+        heads_rows = heads.reshape(-1, heads.shape[-1])
+        for blk in ad._blocks((len(out_rows),), 8 * d)[0]:
+            out_rows[blk] += np.matmul(heads_rows[blk], w_out)
+    streams = (x,) if values is None else (x, values)
 
     def back_op(g):
-        ad._accum(p.w_o, np.matmul(heads.reshape(-1, h_dk).T, g.reshape(-1, p.w_o.shape[1])))
+        g_rows = g.reshape(-1, d)
+        g_proj = None if proj is None else np.empty(proj.shape)
         grads = [np.zeros(t.shape) if t.requires_grad else None for t in streams]
-        back(g, p.w_o.data, grads)
+        for a, rows, heads, back, w_out in terms[::-1]:
+            heads_g = np.matmul(heads.reshape(-1, heads.shape[-1]).T, g_rows)
+            if proj is None:
+                ad._accum(a.w_o, heads_g)
+            else:
+                ad._accum(a.w_o, np.matmul(heads_g, proj.data[rows].T))
+                np.matmul(a.w_o.data.T, heads_g, out=g_proj[rows])
+            back(g, w_out, grads)
+        if proj is not None:
+            ad._accum(proj, g_proj)
         for t, g_t in zip(streams, grads):
             if g_t is not None:
                 ad._accum(t, g_t)
 
-    inputs = (x, p.w_q, p.w_k, p.w_v, p.w_o) + streams[1:]
-    return ad._record(Tensor(np.matmul(heads, p.w_o.data)), inputs, back_op)
-
-
-def temporal_attention(x: Tensor, p: AttentionParams, weight_dropout: float = 0.0,
-                       rng=None) -> Tensor:
-    """Attend over time steps independently per (batch, node). [B,N,T,d] in
-    and out."""
-    return multi_head_attention(x, p, False, weight_dropout, rng)
-
-
-def spatial_attention(x: Tensor, p: AttentionParams, weight_dropout: float = 0.0,
-                      rng=None) -> Tensor:
-    """Attend over nodes independently per (batch, step). [B,N,T,d] in and
-    out; the projections run on x as it is and only their views put the
-    nodes on the attended axis."""
-    return multi_head_attention(x, p, True, weight_dropout, rng)
-
-
-def stfa(x: Tensor, fusion: AttentionParams, spatial: AttentionParams,
-         weight_dropout: float = 0.0, rng=None) -> Tensor:
-    """Fusion attention: temporal attention whose value stream is the output
-    of a spatial attention over the same input."""
-    s = spatial_attention(x, spatial, weight_dropout, rng)
-    return multi_head_attention(x, fusion, False, weight_dropout, rng, values=s)
+    weights = tuple(w for a, _ in attentions for w in (a.w_q, a.w_k, a.w_v, a.w_o))
+    return ad._record(Tensor(out), streams + weights + (() if proj is None else (proj,)),
+                      back_op)
 
 
 @dataclass
@@ -433,48 +409,6 @@ class Gst2Params:
         return p
 
 
-def parallel_attention(x: Tensor, p: Gst2Params, weight_dropout: float, rng) -> Tensor:
-    """The merge site of the parallel block: temporal and spatial attention
-    over x side by side, concat(ta, sa) projected to d by P = concat_proj
-    [2 d, d], as one tape entry that keeps only what the two attentions keep.
-
-    It runs as heads_t (w_o,t P[:d]) + heads_s (w_o,s P[d:]), so neither
-    branch output nor their [.., 2 d] concatenation is ever formed, and the
-    spatial term is added in row blocks; temporal attention draws its dropout
-    first. Backward forms each branch's heads^T g once for the gradients of
-    its w_o and of P, then runs spatial's body backward before temporal's,
-    both adding into one gradient of x."""
-    d = p.concat_proj.shape[1]
-    branches = []
-    for a, over_nodes, proj in ((p.temporal, False, p.concat_proj.data[:d]),
-                                (p.spatial, True, p.concat_proj.data[d:])):
-        heads, back = _attention(x, a, over_nodes, weight_dropout, rng)
-        branches.append((a, proj, heads, back, np.matmul(a.w_o.data, proj)))
-    (_, _, heads_t, _, w_t), (_, _, heads_s, _, w_s) = branches
-    out = np.matmul(heads_t, w_t)
-    out_rows, heads_rows = out.reshape(-1, d), heads_s.reshape(-1, heads_s.shape[-1])
-    for blk in _blocks((len(out_rows),), 8 * d)[0]:
-        out_rows[blk] += np.matmul(heads_rows[blk], w_s)
-
-    def back_op(g):
-        g_rows = g.reshape(-1, d)
-        g_proj = np.empty(p.concat_proj.shape)
-        grads = [np.zeros(x.shape) if x.requires_grad else None]
-        for (a, proj, heads, back, w_out), g_proj_rows in zip(branches[::-1],
-                                                              (g_proj[d:], g_proj[:d])):
-            heads_g = np.matmul(heads.reshape(-1, heads.shape[-1]).T, g_rows)
-            ad._accum(a.w_o, np.matmul(heads_g, proj.T))
-            np.matmul(a.w_o.data.T, heads_g, out=g_proj_rows)
-            back(g, w_out, grads)
-        ad._accum(p.concat_proj, g_proj)
-        if grads[0] is not None:
-            ad._accum(x, grads[0])
-
-    inputs = (x, p.concat_proj, p.temporal.w_q, p.temporal.w_k, p.temporal.w_v, p.temporal.w_o,
-              p.spatial.w_q, p.spatial.w_k, p.spatial.w_v, p.spatial.w_o)
-    return ad._record(Tensor(out), inputs, back_op)
-
-
 def feed_forward(x: Tensor, p: FfnParams, dropout: float = 0.0,
                  rng: np.random.Generator | None = None) -> Tensor:
     """The feed-forward network relu(x w1 + b1) w2 + b2 over the last axis
@@ -483,11 +417,11 @@ def feed_forward(x: Tensor, p: FfnParams, dropout: float = 0.0,
     of the global block and, with dropout 0, the model's output head.
 
     Forward and backward walk the rows of x in the same blocks, those of
-    ``_blocks`` at the [rows, d_hidden] hidden activation's bytes a row. Per
-    block, x w1 is written into a hidden buffer, and the bias, the ReLU and
-    the block's dropout flags act on it in place before its product with w2
-    (times the dropout scale) fills the block's output rows. The ReLU is
-    ``np.fmax(h, 0)``, which maps NaN to 0. The flags are drawn block by
+    ``autodiff._blocks`` at the [rows, d_hidden] hidden activation's bytes a
+    row. Per block, x w1 is written into a hidden buffer, and the bias, the
+    ReLU and the block's dropout flags act on it in place before its product
+    with w2 (times the dropout scale) fills the block's output rows. The ReLU
+    is ``np.fmax(h, 0)``, which maps NaN to 0. The flags are drawn block by
     block in C order, the values one ``autodiff.dropout`` draw of the whole
     mask takes from the stream. A row's products are the same GEMM
     arithmetic in any block, so the output is bit for bit that of one block.
@@ -510,7 +444,7 @@ def feed_forward(x: Tensor, p: FfnParams, dropout: float = 0.0,
     d_in, d_hidden = w1.shape
     rows = x.data.reshape(-1, d_in)
     n = len(rows)
-    blocks, block_rows = _blocks((n,), 8 * d_hidden)
+    blocks, block_rows = ad._blocks((n,), 8 * d_hidden)
     scale = 1.0 / (1.0 - dropout)
     hidden = np.empty((n, d_hidden)) if d_hidden <= d_in else None
     keep = np.empty((n, d_hidden), dtype=bool) if dropout > 0.0 and hidden is None else None
@@ -571,13 +505,15 @@ def feed_forward(x: Tensor, p: FfnParams, dropout: float = 0.0,
 
 def _sublayer(site: str, x: Tensor, p: Gst2Params, dropout: float, rng) -> Tensor:
     if site == "temporal":
-        return temporal_attention(x, p.temporal, dropout, rng)
+        return multi_head_attention(x, ((p.temporal, False),), dropout, rng)
     if site == "spatial":
-        return spatial_attention(x, p.spatial, dropout, rng)
+        return multi_head_attention(x, ((p.spatial, True),), dropout, rng)
     if site == "merge":
-        return parallel_attention(x, p, dropout, rng)
+        return multi_head_attention(x, ((p.temporal, False), (p.spatial, True)), dropout, rng,
+                                    proj=p.concat_proj)
     if site == "fusion":
-        return stfa(x, p.fusion, p.spatial, dropout, rng)
+        s = multi_head_attention(x, ((p.spatial, True),), dropout, rng)
+        return multi_head_attention(x, ((p.fusion, False),), dropout, rng, values=s)
     # "ffn": the position-wise feed-forward network
     return feed_forward(x, p.ffn, dropout, rng)
 

@@ -28,6 +28,35 @@ from .errors import ShapeError
 
 # the variance floor of every layer_norm
 LN_EPS = 1e-5
+# byte budget of one block of every blocked op (see _blocks): the q, k, v and
+# [L, L] float scores of attention groups, the node weights of nodes in
+# recurrent._conv, the hidden activation of rows in attention.feed_forward, the
+# rows of layer_norm's backward. A block's scores, exp'd and multiplied in place, stay
+# in a core's L2 cache
+BLOCK_BYTES = 1 << 20
+
+
+def _blocks(lead: tuple, group_bytes: int) -> tuple:
+    """The blocks a blocked op walks over the leading axes ``lead``, as
+    index tuples, and the most groups one holds; the only code that turns
+    ``BLOCK_BYTES`` (read at call time) into block sizes.
+
+    Each block is a run of groups consecutive in C order whose working set,
+    at ``group_bytes`` a group, fits ``BLOCK_BYTES`` (one group at least):
+    the trailing axes that fit whole, and a slice of the axis before them. So
+    a block indexes any array with these leading axes as a view, and the
+    blocks visit the groups in C order."""
+    inner, axis = 1, len(lead)
+    while axis > 0 and inner * lead[axis - 1] * group_bytes <= BLOCK_BYTES:
+        axis -= 1
+        inner *= lead[axis]
+    if axis == 0:
+        return [()], inner
+    step = max(1, BLOCK_BYTES // (inner * group_bytes))
+    blocks = [prefix + (slice(start, start + step),)
+              for prefix in np.ndindex(*lead[:axis - 1])
+              for start in range(0, lead[axis - 1], step)]
+    return blocks, inner * step
 
 
 class Tensor:
@@ -252,8 +281,8 @@ def layer_norm(a: Tensor, b: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     bit for bit the forward's, and allocates no other [.., d] array. It takes
     gamma's and beta's gradients from xhat first, then turns xhat into the
     gradient of the sum in place, walking its rows in the blocks of
-    ``attention._blocks``; each input that needs the gradient gets it summed
-    down to its shape."""
+    ``_blocks``; each input that needs the gradient gets it summed down to
+    its shape."""
     try:
         y = np.add(a.data, b.data)
     except ValueError:
@@ -276,8 +305,6 @@ def layer_norm(a: Tensor, b: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     y += beta.data
 
     def back(g):
-        # imported here: attention imports this module
-        from .attention import _blocks
         xhat = np.add(a.data, b.data)
         xhat -= mean
         xhat *= inv

@@ -28,7 +28,7 @@ blocks of the gate output and no step copies between [B, N] and [N, B]. The
 z and r pools are concatenated once per forward (GruCellParams.gate_params).
 The gate and candidate ops take the step's node features, not node weights:
 the forward builds them block by block of nodes in one buffer of about
-attention.BLOCK_BYTES, and the backward rebuilds them whole, so the tape
+autodiff.BLOCK_BYTES, and the backward rebuilds them whole, so the tape
 keeps no step's weights, and every graph mode runs one path. Likewise
 they keep no Chebyshev terms: encode_sequence allocates one terms buffer per
 call, every op writes its terms into it, and each backward refills term 0
@@ -43,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import attention
 from . import autodiff as ad
 from .autodiff import Tensor
 from .graphs import (EmbeddingBank, GraphBundle, SGCNParams, cheb_recurrence,
@@ -91,7 +90,7 @@ def _conv(x_t: Tensor, h: Tensor, r: np.ndarray | None, lap: Tensor, e: Tensor,
     e @ bias_pool [N, C_out], for node features e [N, d_e].
 
     The forward never holds theta for all N nodes: it walks the nodes in
-    the blocks of ``attention._blocks`` at theta's bytes a node, and for
+    the blocks of ``autodiff._blocks`` at theta's bytes a node, and for
     each builds that theta and its per-node product in one reused block
     buffer that stays in cache. A node's theta and product are the same GEMM
     arithmetic in any block, so the output is bit for bit that of one block.
@@ -123,7 +122,7 @@ def _conv(x_t: Tensor, h: Tensor, r: np.ndarray | None, lap: Tensor, e: Tensor,
 
     fill()
     out = np.empty((n, c_out, b))    # before theta, so freeing theta leaves no heap hole
-    blocks, block_nodes = attention._blocks((n,), 8 * pool.shape[1])
+    blocks, block_nodes = ad._blocks((n,), 8 * pool.shape[1])
     theta = np.empty((block_nodes, k1 * c_in, c_out))
     for blk in blocks:
         part = theta[:len(out[blk])]

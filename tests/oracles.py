@@ -19,6 +19,7 @@ deliberately avoiding the code paths under test, except:
   by running its attention core with identity values.
 """
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -222,6 +223,13 @@ def encode_composed(x, cell, bundle, bank):
     return ad.concat(states, axis=2)
 
 
+def attend_buffers(qs, k, v):
+    """A fresh output, in the memory layout of qs, and a fresh scores
+    scratch for one ``att._attend`` call on the whole of qs, k and v."""
+    out = np.empty_like(qs, shape=qs.shape[:-1] + (v.shape[-1],))
+    return out, np.empty(math.prod(qs.shape[:-1]) * k.shape[-2])
+
+
 @contextmanager
 def attention_weights():
     """Collect the softmax weights of every scaled-dot attention the library
@@ -234,7 +242,7 @@ def attention_weights():
     def recording(qs, k, v, *args):
         l_k = k.shape[-2]
         identity = np.broadcast_to(np.eye(l_k), k.shape[:-2] + (l_k, l_k))
-        captured.append(attend(qs, k, identity, 0.0, None)[0])
+        captured.append(attend(qs, k, identity, 0.0, None, *attend_buffers(qs, k, identity))[0])
         return attend(qs, k, v, *args)
 
     att._attend = recording
@@ -254,12 +262,15 @@ def scaled_dot_op(q: Tensor, k: Tensor, v: Tensor, weight_dropout: float = 0.0,
     product with v. The output has the memory layout of q and each gradient
     that of its input."""
     inv_sqrt_dk = 1.0 / np.sqrt(q.shape[-1])
-    out, lse, keep = att._attend(q.data * inv_sqrt_dk, k.data, v.data, weight_dropout, rng)
+    qs = q.data * inv_sqrt_dk
+    out, lse, keep = att._attend(qs, k.data, v.data, weight_dropout, rng,
+                                 *attend_buffers(qs, k.data, v.data))
 
     def back(g):
         # the core overwrites its inputs with their gradients: give it copies
         grads = (q.data * inv_sqrt_dk, np.copy(k.data), np.copy(v.data))
-        att._attend_back(g, *grads, out, lse, keep, weight_dropout)
+        scratch = np.empty(math.prod(q.shape[:-1]) * (2 * k.shape[-2] + q.shape[-1]))
+        att._attend_back(g, *grads, out, lse, keep, weight_dropout, scratch)
         for t, grad in zip((q, k, v), grads):
             ad._accum(t, grad)
 
@@ -270,7 +281,8 @@ def multi_head_composed(x, p, over_nodes, weight_dropout=0.0, rng=None, values=N
     """Multi-head attention from generic tape ops, one projection at a time:
     each of q, k and v is transpose -> reshape -> matmul -> reshape ->
     transpose, then ``scaled_dot_op``, then transpose -> reshape -> matmul
-    with w_o. The reference ``att.multi_head_attention`` must agree with."""
+    with w_o. The reference ``att.multi_head_attention`` with one attention
+    must agree with."""
     order = (0, 2, 3, 1, 4) if over_nodes else (0, 1, 3, 2, 4)
 
     def project(stream, w):
@@ -290,7 +302,8 @@ def merge_composed(x, p, weight_dropout=0.0, rng=None):
     """The parallel block's merge site from generic tape ops: temporal and
     spatial ``multi_head_composed`` over x (temporal drawing its dropout
     first), joined by concat and projected by matmul with concat_proj. The
-    reference ``att.parallel_attention`` must agree with."""
+    reference ``att.multi_head_attention`` with both attentions and
+    ``proj=concat_proj`` must agree with."""
     ta = multi_head_composed(x, p.temporal, False, weight_dropout, rng)
     sa = multi_head_composed(x, p.spatial, True, weight_dropout, rng)
     return ad.matmul(ad.concat([ta, sa], axis=-1), p.concat_proj)

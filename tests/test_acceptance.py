@@ -76,15 +76,17 @@ def test_criterion_2_attention_oracle():
             p = att.AttentionParams.create(d, heads, np.random.default_rng(seed))
             p2 = att.AttentionParams.create(d, heads, np.random.default_rng(seed + 1))
 
-            ta = att.temporal_attention(Tensor(x), p).data
+            xt = Tensor(x)
+            ta = att.multi_head_attention(xt, ((p, False),), 0.0, None).data
             ta_ref = multi_head_loop(x, p.w_q.data, p.w_k.data, p.w_v.data, p.w_o.data)
             assert np.abs(ta - ta_ref).max() < 1e-12, trial
 
-            sa = att.spatial_attention(Tensor(x), p).data
+            sa = att.multi_head_attention(xt, ((p, True),), 0.0, None).data
             sa_ref = spatial_attention_loop(x, p.w_q.data, p.w_k.data, p.w_v.data, p.w_o.data)
             assert np.abs(sa - sa_ref).max() < 1e-12, trial
 
-            fused = att.stfa(Tensor(x), p, p2).data
+            s = att.multi_head_attention(xt, ((p2, True),), 0.0, None)
+            fused = att.multi_head_attention(xt, ((p, False),), 0.0, None, values=s).data
             fused_ref = stfa_loop(
                 x, (p.w_q.data, p.w_k.data, p.w_v.data, p.w_o.data),
                 (p2.w_q.data, p2.w_k.data, p2.w_v.data, p2.w_o.data))

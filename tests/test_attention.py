@@ -26,6 +26,25 @@ def layer_params(variant, dim=4, heads=2, ffn=8, seed=0):
     return att.Gst2Params.create(variant, dim, heads, ffn, np.random.default_rng(seed))
 
 
+def mha(x, p, over_nodes, weight_dropout=0.0, rng=None, values=None):
+    """``att.multi_head_attention`` with the one attention p: the temporal
+    or spatial site, in the signature of ``multi_head_composed``."""
+    return att.multi_head_attention(x, ((p, over_nodes),), weight_dropout, rng, values=values)
+
+
+def fusion_site(x, fusion, spatial):
+    """The fusion site: fusion's attention over time whose values are
+    spatial's attention of x over nodes."""
+    return mha(x, fusion, False, values=mha(x, spatial, True))
+
+
+def merge_site(x, p, weight_dropout=0.0, rng=None):
+    """The parallel block's merge site of the block parameters p, in the
+    signature of ``merge_composed``."""
+    return att.multi_head_attention(x, ((p.temporal, False), (p.spatial, True)), weight_dropout,
+                                    rng, proj=p.concat_proj)
+
+
 # -- positional encoding --------------------------------------------------------
 
 
@@ -89,7 +108,7 @@ def test_attention_weight_rows_sum_to_one():
     x = Tensor(rng.standard_normal((2, 3, 4, 8)))
     p = make_params(8, 2, seed=4)
     with attention_weights() as captured:
-        att.temporal_attention(x, p)
+        mha(x, p, False)
     assert len(captured) == 1
     sums = captured[0].sum(axis=-1)
     assert np.abs(sums - 1.0).max() < 1e-12
@@ -392,7 +411,7 @@ def test_feed_forward_row_chunks_match_one_chunk(monkeypatch, side, dropout):
     results, next_draws = [], []
     for block_bytes in (None, 8 * ffn_dim * 7):
         if block_bytes is not None:
-            monkeypatch.setattr(att, "BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(ad, "BLOCK_BYTES", block_bytes)
         for feed in (att.feed_forward, composed_feed_forward):
             ad.reset_tape()
             tensors = [Tensor(a, requires_grad=True) for a in arrays]
@@ -440,7 +459,7 @@ def test_feed_forward_keeps_the_hidden_activation_only_when_no_wider_than_x(side
 def test_retraining_with_dropout_across_ffn_chunks_is_bit_identical(monkeypatch):
     # 100-row chunks of the [B, N, T, 8] hidden activation (768 rows a
     # batch), so every FFN call spans several chunks with a ragged last one
-    monkeypatch.setattr(att, "BLOCK_BYTES", 8 * 8 * 100)
+    monkeypatch.setattr(ad, "BLOCK_BYTES", 8 * 8 * 100)
     series, _ = dp.synthesize(4, 300, seed=5)
     windows = dp.make_windows(series.values[:240], 6, 3)
     val = dp.make_windows(series.values[240:], 6, 3)
@@ -470,14 +489,14 @@ def test_temporal_uniform_value_path():
     p.w_k.data[:] = 0.0
     p.w_v.data[0] = np.eye(4)
     p.w_o.data[:] = np.eye(4)
-    out = att.temporal_attention(Tensor(x_arr), p)
+    out = mha(Tensor(x_arr), p, False)
     expected = np.tile(x_arr.mean(axis=2, keepdims=True), (1, 1, 4, 1))
     assert np.abs(out.data - expected).max() < 1e-12
 
 
 def test_temporal_shape_preserved():
     x = Tensor(np.random.default_rng(6).standard_normal((2, 5, 3, 8)))
-    out = att.temporal_attention(x, make_params(8, 4, seed=6))
+    out = mha(x, make_params(8, 4, seed=6), False)
     assert out.shape == x.shape
 
 
@@ -485,7 +504,7 @@ def test_temporal_matches_per_head_oracle():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((1, 2, 3, 4))
     p = make_params(4, 2, seed=7)
-    out = att.temporal_attention(Tensor(x), p)
+    out = mha(Tensor(x), p, False)
     expected = multi_head_loop(x, p.w_q.data, p.w_k.data, p.w_v.data, p.w_o.data)
     assert np.abs(out.data - expected).max() < 1e-12
 
@@ -494,7 +513,7 @@ def test_spatial_single_node_is_value_path():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((2, 1, 3, 4))
     p = make_params(4, 2, seed=8)
-    out = att.spatial_attention(Tensor(x), p)
+    out = mha(Tensor(x), p, True)
     per_head = [x @ p.w_v.data[j] for j in range(2)]
     expected = np.concatenate(per_head, axis=-1) @ p.w_o.data
     assert np.abs(out.data - expected).max() < 1e-12
@@ -504,10 +523,8 @@ def test_spatial_is_transposed_temporal():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((2, 3, 4, 4))
     p = make_params(4, 2, seed=9)
-    direct = att.spatial_attention(Tensor(x), p).data
-    via_transpose = att.temporal_attention(
-        Tensor(x.transpose(0, 2, 1, 3)), p
-    ).data.transpose(0, 2, 1, 3)
+    direct = mha(Tensor(x), p, True).data
+    via_transpose = mha(Tensor(x.transpose(0, 2, 1, 3)), p, False).data.transpose(0, 2, 1, 3)
     assert np.array_equal(direct, via_transpose)
 
 
@@ -544,8 +561,7 @@ def run_site(attend, site, arrays, params, weight_dropout):
 def test_multi_head_attention_matches_composed_ops(site, weight_dropout):
     arrays = site_arrays(40)
     params = make_params(8, 2, seed=40)
-    fused, after_fused = run_site(att.multi_head_attention, site, arrays, params,
-                                  weight_dropout)
+    fused, after_fused = run_site(mha, site, arrays, params, weight_dropout)
     composed, after_composed = run_site(multi_head_composed, site, arrays, params,
                                         weight_dropout)
     assert len(fused) == len(composed) == (7 if site == "fusion" else 6)
@@ -558,9 +574,11 @@ def test_multi_head_attention_matches_composed_ops(site, weight_dropout):
 def test_each_attention_call_is_one_tape_entry():
     x = Tensor(site_arrays(41)[0], requires_grad=True)
     p, q = make_params(8, 2, seed=41), make_params(8, 2, seed=42)
-    for attend, entries in ((lambda: att.temporal_attention(x, p), 1),
-                            (lambda: att.spatial_attention(x, p), 1),
-                            (lambda: att.stfa(x, p, q), 2)):
+    block = layer_params("parallel", dim=8, heads=2, seed=41)
+    for attend, entries in ((lambda: mha(x, p, False), 1),
+                            (lambda: mha(x, p, True), 1),
+                            (lambda: merge_site(x, block), 1),
+                            (lambda: fusion_site(x, p, q), 2)):
         ad.reset_tape()
         attend()
         assert len(ad.tape().entries) == entries
@@ -579,7 +597,7 @@ def test_multi_head_training_forward_keeps_no_projections(site):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out = att.multi_head_attention(x, p, site == "spatial", 0.0, None, values=values)
+        out = mha(x, p, site == "spatial", values=values)
         retained = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
@@ -594,12 +612,12 @@ def test_multi_head_backward_allocates_nothing_while_qkv_is_live(monkeypatch, si
     # them; with blocks of one group the core adds little, and the peak read
     # 4.31 arrays over time and 4.32 over nodes (5.10 each while x's
     # gradient was a new array)
-    monkeypatch.setattr(att, "BLOCK_BYTES", 1)
+    monkeypatch.setattr(ad, "BLOCK_BYTES", 1)
     x_arr, _, g = site_arrays(46, lead=(4, 16, 12), dim=16)
     p = make_params(16, 2, seed=46)
     x = Tensor(x_arr, requires_grad=True)
     ad.reset_tape()
-    att.multi_head_attention(x, p, site == "spatial", 0.0, None)
+    mha(x, p, site == "spatial")
     (_, _, back), = ad.tape().entries
     ad.reset_tape()
     tracemalloc.start()
@@ -621,12 +639,10 @@ def test_blocks_of_one_group_match_one_block(monkeypatch, site, weight_dropout):
     # block. Outputs, gradients and the dropout draws agree.
     arrays = site_arrays(48)
     params = make_params(8, 2, seed=48)
-    one_block, after_one = run_site(att.multi_head_attention, site, arrays, params,
-                                    weight_dropout)
-    monkeypatch.setattr(att, "BLOCK_BYTES", 1)
-    assert len(att._blocks((2, 5, 2), 8)[0]) == 20
-    blocked, after_blocked = run_site(att.multi_head_attention, site, arrays, params,
-                                      weight_dropout)
+    one_block, after_one = run_site(mha, site, arrays, params, weight_dropout)
+    monkeypatch.setattr(ad, "BLOCK_BYTES", 1)
+    assert len(ad._blocks((2, 5, 2), 8)[0]) == 20
+    blocked, after_blocked = run_site(mha, site, arrays, params, weight_dropout)
     for got, expected in zip(blocked, one_block):
         assert np.abs(got - expected).max() < 1e-12
     assert after_blocked == after_one
@@ -652,7 +668,7 @@ def test_attention_allocates_no_input_sized_buffer(monkeypatch, site):
     # returns (the inputs' gradients) neither allocates an array of x's size.
     # With whole-input q, k, v (and heads-gradient) buffers, these peaks read
     # 2.5-3.5 such arrays above that in forward and 3.0-6.0 in backward.
-    monkeypatch.setattr(att, "BLOCK_BYTES", 16384)
+    monkeypatch.setattr(ad, "BLOCK_BYTES", 16384)
     x_arr, values_arr, g = site_arrays(49, lead=(4, 16, 12), dim=16)
     x = Tensor(x_arr, requires_grad=True)
     values = Tensor(values_arr, requires_grad=True) if site == "fusion" else None
@@ -660,11 +676,10 @@ def test_attention_allocates_no_input_sized_buffer(monkeypatch, site):
     ad.reset_tape()
     if site == "merge":
         p = layer_params("parallel", dim=16, heads=2, seed=49)
-        _, peak, kept = traced(lambda: att.parallel_attention(x, p, 0.3, draws))
+        _, peak, kept = traced(lambda: merge_site(x, p, 0.3, draws))
     else:
         p = make_params(16, 2, seed=49)
-        _, peak, kept = traced(lambda: att.multi_head_attention(x, p, site == "spatial", 0.3,
-                                                                draws, values=values))
+        _, peak, kept = traced(lambda: mha(x, p, site == "spatial", 0.3, draws, values=values))
     (_, _, back), = ad.tape().entries
     ad.reset_tape()
     assert peak - kept < x_arr.nbytes, (peak - kept) / x_arr.nbytes
@@ -689,14 +704,14 @@ def test_stfa_reduces_to_temporal_when_spatial_is_identity():
     spatial.w_v.data[0] = np.eye(4)
     spatial.w_o.data[:] = np.eye(4)
     fusion = make_params(4, 2, seed=11)
-    out = att.stfa(Tensor(x), fusion, spatial)
-    expected = att.temporal_attention(Tensor(x), fusion)
+    out = fusion_site(Tensor(x), fusion, spatial)
+    expected = mha(Tensor(x), fusion, False)
     assert np.abs(out.data - expected.data).max() < 1e-12
 
 
 def test_stfa_shape_preserved():
     x = Tensor(np.random.default_rng(12).standard_normal((2, 3, 4, 8)))
-    out = att.stfa(x, make_params(8, 2, seed=12), make_params(8, 2, seed=13))
+    out = fusion_site(x, make_params(8, 2, seed=12), make_params(8, 2, seed=13))
     assert out.shape == x.shape
 
 
@@ -705,7 +720,7 @@ def test_stfa_matches_composed_oracle():
     x = rng.standard_normal((1, 3, 2, 4))
     fusion = make_params(4, 2, seed=14)
     spatial = make_params(4, 2, seed=15)
-    out = att.stfa(Tensor(x), fusion, spatial)
+    out = fusion_site(Tensor(x), fusion, spatial)
     expected = stfa_loop(
         x,
         (fusion.w_q.data, fusion.w_k.data, fusion.w_v.data, fusion.w_o.data),
@@ -719,7 +734,7 @@ def test_spatial_oracle_agreement_random_trials():
     for _ in range(5):
         x = rng.standard_normal((1, 4, 3, 4))
         p = make_params(4, 2, seed=int(rng.integers(1 << 30)))
-        out = att.spatial_attention(Tensor(x), p)
+        out = mha(Tensor(x), p, True)
         expected = spatial_attention_loop(x, p.w_q.data, p.w_k.data, p.w_v.data, p.w_o.data)
         assert np.abs(out.data - expected).max() < 1e-12
 
@@ -733,7 +748,7 @@ def test_merge_op_matches_composed_concat_and_matmul(weight_dropout):
     # the output and the gradients of x and of all nine weights
     x_arr, _, weight = site_arrays(44)
     results, next_draws, entries = [], [], []
-    for merge in (att.parallel_attention, merge_composed):
+    for merge in (merge_site, merge_composed):
         ad.reset_tape()
         p = layer_params("parallel", dim=8, heads=2, seed=44)
         x = Tensor(x_arr, requires_grad=True)
@@ -792,8 +807,8 @@ def test_parallel_training_forward_keeps_no_concat_or_branch_output():
     with ad.no_grad():
         h = recurrent.encode_sequence(Tensor(x), model.cell, model.build_bundle(), model.bank)
         block_in = Tensor(h.data + att.positional_encoding(4, 8).data)
-        branches = [att.temporal_attention(block_in, model.gst2.temporal).data,
-                    att.spatial_attention(block_in, model.gst2.spatial).data]
+        branches = [mha(block_in, model.gst2.temporal, False).data,
+                    mha(block_in, model.gst2.spatial, True).data]
     assert any(a.shape == block_in.shape for a in held)
     assert all(a.shape != (2, 5, 4, 16) for a in held)
     for branch in branches:
@@ -892,8 +907,8 @@ def test_temporal_node_permutation_equivariance():
     x = rng.standard_normal((2, 4, 3, 4))
     p = make_params(4, 2, seed=25)
     perm = rng.permutation(4)
-    base = att.temporal_attention(Tensor(x), p).data
-    permuted = att.temporal_attention(Tensor(x[:, perm]), p).data
+    base = mha(Tensor(x), p, False).data
+    permuted = mha(Tensor(x[:, perm]), p, False).data
     assert np.abs(permuted - base[:, perm]).max() < 1e-12
 
 
@@ -902,6 +917,6 @@ def test_spatial_time_permutation_equivariance():
     x = rng.standard_normal((2, 3, 4, 4))
     p = make_params(4, 2, seed=26)
     perm = rng.permutation(4)
-    base = att.spatial_attention(Tensor(x), p).data
-    permuted = att.spatial_attention(Tensor(x[:, :, perm]), p).data
+    base = mha(Tensor(x), p, True).data
+    permuted = mha(Tensor(x[:, :, perm]), p, True).data
     assert np.abs(permuted - base[:, :, perm]).max() < 1e-12

@@ -345,7 +345,7 @@ def test_layer_norm_backward_allocates_one_sum_sized_array(monkeypatch):
     grads, peak = layer_norm_backward(a_arr, b_arr, g)
     assert peak < 1.5 * g.nbytes, peak / g.nbytes
     assert grads[0] is grads[1]
-    monkeypatch.setattr(att, "BLOCK_BYTES", 3 * 8 * 32)
+    monkeypatch.setattr(ad, "BLOCK_BYTES", 3 * 8 * 32)
     blocked, _ = layer_norm_backward(a_arr, b_arr, g)
     for got, expected in zip(blocked, grads):
         assert np.abs(got - expected).max() < 1e-12

@@ -4,7 +4,6 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from flowcast import attention
 from flowcast import autodiff as ad
 from flowcast import graphs, recurrent
 from flowcast import model as md
@@ -340,10 +339,10 @@ def test_node_chunks_leave_the_forward_bit_identical(monkeypatch, mode):
     x = Tensor(rng.standard_normal((3, 3, 8, 2)))
     _, k1, c_in, c_out = cell.gate_params()[0].weight_pool.shape
     node_bytes = 8 * k1 * c_in * c_out
-    assert 8 * node_bytes <= attention.BLOCK_BYTES  # one chunk by default
+    assert 8 * node_bytes <= ad.BLOCK_BYTES  # one chunk by default
     with ad.no_grad():
         one_chunk = recurrent.encode_sequence(x, cell, build_bundle(mode, bank), bank).data
-        monkeypatch.setattr(attention, "BLOCK_BYTES", 3 * node_bytes)
+        monkeypatch.setattr(ad, "BLOCK_BYTES", 3 * node_bytes)
         chunked = recurrent.encode_sequence(x, cell, build_bundle(mode, bank), bank).data
     assert np.array_equal(chunked, one_chunk)
 
@@ -357,7 +356,7 @@ def test_gate_op_forward_never_holds_all_node_weights(monkeypatch):
     zr, _ = recurrent.GruCellParams.create(c, d_h, d_e, 2, rng).gate_params()
     _, k1, c_in, c_out = zr.weight_pool.shape
     theta_bytes = 8 * n * k1 * c_in * c_out
-    monkeypatch.setattr(attention, "BLOCK_BYTES", theta_bytes // 3)
+    monkeypatch.setattr(ad, "BLOCK_BYTES", theta_bytes // 3)
     x_t, h = Tensor(rng.standard_normal((n, c, b))), Tensor(rng.standard_normal((n, d_h, b)))
     lap = Tensor(softmax_rows(rng.standard_normal((n, n))))
     e = Tensor(rng.standard_normal((n, d_e)))
