@@ -22,28 +22,31 @@ k, v and [L, L] scores fit ``autodiff.BLOCK_BYTES``. Each block projects its
 own q, k and v: its rows of the input (of the value stream, for fusion's v)
 times its heads' columns of w_q, w_k and w_v as one [3, d, h d_k] stack, into
 one buffer that every block reuses. The scaled-dot core runs on views of that
-buffer and writes the block's part of the merged [B, N, T, h d_k] heads.
-Backward keeps only the input, the heads, and each block's row logsumexp
-and, when weight dropout runs, boolean mask. It walks the same blocks: it
-forms the block's heads gradient from g and w_i, recomputes its q, k and v,
-has the core overwrite them with their gradients, and adds x^T dqkv into the
-weights' gradient and dq w_q^T + dk w_k^T + dv w_v^T into x's. So neither
-pass allocates an array of the input's size but the heads, the output and
-the inputs' gradients (FlashAttention's recompute, Dao et al., arXiv
-2205.14135, and the blocked attention of Rabe and Staats, arXiv 2112.05682,
-carried to the projections).
+buffer and writes the block's heads into the same buffer, and the block adds
+its heads times its rows of w_i into its rows of the output; the merged
+[B, N, T, h d_k] heads are never formed. Backward keeps only the input and
+each block's row logsumexp and, when weight dropout runs, boolean mask. It
+walks the same blocks: it forms the block's heads gradient from g and w_i,
+recomputes its q, k and v, and has the core rebuild the block's heads and
+overwrite q, k and v with their gradients. It adds heads^T g into w_i's
+gradient, x^T dqkv into the weights' gradient and dq w_q^T + dk w_k^T +
+dv w_v^T into x's. So neither pass allocates an array of the input's size
+but the output and the inputs' gradients (FlashAttention's recompute, Dao et
+al., arXiv 2205.14135, and the blocked attention of Rabe and Staats, arXiv
+2112.05682, carried to the projections and the heads; per-op recompute as in
+Chen et al., arXiv 1604.06174).
 
 The scaled-dot core (``_attend`` and ``_attend_back``, on one block's
 arrays) bounds the block's scores by Cauchy-Schwarz, max_i |q_i| max_j |k_j|
 / sqrt(d_k); when that bound is at most ``EXP_SAFE`` it exponentiates them
 with no row-max pass (one pass fewer over the scores; Milakov and
 Gimelshein, arXiv 1805.02867), otherwise it shifts each row by its max. Its
-backward recomputes the block's softmax weights from the row logsumexp, so no
-float [.., L, L] array outlives one block. The blocks draw their dropout
-flags in C order over the groups, the values one draw of the whole
-[.., L, L] mask takes from the stream. It returns no weights: run with v = I,
-an identity [L, L] value per group, its output is the weights themselves,
-bit for bit.
+backward recomputes the block's softmax weights from the row logsumexp, and
+the block's output from them, so no float [.., L, L] array outlives one
+block. The blocks draw their dropout flags in C order over the groups, the
+values one draw of the whole [.., L, L] mask takes from the stream. It
+returns no weights: run with v = I, an identity [L, L] value per group, its
+output is the weights themselves, bit for bit.
 
 Dropout is given to every function here as rates, which the model sets to 0
 outside training; a rate of 0 draws nothing from the stream.
@@ -155,25 +158,31 @@ def _attend(qs: np.ndarray, k: np.ndarray, v: np.ndarray, weight_dropout: float,
 def _attend_back(g: np.ndarray, qs: np.ndarray, k: np.ndarray, v: np.ndarray,
                  out: np.ndarray, lse: np.ndarray, keep, weight_dropout: float,
                  scratch: np.ndarray):
-    """The backward of ``_attend`` on the same block: overwrites qs, k and v
-    in place with the gradients of the unscaled queries, of k and of v, which
-    is safe because each is read for the last time before its gradient is
-    written. The weights are recomputed as exp(qs k^T - lse) and the softmax
-    row term is rowsum(g * out). Two [..., L, L] arrays and the queries'
-    gradient go into the front of ``scratch``."""
+    """The backward of ``_attend`` on the same block: writes the output of
+    ``_attend``, rebuilt, into ``out``, and overwrites qs, k and v in place
+    with the gradients of the unscaled queries, of k and of v, which is safe
+    because each is read for the last time before its gradient is written.
+    The weights are recomputed as exp(qs k^T - lse), the output as the
+    dropped weights times v, and the softmax row term is rowsum(g * out).
+    Two [..., L, L] arrays and the queries' gradient go into the front of
+    ``scratch``."""
     l_k, d_k = k.shape[-2], qs.shape[-1]
     rows = math.prod(qs.shape[:-1])
     drop_scale = 1.0 / (1.0 - weight_dropout)
-    # the softmax row term sum_j W_ij dW_ij, as rowsum(dO * O)
-    row_dot = np.einsum("...d,...d->...", g, out)[..., None]
     w = _scores(qs, k, scratch)
     w -= lse
     np.exp(w, out=w)
+    applied = w
+    if keep is not None:
+        applied = np.multiply(w, keep)
+        applied *= drop_scale
+    np.matmul(applied, v, out=out)
+    # the softmax row term sum_j W_ij dW_ij, as rowsum(dO * O)
+    row_dot = np.einsum("...d,...d->...", g, out)[..., None]
     g_w = _scores(g, v, scratch[rows * l_k:])
     if keep is not None:
         g_w *= keep
         g_w *= drop_scale
-    applied = w if keep is None else w * keep * drop_scale
     np.matmul(np.swapaxes(applied, -1, -2), g, out=v)
     # softmax backward, in place: the gradient of the scaled scores
     g_w -= row_dot
@@ -197,14 +206,15 @@ def _scores(a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 
 
 def _attention(x: Tensor, p: AttentionParams, over_nodes: bool, weight_dropout: float, rng,
-               values: Tensor | None = None) -> tuple:
-    """One attention of ``multi_head_attention``, which records it: returns
-    the merged heads [B, N, T, h d_k] and their backward,
-    ``back(g, w_out, grads)``. Given g, the gradient of heads w_out for a
-    [h d_k, d] matrix w_out, it accumulates the gradients of w_q, w_k and w_v
-    and adds those of x and ``values`` into ``grads``, one array per input
-    stream (None where a stream needs none). See the module docstring for the
-    blocks it walks."""
+               values: Tensor | None, w_out: np.ndarray, out: np.ndarray):
+    """One attention of ``multi_head_attention``, which records it: adds
+    heads w_out, for the merged heads [B, N, T, h d_k] and a [h d_k, d]
+    matrix w_out, into ``out`` [B, N, T, d], and returns its backward,
+    ``back(g, grads)``. Given g, the gradient of ``out``, it accumulates the
+    gradients of w_q, w_k and w_v, adds those of x and ``values`` into
+    ``grads``, one array per input stream (None where a stream needs none),
+    and returns heads^T g [h d_k, d], the gradient of w_out. See the module
+    docstring for the blocks it walks."""
     h, d, d_k = p.w_q.shape
     if values is not None and values.shape != x.shape:
         raise ShapeError(f"attention: values {values.shape} are not shaped like x {x.shape}")
@@ -239,38 +249,43 @@ def _attention(x: Tensor, p: AttentionParams, over_nodes: bool, weight_dropout: 
         qkv[0] *= 1.0 / np.sqrt(d_k)
         return qkv
 
-    heads = np.empty(x.shape[:-1] + (h * d_k,))
-    buf, scratch = np.empty(3 * block_size), np.empty(block_groups * length * length)
+    buf, scratch = np.empty(4 * block_size), np.empty(block_groups * length * length)
     saved = []
     for blk, c in zip(blocks, cols):
-        q, k, v = (split(a) for a in project(blk, c, buf))
-        saved.append(_attend(q, k, v, weight_dropout, rng, split(rows(heads)[blk[:2]][..., c]),
+        qkv = project(blk, c, buf)
+        heads = buf[qkv.size:qkv.size + qkv[0].size].reshape(qkv.shape[1:])
+        saved.append(_attend(*(split(a) for a in qkv), weight_dropout, rng, split(heads),
                              scratch)[1:])
+        rows(out)[blk[:2]] += np.matmul(heads, w_out[c])
 
-    def back(g, w_out, grads):
+    def back(g, grads):
         g_w = np.zeros((3, d, h * d_k))
-        buf = np.empty(4 * block_size)
+        g_w_out = np.zeros(w_out.shape)
+        buf = np.empty(5 * block_size)
         scratch = np.empty(block_groups * length * (2 * length + d_k))
         for blk, c, (lse, keep) in zip(blocks, cols, saved):
             r = blk[:2]
             qkv = project(blk, c, buf)
-            g_heads = np.matmul(rows(g)[r], w_out[c].T,
-                                out=buf[qkv.size:qkv.size + qkv[0].size].reshape(qkv.shape[1:]))
-            _attend_back(split(g_heads), *(split(a) for a in qkv), split(rows(heads)[r][..., c]),
-                         lse, keep, weight_dropout, scratch)
+            g_heads, heads = buf[qkv.size:qkv.size + 2 * qkv[0].size].reshape((2,) + qkv.shape[1:])
+            g_rows = rows(g)[r]
+            np.matmul(g_rows, w_out[c].T, out=g_heads)
+            _attend_back(split(g_heads), *(split(a) for a in qkv), split(heads), lse, keep,
+                         weight_dropout, scratch)
+            g_w_out[c] += np.matmul(heads.reshape(-1, heads.shape[-1]).T, g_rows.reshape(-1, d))
             # qkv holds the gradients of q, k and v now
             for (t, ws), g_t in zip(streams, grads):
                 rows_t = rows(t.data)[r].reshape(-1, d)
                 g_qkv = qkv[ws].reshape(ws.stop - ws.start, len(rows_t), -1)
                 g_w[ws, :, c] += np.matmul(rows_t.T, g_qkv)
                 if g_t is not None:
-                    g_rows = rows(g_t)[r]
+                    g_t_rows = rows(g_t)[r]
                     for i in range(ws.start, ws.stop):
-                        g_rows += np.matmul(qkv[i], w3[i, :, c].T)
+                        g_t_rows += np.matmul(qkv[i], w3[i, :, c].T)
         for w, g_w_i in zip((p.w_q, p.w_k, p.w_v), g_w):
             ad._accum(w, g_w_i.reshape(d, h, d_k).transpose(1, 0, 2))
+        return g_w_out
 
-    return heads, back
+    return back
 
 
 def multi_head_attention(x: Tensor, attentions: tuple, weight_dropout: float, rng,
@@ -282,38 +297,31 @@ def multi_head_attention(x: Tensor, attentions: tuple, weight_dropout: float, rn
     projected from ``values`` (shaped like x) when given.
 
     The output is the sum of heads_i w_i, with w_i = w_o,i, or
-    w_o,i proj[i d:(i+1) d] when the [n d, d] ``proj`` is given; terms after
-    the first are added in row blocks. Backward runs the attentions in
-    reverse order: each forms heads_i^T g once for the gradients of its w_o
-    and of proj, then adds into the one gradient of x (and of ``values``)."""
+    w_o,i proj[i d:(i+1) d] when the [n d, d] ``proj`` is given; every
+    attention adds its term block by block. Backward runs the attentions in
+    reverse order: each returns heads_i^T g, from which the gradients of its
+    w_o and of proj are taken, and adds into the one gradient of x (and of
+    ``values``)."""
     d = x.shape[-1]
+    out = np.zeros(x.shape)
     terms = []
     for i, (a, over_nodes) in enumerate(attentions):
-        heads, back = _attention(x, a, over_nodes, weight_dropout, rng, values)
         rows = slice(i * d, (i + 1) * d)
         w_out = a.w_o.data if proj is None else np.matmul(a.w_o.data, proj.data[rows])
-        terms.append((a, rows, heads, back, w_out))
-    (_, _, heads, _, w_out), *rest = terms
-    out = np.matmul(heads, w_out)
-    out_rows = out.reshape(-1, d)
-    for _, _, heads, _, w_out in rest:
-        heads_rows = heads.reshape(-1, heads.shape[-1])
-        for blk in ad._blocks((len(out_rows),), 8 * d)[0]:
-            out_rows[blk] += np.matmul(heads_rows[blk], w_out)
+        terms.append((a, rows, _attention(x, a, over_nodes, weight_dropout, rng, values, w_out,
+                                          out)))
     streams = (x,) if values is None else (x, values)
 
     def back_op(g):
-        g_rows = g.reshape(-1, d)
         g_proj = None if proj is None else np.empty(proj.shape)
         grads = [np.zeros(t.shape) if t.requires_grad else None for t in streams]
-        for a, rows, heads, back, w_out in terms[::-1]:
-            heads_g = np.matmul(heads.reshape(-1, heads.shape[-1]).T, g_rows)
+        for a, rows, back in terms[::-1]:
+            g_w_out = back(g, grads)
             if proj is None:
-                ad._accum(a.w_o, heads_g)
+                ad._accum(a.w_o, g_w_out)
             else:
-                ad._accum(a.w_o, np.matmul(heads_g, proj.data[rows].T))
-                np.matmul(a.w_o.data.T, heads_g, out=g_proj[rows])
-            back(g, w_out, grads)
+                ad._accum(a.w_o, np.matmul(g_w_out, proj.data[rows].T))
+                np.matmul(a.w_o.data.T, g_w_out, out=g_proj[rows])
         if proj is not None:
             ad._accum(proj, g_proj)
         for t, g_t in zip(streams, grads):

@@ -267,10 +267,11 @@ def scaled_dot_op(q: Tensor, k: Tensor, v: Tensor, weight_dropout: float = 0.0,
                                  *attend_buffers(qs, k.data, v.data))
 
     def back(g):
-        # the core overwrites its inputs with their gradients: give it copies
+        # the core overwrites its inputs with their gradients and rebuilds
+        # the output: give it copies, and a buffer of its own for the output
         grads = (q.data * inv_sqrt_dk, np.copy(k.data), np.copy(v.data))
         scratch = np.empty(math.prod(q.shape[:-1]) * (2 * k.shape[-2] + q.shape[-1]))
-        att._attend_back(g, *grads, out, lse, keep, weight_dropout, scratch)
+        att._attend_back(g, *grads, np.empty_like(out), lse, keep, weight_dropout, scratch)
         for t, grad in zip((q, k, v), grads):
             ad._accum(t, grad)
 

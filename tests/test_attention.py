@@ -587,8 +587,8 @@ def test_each_attention_call_is_one_tape_entry():
 
 @pytest.mark.parametrize("site", SITES)
 def test_multi_head_training_forward_keeps_no_projections(site):
-    # the tape keeps the output, the [.., h*d_k] heads and the row
-    # logsumexp; q, k and v (three more arrays the size of x) are recomputed
+    # the tape keeps the output and the row logsumexp; q, k, v and the
+    # heads (four more arrays the size of x) are recomputed
     x_arr, values_arr, _ = site_arrays(43, lead=(4, 16, 12), dim=16)
     p = make_params(16, 2, seed=43)
     x = Tensor(x_arr, requires_grad=True)
@@ -661,14 +661,10 @@ def traced(fn):
     return result, peak - base, end - base
 
 
-@pytest.mark.parametrize("site", SITES + ["merge"])
-def test_attention_allocates_no_input_sized_buffer(monkeypatch, site):
-    # q, k and v are projected block by block, and g_heads formed per block,
-    # so beyond what forward keeps (the heads and the output) and backward
-    # returns (the inputs' gradients) neither allocates an array of x's size.
-    # With whole-input q, k, v (and heads-gradient) buffers, these peaks read
-    # 2.5-3.5 such arrays above that in forward and 3.0-6.0 in backward.
-    monkeypatch.setattr(ad, "BLOCK_BYTES", 16384)
+def traced_site_forward(site, weight_dropout):
+    """One site's forward over a leaf x [4, 16, 12, 16] with 2 heads, traced:
+    x, an output gradient g, the output, the forward's traced peak and the
+    bytes it leaves allocated, and its tape entry's backward."""
     x_arr, values_arr, g = site_arrays(49, lead=(4, 16, 12), dim=16)
     x = Tensor(x_arr, requires_grad=True)
     values = Tensor(values_arr, requires_grad=True) if site == "fusion" else None
@@ -676,17 +672,42 @@ def test_attention_allocates_no_input_sized_buffer(monkeypatch, site):
     ad.reset_tape()
     if site == "merge":
         p = layer_params("parallel", dim=16, heads=2, seed=49)
-        _, peak, kept = traced(lambda: merge_site(x, p, 0.3, draws))
+        out, peak, kept = traced(lambda: merge_site(x, p, weight_dropout, draws))
     else:
         p = make_params(16, 2, seed=49)
-        _, peak, kept = traced(lambda: mha(x, p, site == "spatial", 0.3, draws, values=values))
+        out, peak, kept = traced(lambda: mha(x, p, site == "spatial", weight_dropout, draws,
+                                             values=values))
     (_, _, back), = ad.tape().entries
     ad.reset_tape()
-    assert peak - kept < x_arr.nbytes, (peak - kept) / x_arr.nbytes
+    return x, g, out, peak, kept, back
+
+
+@pytest.mark.parametrize("site", SITES + ["merge"])
+def test_attention_allocates_no_input_sized_buffer(monkeypatch, site):
+    # q, k and v are projected block by block, and g_heads formed per block,
+    # so beyond what forward keeps (the output) and backward returns (the
+    # inputs' gradients) neither allocates an array of x's size.
+    # With whole-input q, k, v (and heads-gradient) buffers, these peaks read
+    # 2.5-3.5 such arrays above that in forward and 3.0-6.0 in backward.
+    monkeypatch.setattr(ad, "BLOCK_BYTES", 16384)
+    x, g, _, peak, kept, back = traced_site_forward(site, 0.3)
+    assert peak - kept < x.data.nbytes, (peak - kept) / x.data.nbytes
     _, peak, kept = traced(lambda: back(g))
-    assert peak - kept < x_arr.nbytes, (peak - kept) / x_arr.nbytes
-    assert peak < 3 * x_arr.nbytes, peak / x_arr.nbytes
+    assert peak - kept < x.data.nbytes, (peak - kept) / x.data.nbytes
+    assert peak < 3 * x.data.nbytes, peak / x.data.nbytes
     assert x.grad is not None
+
+
+@pytest.mark.parametrize("weight_dropout", [0.0, 0.3])
+@pytest.mark.parametrize("site", SITES + ["merge"])
+def test_site_forward_keeps_only_its_output(site, weight_dropout):
+    # besides its output, a site's tape entry keeps the row logsumexp, the
+    # dropout mask and the stacked weights of each attention: 0.21-0.47
+    # arrays of x's size per attention at these shapes, which fit one block.
+    # Keeping the merged [.., h d_k] heads as well read 1.21-1.47.
+    x, _, out, _, kept, _ = traced_site_forward(site, weight_dropout)
+    per_attention = (kept - out.data.nbytes) / (2 if site == "merge" else 1)
+    assert per_attention < 0.6 * x.data.nbytes, per_attention / x.data.nbytes
 
 
 def test_head_divisibility_rejected_at_construction():
@@ -742,29 +763,51 @@ def test_spatial_oracle_agreement_random_trials():
 # -- the parallel block's merge site ------------------------------------------------------
 
 
+def run_merge(merge, arrays, weight_dropout):
+    """The merge site with ``merge`` (the library op or the composed
+    reference) on fresh leaves, then backward; returns the output, the
+    gradients of x and of all nine weights, the stream's next draw and the
+    tape entries the forward recorded."""
+    x_arr, _, weight = arrays
+    ad.reset_tape()
+    p = layer_params("parallel", dim=8, heads=2, seed=44)
+    x = Tensor(x_arr, requires_grad=True)
+    draws = np.random.default_rng(24)
+    out = merge(x, p, weight_dropout, draws)
+    entries = len(ad.tape().entries)
+    ad.backward(weighted_sum(out, weight))
+    weights = [p.concat_proj] + [getattr(a, w) for a in (p.temporal, p.spatial)
+                                 for w in ("w_q", "w_k", "w_v", "w_o")]
+    return [out.data, x.grad] + [w.grad for w in weights], draws.random(), entries
+
+
 @pytest.mark.parametrize("weight_dropout", [0.0, 0.3])
 def test_merge_op_matches_composed_concat_and_matmul(weight_dropout):
     # ta P[:d] + sa P[d:] as one op against concat(ta, sa) P from tape ops:
     # the output and the gradients of x and of all nine weights
-    x_arr, _, weight = site_arrays(44)
-    results, next_draws, entries = [], [], []
-    for merge in (merge_site, merge_composed):
-        ad.reset_tape()
-        p = layer_params("parallel", dim=8, heads=2, seed=44)
-        x = Tensor(x_arr, requires_grad=True)
-        draws = np.random.default_rng(24)
-        out = merge(x, p, weight_dropout, draws)
-        entries.append(len(ad.tape().entries))
-        ad.backward(weighted_sum(out, weight))
-        weights = [p.concat_proj] + [getattr(a, w) for a in (p.temporal, p.spatial)
-                                     for w in ("w_q", "w_k", "w_v", "w_o")]
-        results.append([out.data, x.grad] + [w.grad for w in weights])
-        next_draws.append(draws.random())
-    assert entries[0] == 1
-    for got, expected in zip(*results):
+    arrays = site_arrays(44)
+    merged, after_merged, entries = run_merge(merge_site, arrays, weight_dropout)
+    composed, after_composed, _ = run_merge(merge_composed, arrays, weight_dropout)
+    assert entries == 1
+    for got, expected in zip(merged, composed):
         assert got.shape == expected.shape
         assert np.abs(got - expected).max() < 1e-12
-    assert next_draws[0] == next_draws[1]  # the same dropout draws from the stream
+    assert after_merged == after_composed  # the same dropout draws from the stream
+
+
+@pytest.mark.parametrize("weight_dropout", [0.0, 0.3])
+def test_merge_site_blocks_of_one_group_match_one_block(monkeypatch, weight_dropout):
+    # at BLOCK_BYTES=1 each block holds one group of one head, so the heads
+    # of a row split across blocks and the gradients of w_o and concat_proj
+    # are summed from per-block heads; by default these shapes fit one block
+    arrays = site_arrays(50)
+    one_block, after_one, _ = run_merge(merge_site, arrays, weight_dropout)
+    monkeypatch.setattr(ad, "BLOCK_BYTES", 1)
+    assert len(ad._blocks((2, 4, 2), 8)[0]) == 16
+    blocked, after_blocked, _ = run_merge(merge_site, arrays, weight_dropout)
+    for got, expected in zip(blocked, one_block):
+        assert np.abs(got - expected).max() < 1e-12
+    assert after_blocked == after_one
 
 
 def held_arrays(entries):
@@ -792,8 +835,9 @@ def held_arrays(entries):
 
 
 def test_parallel_training_forward_keeps_no_concat_or_branch_output():
-    # the merge op keeps what the two attentions keep (x, heads, logsumexp)
-    # and neither branch output nor their [B, N, T, 2d] concatenation
+    # the merge op keeps what the two attentions keep (x and the row
+    # logsumexp) and neither branch output nor their [B, N, T, 2d]
+    # concatenation
     cfg = md.ModelConfig(n_nodes=5, input_steps=4, output_steps=3, embed_dim=3, hidden_dim=8,
                          heads=2, cheb_order=2, ffn_dim=16, fc_hidden=8,
                          dropout_input=0.0, dropout_inner=0.0)
